@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn
+from .core import GridFn, rk4_step
 from .errors import WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, coef_tables, inner, solve_inner
 
 __all__ = [
     "AdjointProfile",
@@ -66,21 +66,12 @@ class AdjointProfile:
         return self.modulated_h(s)
 
 
-def _theta_eps_scalar(P: RiccatiSolution, p: SLQProblem, s: np.ndarray) -> np.ndarray:
-    """Vectorized perturbed feedback gain for scalar problems."""
-    Pv = P.P(s).reshape(-1)
-    B = p.B(s).reshape(-1)
-    C = p.C(s).reshape(-1)
-    D = p.D(s).reshape(-1)
-    S = p.S(s).reshape(-1)
-    R = p.R(s).reshape(-1)
-    K = R + P.epsilon + D * Pv * D
-    if P.epsilon == 0.0:
-        out = np.zeros_like(K)
-        nz = K != 0.0
-        out[nz] = -(B[nz] * Pv[nz] + D[nz] * Pv[nz] * C[nz] + S[nz]) / K[nz]
-        return out
-    return -(B * Pv + D * Pv * C + S) / K
+def _theta(P: RiccatiSolution, p: SLQProblem, s: np.ndarray) -> tuple:
+    """Theta_eps at an array of times, with the coefficient tables and P there."""
+    cf = coef_tables(p, s)
+    Ps = P.P(s)
+    K, L, scale = inner(cf, Ps, P.epsilon)
+    return -solve_inner(K, L, P.epsilon, scale, s), cf, Ps
 
 
 def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -> AdjointProfile:
@@ -96,53 +87,30 @@ def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -
         raise WrongClassError(
             "problem has martingale-modulated inputs; use solve_adjoint_modulated"
         )
-    from .strategy import theta_eps
-
     T = p.T
     h = T / steps
     half_times = np.linspace(0.0, T, 2 * steps + 1)
-    n = p.n
-
-    theta = np.empty((half_times.size, p.m, n))
-    for j, s in enumerate(half_times):
-        theta[j] = theta_eps(P, p, s)
-    Pv = P.P(half_times)
-    A = p.A(half_times)
-    B = p.B(half_times)
-    C = p.C(half_times)
-    D = p.D(half_times)
-    sig = p.sigma.deterministic(half_times)
-    rho = p.rho.deterministic(half_times)
+    Th, cf, Pv = _theta(P, p, half_times)
+    sig = p.sigma.deterministic(half_times)[..., None]
+    rho = p.rho.deterministic(half_times)[..., None]
     qv = p.q.deterministic(half_times)
-    bv = p.b.deterministic(half_times)
+    bv = p.b.deterministic(half_times)[..., None]
 
     # closed-loop matrix and forcing prepared once per evaluation time
-    M_cl = np.empty((half_times.size, n, n))
-    force = np.empty((half_times.size, n))
-    for j in range(half_times.size):
-        Th = theta[j]
-        M_cl[j] = (A[j] + B[j] @ Th).T
-        force[j] = (
-            (C[j] + D[j] @ Th).T @ (Pv[j] @ sig[j])
-            + Th.T @ rho[j]
-            + Pv[j] @ bv[j]
-            + qv[j]
-        )
+    M_cl = (cf["A"] + cf["B"] @ Th).mT
+    force = (
+        (cf["C"] + cf["D"] @ Th).mT @ (Pv @ sig) + Th.mT @ rho + Pv @ bv
+    )[..., 0] + qv
 
     def rhs(j: int, eta: np.ndarray) -> np.ndarray:
         return -(M_cl[j] @ eta + force[j])
 
     grid = np.linspace(0.0, T, steps + 1)
-    values = np.empty((steps + 1, n))
+    values = np.empty((steps + 1, p.n))
     values[steps] = p.g
     eta = p.g.copy()
     for k in range(steps, 0, -1):
-        j = 2 * k
-        k1 = rhs(j, eta)
-        k2 = rhs(j - 1, eta - 0.5 * h * k1)
-        k3 = rhs(j - 1, eta - 0.5 * h * k2)
-        k4 = rhs(j - 2, eta - h * k3)
-        eta = eta - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        eta = rk4_step(rhs, 2 * k, eta, h, 2)
         values[k - 1] = eta
     return AdjointProfile(epsilon=P.epsilon, deterministic_eta=GridFn(grid, values))
 
@@ -181,12 +149,8 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     lo, hi = grid[:-1], grid[1:]
 
     def a_of(s: np.ndarray) -> np.ndarray:
-        Th = _theta_eps_scalar(P, p, s)
-        A = p.A(s).reshape(-1)
-        B = p.B(s).reshape(-1)
-        C = p.C(s).reshape(-1)
-        D = p.D(s).reshape(-1)
-        return A + B * Th + gamma * (C + D * Th)
+        Th, cf, _ = _theta(P, p, s)
+        return (cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)).reshape(-1)
 
     def P_of(s: np.ndarray) -> np.ndarray:
         return P.P(s).reshape(-1)

@@ -19,6 +19,7 @@ __all__ = [
     "pinv",
     "range_included",
     "symmetrize",
+    "rk4_step",
     "is_symmetric",
     "GridFn",
     "l2_norm",
@@ -26,13 +27,14 @@ __all__ = [
 
 
 def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """A matrix, or a stack of matrices along a leading axis."""
     A = np.asarray(M, dtype=float)
     if A.ndim == 0:
         A = A.reshape(1, 1)
     elif A.ndim == 1:
         A = A.reshape(-1, 1)
-    if A.ndim != 2:
-        raise InvalidInputError(f"{name} must be at most 2-dimensional, got shape {A.shape}")
+    if A.ndim > 3:
+        raise InvalidInputError(f"{name} must be at most 3-dimensional, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
@@ -49,7 +51,8 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     Parameters
     ----------
     M : array_like
-        Matrix to invert; must be finite.
+        Matrix to invert, or a stack ``(N, r, c)`` of matrices inverted one
+        by one; must be finite.
     rel_tol : float
         Relative singular-value cutoff, in (0, 1).
     """
@@ -57,33 +60,49 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
         raise InvalidInputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     A = _as_matrix(M, "pinv input")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.ndim == 1 and (s.size == 0 or s[0] == 0.0):
         return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rel_tol * s[0]
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
+    keep = s > rel_tol * s[..., :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return (Vt.mT * s_inv[..., None, :]) @ U.mT
 
 
 def range_included(N, M, tol: float) -> bool:
     """Numerical test for range(N) being contained in range(M).
 
-    Returns True iff ``||(I - M M^+) N||_F <= tol * max(1, ||N||_F)``.
-    Both matrices must have the same number of rows.
+    Returns True iff ``||(I - M M^+) N||_F <= tol * max(1, ||N||_F)``; on
+    stacks of matrices, iff that holds for every pair in the stack.  Both
+    matrices must have the same number of rows.
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
     A = _as_matrix(N, "N")
     B = _as_matrix(M, "M")
-    if A.shape[0] != B.shape[0]:
-        raise InvalidInputError(f"row counts differ: N has {A.shape[0]}, M has {B.shape[0]}")
-    proj = np.eye(B.shape[0]) - B @ pinv(B)
-    resid = np.linalg.norm(proj @ A)
-    return bool(resid <= tol * max(1.0, np.linalg.norm(A)))
+    if A.shape[-2] != B.shape[-2]:
+        raise InvalidInputError(f"row counts differ: N has {A.shape[-2]}, M has {B.shape[-2]}")
+    proj = np.eye(B.shape[-2]) - B @ pinv(B)
+    resid = np.linalg.norm(proj @ A, axis=(-2, -1))
+    return bool(np.all(resid <= tol * np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))))
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Return (M + M') / 2."""
-    return 0.5 * (M + M.T)
+    """Return (M + M') / 2, node by node on a stack."""
+    return 0.5 * (M + M.mT)
+
+
+def rk4_step(rhs, j_right: int, y: np.ndarray, step: float, j_stride: int) -> np.ndarray:
+    """One classical RK4 step of y' = rhs(j, y) backward in time.
+
+    Times are indices j on a half grid: the step runs from ``j_right`` to
+    ``j_right - j_stride`` with its midpoint at ``j_right - j_stride // 2``
+    (the right end itself when ``j_stride`` is 1).
+    """
+    j_mid = j_right - j_stride // 2
+    k1 = rhs(j_right, y)
+    k2 = rhs(j_mid, y - 0.5 * step * k1)
+    k3 = rhs(j_mid, y - 0.5 * step * k2)
+    k4 = rhs(j_right - j_stride, y - step * k3)
+    return y - (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def is_symmetric(M, tol: float = 0.0) -> bool:

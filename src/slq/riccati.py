@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn, pinv, range_included, symmetrize
+from .core import GridFn, pinv, range_included, rk4_step, symmetrize
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import SLQProblem
 
@@ -28,6 +28,9 @@ __all__ = [
     "RegularityReport",
     "solve_perturbed",
     "solve_gre",
+    "coef_tables",
+    "inner",
+    "solve_inner",
     "theta_hat",
     "check_regularity",
     "riccati_csv",
@@ -59,42 +62,71 @@ class RiccatiSolution:
         return self.P.grid
 
 
-def _coef_tables(p: SLQProblem, times: np.ndarray) -> dict:
+def coef_tables(p: SLQProblem, times) -> dict:
+    """The coefficients entering K and L, evaluated at scalar or array times."""
     return {name: getattr(p, name)(times) for name in ("A", "B", "C", "D", "Q", "S", "R")}
 
 
-def _gain_inner(cf: dict, j: int, P: np.ndarray, eps: float) -> tuple:
-    """K = R + eps I + D'PD, L = B'P + D'PC + S, and the summand scale of K."""
-    D = cf["D"][j]
+def inner(cf: dict, P: np.ndarray, eps: float, idx=slice(None)) -> tuple:
+    """K = R + eps I + D'PD, L = B'P + D'PC + S, and the summand scale of K.
+
+    ``P`` is one node ``(n, n)`` or a stack ``(N, n, n)``; ``idx`` picks the
+    matching entries of the coefficient tables ``cf`` (a half-grid index for
+    one node, all rows for a stack).  The scale is a float for one node and
+    an array of N for a stack.
+    """
+    D = cf["D"][idx]
+    R = cf["R"][idx]
     PD = P @ D
-    DPD = D.T @ PD
-    K = cf["R"][j] + DPD
-    scale = float(np.abs(cf["R"][j]).max(initial=0.0) + np.abs(DPD).max(initial=0.0)) + eps
+    DPD = D.mT @ PD
+    K = R + DPD
+    if P.ndim == 2:
+        scale = float(np.abs(R).max(initial=0.0) + np.abs(DPD).max(initial=0.0)) + eps
+    else:
+        scale = (
+            np.abs(R).max(axis=(1, 2), initial=0.0) + np.abs(DPD).max(axis=(1, 2), initial=0.0) + eps
+        )
     if eps != 0.0:
-        K = K + eps * np.eye(K.shape[0])
-    L = cf["B"][j].T @ P + PD.T @ cf["C"][j] + cf["S"][j]
+        K = K + eps * np.eye(K.shape[-1])
+    L = cf["B"][idx].mT @ P + PD.mT @ cf["C"][idx] + cf["S"][idx]
     return K, L, scale
 
 
-def check_inner_invertible(K: np.ndarray, scale: float, eps: float, where: str):
-    """Raise when R + eps I + D'PD is singular relative to its summands.
+def solve_inner(K: np.ndarray, rhs: np.ndarray, eps: float, scale, times) -> np.ndarray:
+    """K^{-1} rhs for eps > 0, the pseudoinverse K^+ rhs for eps = 0.
 
-    The scale of the summands (not of K itself) measures cancellation: a
-    tiny K produced by large cancelling terms means eps is too small for the
-    given weights.
+    Works on one node or on a stack, as returned by :func:`inner`.  For
+    eps > 0, K = R + eps I + D'PD must be invertible relative to the scale of
+    its summands (not of K itself): a tiny K produced by large cancelling
+    terms means eps is too small for the given weights, and raises
+    :class:`DegeneratePerturbationError` naming the first bad time.
     """
-    if K.shape[0] == 1:
-        smin = smax = abs(float(K[0, 0]))
+    if eps == 0.0:
+        return pinv(K) @ rhs
+    m = K.shape[-1]
+    if K.ndim == 2:
+        if m == 1:
+            smin = smax = abs(float(K[0, 0]))
+        else:
+            ev = np.abs(np.linalg.eigvalsh(symmetrize(K)))
+            smin, smax = float(ev.min()), float(ev.max())
+        bad = smin <= max(smax, scale) / COND_LIMIT
+        where = times
     else:
-        ev = np.abs(np.linalg.eigvalsh(symmetrize(K)))
-        smin, smax = float(ev.min()), float(ev.max())
-    if smin <= max(smax, scale) / COND_LIMIT:
+        ev = np.abs(K[:, :, 0] if m == 1 else np.linalg.eigvalsh(symmetrize(K)))
+        bad_nodes = ev.min(axis=1) <= np.maximum(ev.max(axis=1), scale) / COND_LIMIT
+        bad = bad_nodes.any()
+        where = times[np.argmax(bad_nodes)] if bad else None
+    if bad:
         raise DegeneratePerturbationError(
-            f"R + {eps}*I + D'PD is numerically singular at {where}; increase eps"
+            f"R + {eps}*I + D'PD is numerically singular at s={float(where):.6g}; increase eps"
         )
+    if m == 1:
+        return rhs / K
+    return np.linalg.solve(K, rhs)
 
 
-def _solve_backward(p: SLQProblem, eps: float, steps: int, pinv_rel_tol: float) -> RiccatiSolution:
+def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     if steps < 16:
         raise InvalidInputError(f"steps must be >= 16, got {steps}")
     n = p.n
@@ -103,31 +135,18 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int, pinv_rel_tol: float) 
     # RK4 evaluates at nodes and midpoints: index j on the half grid is
     # 2k for node k, odd for midpoints.
     half_times = np.linspace(0.0, p.T, 2 * steps + 1)
-    cf = _coef_tables(p, half_times)
-    perturbed = eps > 0.0
+    cf = coef_tables(p, half_times)
+    scalar_gain = eps > 0.0 and p.m == 1
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
-        K, L, scale = _gain_inner(cf, j, P, eps if perturbed else 0.0)
-        if perturbed:
-            check_inner_invertible(K, scale, eps, f"s={half_times[j]:.6g}")
-            if K.shape[0] == 1:
-                gain = L.T @ L / K[0, 0]
-            else:
-                gain = L.T @ np.linalg.solve(K, L)
+        K, L, scale = inner(cf, P, eps, j)
+        if scalar_gain:
+            # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
+            gain = solve_inner(K, L.T @ L, eps, scale, half_times[j])
         else:
-            gain = L.T @ (pinv(K, pinv_rel_tol) @ L)
+            gain = L.T @ solve_inner(K, L, eps, scale, half_times[j])
         A, C, Q = cf["A"][j], cf["C"][j], cf["Q"][j]
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - gain)
-
-    def rk4_step(j_right: int, P: np.ndarray, step: float, j_stride: int) -> np.ndarray:
-        # One backward step from half-grid index j_right to j_right - j_stride.
-        j_mid = j_right - j_stride // 2
-        j_left = j_right - j_stride
-        k1 = rhs(j_right, P)
-        k2 = rhs(j_mid, P - 0.5 * step * k1)
-        k3 = rhs(j_mid, P - 0.5 * step * k2)
-        k4 = rhs(j_left, P - step * k3)
-        return P - (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     values = np.empty((steps + 1, n, n))
     values[steps] = symmetrize(np.asarray(p.G, dtype=float))
@@ -137,7 +156,7 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int, pinv_rel_tol: float) 
     err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
     for k in range(steps, 0, -1):
         j_right = 2 * k
-        P_new = rk4_step(j_right, P, h, 2)
+        P_new = rk4_step(rhs, j_right, P, h, 2)
         if not np.all(np.isfinite(P_new)) or np.linalg.norm(P_new) > BLOWUP_NORM:
             raise BlowUpError(
                 f"Riccati flow (eps={eps}) left the finite regime near s={grid[k - 1]:.6g}",
@@ -145,8 +164,8 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int, pinv_rel_tol: float) 
             )
         if k % err_stride == 0:
             # step-doubling local error estimate on a subsample of steps
-            P_half = rk4_step(j_right, P, 0.5 * h, 1)
-            P_half = rk4_step(j_right - 1, P_half, 0.5 * h, 1)
+            P_half = rk4_step(rhs, j_right, P, 0.5 * h, 1)
+            P_half = rk4_step(rhs, j_right - 1, P_half, 0.5 * h, 1)
             max_local_err = max(max_local_err, float(np.linalg.norm(P_new - P_half)))
         asym = np.linalg.norm(P_new - P_new.T) / max(1.0, np.linalg.norm(P_new))
         max_asym = max(max_asym, float(asym))
@@ -174,25 +193,22 @@ def solve_perturbed(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     """
     if not (eps > 0.0):
         raise InvalidInputError(f"eps must be positive, got {eps}")
-    return _solve_backward(p, eps, steps, pinv_rel_tol=1e-12)
+    return _solve_backward(p, eps, steps)
 
 
-def solve_gre(p: SLQProblem, steps: int, pinv_rel_tol: float = 1e-12) -> RiccatiSolution:
+def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
     """Integrate the generalized Riccati equation (pseudoinverse gain).
 
     Completes even when the solution exists but is not regular; finite-time
     blow-up raises :class:`BlowUpError` carrying the first bad node time.
     """
-    return _solve_backward(p, 0.0, steps, pinv_rel_tol=pinv_rel_tol)
+    return _solve_backward(p, 0.0, steps)
 
 
-def theta_hat(P: RiccatiSolution, p: SLQProblem, s, pinv_rel_tol: float = 1e-12) -> np.ndarray:
-    """Candidate feedback -(R + D'PD)^+ (B'P + D'PC + S) at time s."""
-    Ps = P.at(s)
-    D = p.D(s)
-    K = p.R(s) + D.T @ Ps @ D
-    L = p.B(s).T @ Ps + D.T @ Ps @ p.C(s) + p.S(s)
-    return -pinv(K, pinv_rel_tol) @ L
+def theta_hat(P: RiccatiSolution, p: SLQProblem, s) -> np.ndarray:
+    """Candidate feedback -(R + D'PD)^+ (B'P + D'PC + S) at a time or an array of times."""
+    K, L, scale = inner(coef_tables(p, s), P.at(s), 0.0)
+    return -solve_inner(K, L, 0.0, scale, s)
 
 
 @dataclass(frozen=True)
@@ -212,7 +228,7 @@ class RegularityReport:
         return self.verdict == "regular"
 
 
-def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem, pinv_rel_tol: float) -> float:
+def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem) -> float:
     """L2 norm of theta_hat with a delta-halving divergence probe near T.
 
     A genuinely infinite int |theta_hat|^2 cannot be computed, so the norm
@@ -225,14 +241,14 @@ def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem, pinv_rel_tol: float) 
     base_grid = P.grid[P.grid <= base_cut]
     if base_grid.size < 2 or base_grid[-1] < base_cut - 1e-15:
         base_grid = np.append(base_grid, base_cut)
-    th = np.array([theta_hat(P, p, s, pinv_rel_tol) for s in base_grid])
+    th = theta_hat(P, p, base_grid)
     sq = np.sum(th.reshape(base_grid.size, -1) ** 2, axis=1)
     base_sq = float(np.trapezoid(sq, base_grid))
 
     deltas = 1e-2 * T * 0.5 ** np.arange(0, 11)  # down to ~1e-5 T
     gaps = np.unique(np.concatenate([np.geomspace(deltas[-1], 1e-2 * T, 257), deltas]))
     tail_nodes = T - gaps[::-1]  # ascending times from base_cut to T - min(delta)
-    th_tail = np.array([theta_hat(P, p, s, pinv_rel_tol) for s in tail_nodes])
+    th_tail = theta_hat(P, p, tail_nodes)
     sq_tail = np.sum(th_tail.reshape(tail_nodes.size, -1) ** 2, axis=1)
 
     norms = []
@@ -245,9 +261,7 @@ def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem, pinv_rel_tol: float) 
     return norms[-1]
 
 
-def check_regularity(
-    P: RiccatiSolution, p: SLQProblem, tol: float = 1e-9, pinv_rel_tol: float = 1e-12
-) -> RegularityReport:
+def check_regularity(P: RiccatiSolution, p: SLQProblem, tol: float = 1e-9) -> RegularityReport:
     """Test the three regularity conditions of a generalized Riccati solution.
 
     (a) min eigenvalue of R + D'PD >= -tol at every grid node,
@@ -256,21 +270,10 @@ def check_regularity(
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    grid = P.grid
-    positivity_ok = True
-    range_ok = True
-    for k, s in enumerate(grid):
-        Ps = P.P.values[k]
-        D = p.D(s)
-        K = p.R(s) + D.T @ Ps @ D
-        L = p.B(s).T @ Ps + D.T @ Ps @ p.C(s) + p.S(s)
-        if positivity_ok and float(np.linalg.eigvalsh(symmetrize(K)).min()) < -tol:
-            positivity_ok = False
-        if range_ok and not range_included(L, K, tol):
-            range_ok = False
-        if not positivity_ok and not range_ok:
-            break
-    l2 = _theta_hat_l2_probe(P, p, pinv_rel_tol)
+    K, L, _ = inner(coef_tables(p, P.grid), P.P.values, 0.0)
+    positivity_ok = bool(np.linalg.eigvalsh(symmetrize(K)).min() >= -tol)
+    range_ok = range_included(L, K, tol)
+    l2 = _theta_hat_l2_probe(P, p)
     ok = positivity_ok and range_ok and np.isfinite(l2)
     return RegularityReport(
         positivity_ok=positivity_ok,

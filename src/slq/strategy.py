@@ -8,9 +8,9 @@ For each eps > 0 the perturbed problem is uniquely closed-loop solvable with
 Running a decreasing eps ladder and measuring consecutive L2 distances on a
 truncated window [0, T - delta] yields the weak closed-loop limit pair
 (Theta*, v*): the limit is taken as the last ladder member, with the Cauchy
-distances attached as evidence.  No extrapolation is applied by default; the
+distances attached as evidence.  No extrapolation is applied; the
 convergence is guaranteed without a rate, so the ladder depth is the
-accuracy dial (a Richardson post-process is available but experimental).
+accuracy dial.
 """
 
 from __future__ import annotations
@@ -22,16 +22,19 @@ from typing import Optional
 import numpy as np
 
 from . import bsde as bsde_mod
+from . import simulate as sim_mod
 from .bsde import AdjointProfile
-from .core import GridFn, pinv
+from .core import GridFn, range_included
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import (
     RegularityReport,
     RiccatiSolution,
-    check_inner_invertible,
     check_regularity,
+    coef_tables,
+    inner,
     solve_gre,
+    solve_inner,
     solve_perturbed,
 )
 
@@ -50,58 +53,55 @@ __all__ = [
 ]
 
 
-def _inner_matrix(P: RiccatiSolution, p: SLQProblem, s) -> tuple:
-    Ps = P.at(s)
-    D = p.D(s)
-    R = p.R(s)
-    DPD = D.T @ Ps @ D
-    K = R + DPD
-    scale = float(np.abs(R).max(initial=0.0) + np.abs(DPD).max(initial=0.0)) + P.epsilon
-    if P.epsilon > 0.0:
-        K = K + P.epsilon * np.eye(p.m)
-    L = p.B(s).T @ Ps + D.T @ Ps @ p.C(s) + p.S(s)
-    return K, L, Ps, D, scale
+def _bias_rhs(p: SLQProblem, cf: dict, Ps, adj: AdjointProfile, s, eta, h) -> list:
+    """Right-hand sides of v_eps as columns: B'eta + D'P sigma + rho, then
+    (B + gamma D) h when the adjoint is modulated."""
+    B, D = cf["B"], cf["D"]
+    out = [
+        B.mT @ eta[..., None]
+        + D.mT @ (Ps @ p.sigma.deterministic(s)[..., None])
+        + p.rho.deterministic(s)[..., None]
+    ]
+    if adj.modulated_h is not None:
+        out.append(((B + adj.gamma * D)[..., 0, :] * np.asarray(h)[..., None])[..., None])
+    return out
 
 
-def _solve_inner(K: np.ndarray, rhs: np.ndarray, eps: float, scale: float, s) -> np.ndarray:
-    if eps > 0.0:
-        check_inner_invertible(K, scale, eps, f"s={float(s):.6g}")
-        if K.shape[0] == 1:
-            return rhs / K[0, 0]
-        return np.linalg.solve(K, rhs)
-    return pinv(K) @ rhs
+def _feedback(P: RiccatiSolution, adj: AdjointProfile, p: SLQProblem, s, Ps, eta, h) -> tuple:
+    """(Theta_eps, v_det, v_mod) at a time or an array of times, from one
+    kernel call; ``Ps``, ``eta`` and ``h`` are P, the deterministic eta and
+    the modulated h at those times."""
+    cf = coef_tables(p, s)
+    K, L, scale = inner(cf, Ps, P.epsilon)
+    theta = -solve_inner(K, L, P.epsilon, scale, s)
+    rhs = _bias_rhs(p, cf, Ps, adj, s, eta, h)
+    v = [-solve_inner(K, r, P.epsilon, scale, s)[..., 0] for r in rhs]
+    return theta, v[0], v[1] if len(v) > 1 else None
 
 
 def theta_eps(P: RiccatiSolution, p: SLQProblem, s) -> np.ndarray:
-    """Perturbed feedback gain Theta_eps(s), an (m, n) matrix.
+    """Perturbed feedback gain Theta_eps(s), an (m, n) matrix, or a stack of
+    them for an array of times.
 
     Uses the true inverse of R + eps I + D'P_eps D; with eps = 0 this is the
     pseudoinverse candidate gain of the generalized equation instead.
     """
-    K, L, _, _, scale = _inner_matrix(P, p, s)
-    return -_solve_inner(K, L, P.epsilon, scale, s)
+    K, L, scale = inner(coef_tables(p, s), P.at(s), P.epsilon)
+    return -solve_inner(K, L, P.epsilon, scale, s)
 
 
 def v_eps_parts(P: RiccatiSolution, adj: AdjointProfile, p: SLQProblem, s):
     """Deterministic and modulated parts of the bias term v_eps(s).
 
     Returns ``(v_det, v_mod)`` where the per-path value is
-    ``v_det + v_mod * M(s)`` (``v_mod`` is None without modulation).
+    ``v_det + v_mod * M(s)`` (``v_mod`` is None without modulation); for an
+    array of times both carry a leading time axis.
     """
     if adj.epsilon != P.epsilon:
         raise InvalidInputError(
             f"adjoint eps {adj.epsilon} does not match Riccati eps {P.epsilon}"
         )
-    K, _, Ps, D, scale = _inner_matrix(P, p, s)
-    eta = adj.eta_det_at(s)
-    rhs = p.B(s).T @ eta + D.T @ (Ps @ p.sigma.deterministic(s)) + p.rho.deterministic(s)
-    v_det = -_solve_inner(K, rhs, P.epsilon, scale, s)
-    v_mod = None
-    if adj.modulated_h is not None:
-        h = float(adj.h_at(s))
-        mod_rhs = (p.B(s) + adj.gamma * D).reshape(p.m) * h
-        v_mod = -_solve_inner(K, mod_rhs, P.epsilon, scale, s)
-    return v_det, v_mod
+    return _feedback(P, adj, p, s, P.at(s), adj.eta_det_at(s), adj.h_at(s))[1:]
 
 
 @dataclass(frozen=True)
@@ -181,15 +181,10 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
         except (BlowUpError, DegeneratePerturbationError) as exc:
             raise _tag_eps(exc, eps)
         grid = P.grid
-        theta_vals = np.empty((grid.size, p.m, p.n))
-        v_det_vals = np.empty((grid.size, p.m))
-        v_mod_vals = np.empty((grid.size, p.m)) if adj.modulated_h is not None else None
-        for k, s in enumerate(grid):
-            theta_vals[k] = theta_eps(P, p, s)
-            v_det, v_mod = v_eps_parts(P, adj, p, s)
-            v_det_vals[k] = v_det
-            if v_mod_vals is not None:
-                v_mod_vals[k] = v_mod
+        h = adj.modulated_h.values if adj.modulated_h is not None else None
+        theta_vals, v_det_vals, v_mod_vals = _feedback(
+            P, adj, p, grid, P.P.values, adj.deterministic_eta.values, h
+        )
         out.append(
             PerturbedSolution(
                 epsilon=eps,
@@ -217,16 +212,13 @@ def _v_l2_sq(grid, dv_det, dv_mod, gamma) -> float:
     return _trapz_sq(grid, sq)
 
 
-def extract_limit(
-    sols: list, delta: float, tol: float, richardson: bool = False
-) -> WeakClosedLoopStrategy:
+def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrategy:
     """Take the weak closed-loop limit of a ladder on [0, T - delta].
 
     Consecutive L2(0, T - delta) distances are computed for Theta and for the
     v parts; convergence is declared when the final distances fall below
     ``tol * max(1, norm of last iterate)``.  The returned strategy is the
-    last ladder member restricted to the window (with ``richardson=True``, an
-    experimental 2x-minus-previous extrapolation of the node values).
+    last ladder member restricted to the window.
     """
     if len(sols) < 3:
         raise InvalidInputError("need at least 3 ladder members")
@@ -269,20 +261,10 @@ def extract_limit(
         1.0, norm_v
     )
 
-    th_vals = last.theta.values[keep]
-    vd_vals = last.v_det.values[keep]
-    vm_vals = vm_last
-    if richardson:
-        prev = sols[-2]
-        th_vals = 2.0 * th_vals - prev.theta.values[keep]
-        vd_vals = 2.0 * vd_vals - prev.v_det.values[keep]
-        if vm_vals is not None:
-            vm_vals = 2.0 * vm_vals - prev.v_mod_profile.values[keep]
-
     return WeakClosedLoopStrategy(
-        theta_star=GridFn(g, th_vals),
-        v_star_det=GridFn(g, vd_vals),
-        v_star_mod_profile=GridFn(g, vm_vals) if vm_vals is not None else None,
+        theta_star=GridFn(g, th_last),
+        v_star_det=GridFn(g, last.v_det.values[keep]),
+        v_star_mod_profile=GridFn(g, vm_last) if vm_last is not None else None,
         gamma=gamma,
         delta=delta,
         epsilon=last.epsilon,
@@ -318,23 +300,12 @@ class SolvabilityReport:
 
 def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: float) -> bool:
     """Grid check of the adjoint range condition of the closed-loop test."""
-    from .core import range_included
-
     grid = P.grid
-    for k, s in enumerate(grid):
-        K, _, Ps, D, _ = _inner_matrix(P, p, s)
-        vec = (
-            p.B(s).T @ adj.eta_det_at(s)
-            + D.T @ (Ps @ p.sigma.deterministic(s))
-            + p.rho.deterministic(s)
-        )
-        if not range_included(vec.reshape(-1, 1), K, tol):
-            return False
-        if adj.modulated_h is not None:
-            mod = (p.B(s) + adj.gamma * D).reshape(p.m) * float(adj.h_at(s))
-            if not range_included(mod.reshape(-1, 1), K, tol):
-                return False
-    return True
+    cf = coef_tables(p, grid)
+    K, _, _ = inner(cf, P.P.values, P.epsilon)
+    h = adj.modulated_h.values if adj.modulated_h is not None else None
+    rhs = _bias_rhs(p, cf, P.P.values, adj, grid, adj.deterministic_eta.values, h)
+    return all(range_included(r, K, tol) for r in rhs)
 
 
 def diagnose(
@@ -355,19 +326,13 @@ def diagnose(
     per halving; growth by >= 2x per rung over >= 4 rungs means not-solvable;
     anything else is inconclusive.
     """
-    from .simulate import feedback_control, simulate_coupled
-
     blowup_time = None
     eta_ok = None
     try:
         P0 = solve_gre(p, steps)
         reg = check_regularity(P0, p)
         if reg.is_regular():
-            try:
-                adj0 = bsde_mod.solve_adjoint(p, P0, steps)
-                eta_ok = _eta_range_ok(p, P0, adj0, tol=1e-9)
-            except Exception:
-                eta_ok = None
+            eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, steps), tol=1e-9)
     except BlowUpError as exc:
         blowup_time = exc.time
         reg = RegularityReport(
@@ -375,8 +340,8 @@ def diagnose(
         )
 
     sols = run_ladder(p, ladder, steps)
-    controls = [feedback_control(s) for s in sols]
-    coupled = simulate_coupled(p, ip, controls, mc)
+    controls = [sim_mod.feedback_control(s) for s in sols]
+    coupled = sim_mod.simulate_coupled(p, ip, controls, mc)
 
     u_norms = [
         (sols[i].epsilon, coupled.control_norm_mean[i], coupled.control_norm_se[i])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bsde import solve_adjoint_modulated
 from .core import GridFn
 from .problem import builtin
 from .riccati import check_regularity, riccati_csv, solve_gre, solve_perturbed
@@ -30,7 +31,7 @@ from .simulate import (
     simulate_coupled,
     simulate_ensemble,
 )
-from .strategy import extract_limit, run_ladder, strategy_csv, theta_eps
+from .strategy import extract_limit, run_ladder, strategy_csv, theta_eps, v_eps_parts
 
 __all__ = ["MASTER_SEED", "CriterionResult", "run_criterion", "criteria_for", "CRITERIA"]
 
@@ -97,22 +98,19 @@ def _c3_regularity() -> CriterionResult:
 
 
 def _c4_theta_v_closed_forms() -> CriterionResult:
-    from .bsde import solve_adjoint_modulated
-    from .strategy import v_eps_parts
-
     p, _ = builtin("example-5.1")
     steps = 4000
     checks = []
     for eps in (1.0, 0.5, 0.25):
         P = solve_perturbed(p, eps, steps)
         s = P.grid
-        th = np.array([theta_eps(P, p, si)[0, 0] for si in s])
+        th = theta_eps(P, p, s)[:, 0, 0]
         err_th = float(np.max(np.abs(th + 1.0 / (eps + 1.0 - s))))
         checks.append((f"Theta_eps closed form, eps={eps}", err_th <= 1e-8,
                        f"max err {err_th:.3e} <= 1e-8"))
         adj = solve_adjoint_modulated(p, P, steps)
         mask = s <= 0.999
-        v_prof = np.array([v_eps_parts(P, adj, p, si)[1][0] for si in s[mask]])
+        v_prof = v_eps_parts(P, adj, p, s[mask])[1][:, 0]
         exact = -(1.0 / (eps + 1.0 - s[mask])) * np.exp(-s[mask]) * 2.0 * np.sqrt(1.0 - s[mask])
         err_v = float(np.max(np.abs(v_prof - exact)))
         checks.append((f"v_eps modulated profile, eps={eps}", err_v <= 1e-5,

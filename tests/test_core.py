@@ -47,6 +47,18 @@ class TestPinv:
             pinv(np.eye(2), rel_tol=1.5)
 
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((5, 3, 2))
+        M[1] = 0.0
+        M[2, :, 1] = M[2, :, 0]
+        got = pinv(M)
+        assert got.shape == (5, 2, 3)
+        for k in range(5):
+            assert np.array_equal(got[k], pinv(M[k]))
+        assert np.array_equal(pinv(np.zeros((4, 2, 2))), np.zeros((4, 2, 2)))
+
+
 class TestRangeIncluded:
     def test_nonzero_into_zero_is_false(self):
         assert not range_included(np.array([[1.0]]), np.array([[0.0]]), 1e-9)
@@ -75,6 +87,15 @@ class TestRangeIncluded:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             range_included(np.zeros((2, 1)), np.zeros((3, 1)), 1e-9)
+
+    def test_stack_requires_every_node(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((5, 3, 2))
+        M[1] = 0.0
+        assert range_included(M[:, :, :1], M, 1e-9)
+        N = M[:, :, :1].copy()
+        N[1, 0, 0] = 1.0  # a nonzero column outside the range of the zero node
+        assert not range_included(N, M, 1e-9)
 
 
 class TestGridFn:

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from slq import bsde
 from slq.bsde import solve_adjoint
 from slq.errors import InvalidInputError
 from slq.problem import CoefFn, RandomInput, SLQProblem, builtin
 from slq.riccati import solve_perturbed
+from slq.simulate import MonteCarloConfig
 from slq.strategy import (
     extract_limit,
     default_ladder,
+    diagnose,
     ladder_summary_csv,
     run_ladder,
     strategy_csv,
@@ -114,9 +117,10 @@ class TestRunLadder:
         p, _ = builtin("example-5.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 128)
         for sol in sols:
+            grid = sol.theta.grid
+            assert np.max(np.abs(sol.theta.values - theta_eps(sol.P, p, grid))) <= 1e-12
             for k in (0, 50, 128):
-                s = sol.theta.grid[k]
-                direct = theta_eps(sol.P, p, s)
+                direct = theta_eps(sol.P, p, grid[k])
                 assert np.max(np.abs(sol.theta.values[k] - direct)) <= 1e-12
 
     def test_ladder_monotone_feedback_magnitude(self):
@@ -162,16 +166,6 @@ class TestExtractLimit:
         for r in ratios[-3:]:
             assert 1.8 <= r <= 2.2
 
-    def test_richardson_is_extrapolation(self):
-        p, _ = builtin("example-5.1")
-        sols = run_ladder(p, [1.0, 0.5, 0.25], 128)
-        plain = extract_limit(sols, delta=0.1, tol=1e3)
-        rich = extract_limit(sols, delta=0.1, tol=1e3, richardson=True)
-        expect = 2.0 * sols[-1].theta.values - sols[-2].theta.values
-        keep = sols[0].theta.grid <= 0.9 + 1e-15
-        assert np.allclose(rich.theta_star.values, expect[keep])
-        assert not np.allclose(plain.theta_star.values, rich.theta_star.values)
-
     def test_validation(self):
         p, _ = builtin("example-5.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 64)
@@ -197,6 +191,22 @@ def test_csv_outputs():
     assert lines[0] == "eps,u_norm_sq,theta_l2_dist,v_l2_dist"
     assert lines[1].startswith("1,nan,")
     assert lines[3].split(",")[2] == "nan"  # last rung has no next distance
+
+
+def test_diagnose_propagates_eta_check_failure(monkeypatch):
+    # a range check that could not run must not count as a pass
+    p, ip = builtin("standard-scalar")
+    real = bsde.solve_adjoint
+
+    def failing(p, P, steps):
+        if P.epsilon == 0.0:
+            raise InvalidInputError("no adjoint at eps = 0")
+        return real(p, P, steps)
+
+    monkeypatch.setattr(bsde, "solve_adjoint", failing)
+    mc = MonteCarloConfig(paths=200, steps=32, master_seed=1)
+    with pytest.raises(InvalidInputError, match="no adjoint at eps = 0"):
+        diagnose(p, ip, [1.0, 0.5, 0.25], 64, mc)
 
 
 def test_default_ladder():
