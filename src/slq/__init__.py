@@ -25,7 +25,6 @@ from .problem import (
     SLQProblem,
     builtin,
     builtin_names,
-    eval_coef,
     validate,
 )
 from .riccati import (

@@ -171,10 +171,7 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     else:
         r_nodes, u_w = _gauss_nodes(lo, hi)
         dens = np.ones_like(r_nodes)
-        if isinstance(profile, NamedProfile):
-            f_smooth = profile(r_nodes.reshape(-1), T).reshape(r_nodes.shape)
-        else:
-            f_smooth = profile(r_nodes.reshape(-1)).reshape(r_nodes.shape)
+        f_smooth = p.b.modulated.profile_at(r_nodes.reshape(-1), T).reshape(r_nodes.shape)
 
     # inner exponents int_{lo_k}^{r_{k,i}} a, one 4-point rule per (k, i)
     inner_lo = np.broadcast_to(lo[:, None], r_nodes.shape)

@@ -46,7 +46,9 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     Singular values at or below ``rel_tol * max(singular values)`` are
     treated as zero.  A zero matrix therefore maps to the zero matrix,
     reproducing the 0^+ = 0 convention required by degenerate scalar
-    problems.
+    problems.  A 1x1 matrix (or a stack of them) skips the SVD and maps a
+    to 1/a; that equals the SVD result bit for bit except, for |a| near
+    1e-300, in the last bit.
 
     Parameters
     ----------
@@ -59,6 +61,10 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     if not (0.0 < rel_tol < 1.0):
         raise InvalidInputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     A = _as_matrix(M, "pinv input")
+    if A.shape[-2:] == (1, 1):
+        # the one singular value is |a|, so the relative cutoff keeps every
+        # nonzero a
+        return np.divide(1.0, A, out=np.zeros_like(A), where=A != 0.0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.ndim == 1 and (s.size == 0 or s[0] == 0.0):
         return np.zeros((A.shape[1], A.shape[0]))
@@ -93,9 +99,9 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 def rk4_step(rhs, j_right: int, y: np.ndarray, step: float, j_stride: int) -> np.ndarray:
     """One classical RK4 step of y' = rhs(j, y) backward in time.
 
-    Times are indices j on a half grid: the step runs from ``j_right`` to
-    ``j_right - j_stride`` with its midpoint at ``j_right - j_stride // 2``
-    (the right end itself when ``j_stride`` is 1).
+    Times are indices j on a grid fine enough to hold the midpoint: the
+    step runs from ``j_right`` to ``j_right - j_stride`` with its midpoint at
+    ``j_right - j_stride // 2``, so ``j_stride`` must be even.
     """
     j_mid = j_right - j_stride // 2
     k1 = rhs(j_right, y)

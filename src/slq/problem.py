@@ -31,7 +31,6 @@ __all__ = [
     "validate",
     "builtin",
     "builtin_names",
-    "eval_coef",
     "named_profile",
     "NAMED_PROFILES",
 ]
@@ -197,15 +196,6 @@ class SLQProblem:
             inp.modulated is not None for inp in (self.b, self.sigma, self.q, self.rho)
         )
 
-    def inputs_all_zero(self) -> bool:
-        return (
-            self.b.is_zero()
-            and self.sigma.is_zero()
-            and self.q.is_zero()
-            and self.rho.is_zero()
-            and bool(np.all(self.g == 0.0))
-        )
-
 
 @dataclass(frozen=True)
 class InitialPair:
@@ -305,16 +295,6 @@ def validate(p: SLQProblem) -> ValidationReport:
         if not _probe_profile_integrable(mod, p.T):
             report.add(f"{iname}: modulated profile failed the integrability probe on [0, T)")
     return report
-
-
-def eval_coef(p: SLQProblem, which: str, s) -> np.ndarray:
-    """Evaluate a named coefficient of the problem at time(s) s in [0, T]."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < -1e-12) or np.any(s_arr > p.T + 1e-12):
-        raise InvalidInputError(f"time {s} outside [0, {p.T}]")
-    if which not in _COEF_SHAPES:
-        raise InvalidInputError(f"unknown coefficient {which!r}")
-    return getattr(p, which)(s)
 
 
 def _scalar_problem(name, T, A, B, C, D, Q, S, R, G, b=None, **kw) -> SLQProblem:

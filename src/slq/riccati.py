@@ -132,19 +132,20 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     n = p.n
     h = p.T / steps
     grid = np.linspace(0.0, p.T, steps + 1)
-    # RK4 evaluates at nodes and midpoints: index j on the half grid is
-    # 2k for node k, odd for midpoints.
-    half_times = np.linspace(0.0, p.T, 2 * steps + 1)
-    cf = coef_tables(p, half_times)
+    # index j on the quarter grid is 4k for node k: a full RK4 step spans
+    # stride 4 with its midpoint at 4k - 2, the step-doubling half steps
+    # stride 2 with midpoints at 4k - 1 and 4k - 3.
+    times = np.linspace(0.0, p.T, 4 * steps + 1)
+    cf = coef_tables(p, times)
     scalar_gain = eps > 0.0 and p.m == 1
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
         K, L, scale = inner(cf, P, eps, j)
         if scalar_gain:
             # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
-            gain = solve_inner(K, L.T @ L, eps, scale, half_times[j])
+            gain = solve_inner(K, L.T @ L, eps, scale, times[j])
         else:
-            gain = L.T @ solve_inner(K, L, eps, scale, half_times[j])
+            gain = L.T @ solve_inner(K, L, eps, scale, times[j])
         A, C, Q = cf["A"][j], cf["C"][j], cf["Q"][j]
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - gain)
 
@@ -155,8 +156,8 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     max_local_err = 0.0
     err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
     for k in range(steps, 0, -1):
-        j_right = 2 * k
-        P_new = rk4_step(rhs, j_right, P, h, 2)
+        j_right = 4 * k
+        P_new = rk4_step(rhs, j_right, P, h, 4)
         if not np.all(np.isfinite(P_new)) or np.linalg.norm(P_new) > BLOWUP_NORM:
             raise BlowUpError(
                 f"Riccati flow (eps={eps}) left the finite regime near s={grid[k - 1]:.6g}",
@@ -164,8 +165,8 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
             )
         if k % err_stride == 0:
             # step-doubling local error estimate on a subsample of steps
-            P_half = rk4_step(rhs, j_right, P, 0.5 * h, 1)
-            P_half = rk4_step(rhs, j_right - 1, P_half, 0.5 * h, 1)
+            P_half = rk4_step(rhs, j_right, P, 0.5 * h, 2)
+            P_half = rk4_step(rhs, j_right - 2, P_half, 0.5 * h, 2)
             max_local_err = max(max_local_err, float(np.linalg.norm(P_new - P_half)))
         asym = np.linalg.norm(P_new - P_new.T) / max(1.0, np.linalg.norm(P_new))
         max_asym = max(max_asym, float(asym))

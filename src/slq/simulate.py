@@ -13,12 +13,13 @@ depend on a worker or block count.  Two runs with the same master seed share
 Brownian increments exactly, which is what couples controls under common
 random numbers.
 
-Martingale-modulated quantities evaluate M(s_k) = exp(gamma W_k - gamma^2
-s_k / 2) from the same path's W.  Feedback controls are applied up to
-T - truncation_delta and held at their last value afterwards: a weak
-closed-loop strategy may be singular at T while its outcome stays square
-integrable, so the simulator sweeps the hold gap down instead of stepping
-into the singularity.
+Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
+M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
+stacked Euler step advances all controls of a run at once.  Feedback
+controls (those with a Theta) are applied up to T - truncation_delta and
+held at their last value afterwards: a weak closed-loop strategy may be
+singular at T while its outcome stays square integrable, so the simulator
+sweeps the hold gap down instead of stepping into the singularity.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from numpy.random import Generator, Philox
 
 from .core import GridFn
 from .errors import EnsembleError, InvalidInputError, WrongClassError
-from .problem import InitialPair, NamedProfile, SLQProblem
+from .problem import InitialPair, SLQProblem
+from .riccati import coef_tables
 
 __all__ = [
     "MonteCarloConfig",
@@ -75,38 +77,40 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True, eq=False)
 class ControlSpec:
-    """One of: zero, a deterministic open-loop grid, a modulated open-loop
-    profile, or feedback u = Theta X + v_det + v_mod * M(s)."""
+    """The affine control u = Theta X + v_det + v_mod_profile * M(s).
 
-    kind: str  # zero | open-loop-grid | open-loop-modulated | feedback
-    u_det: Optional[GridFn] = None
-    u_mod_profile: Optional[GridFn] = None
+    A missing part is zero; ``gamma`` is the exponent of M and is required
+    with a modulated profile.  A control is feedback iff it has ``theta``:
+    only feedback is truncated at T - truncation_delta and held afterwards.
+    """
+
     theta: Optional[GridFn] = None
     v_det: Optional[GridFn] = None
     v_mod_profile: Optional[GridFn] = None
     gamma: Optional[float] = None
 
+    def __post_init__(self):
+        if self.v_mod_profile is not None and self.gamma is None:
+            raise InvalidInputError("a modulated control profile needs gamma")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(self.gamma))
+
     @staticmethod
     def zero() -> "ControlSpec":
-        return ControlSpec(kind="zero")
+        return ControlSpec()
 
     @staticmethod
     def open_loop(u: GridFn) -> "ControlSpec":
-        return ControlSpec(kind="open-loop-grid", u_det=u)
+        return ControlSpec(v_det=u)
 
     @staticmethod
     def open_loop_modulated(profile: GridFn, gamma: float, det: Optional[GridFn] = None) -> "ControlSpec":
-        return ControlSpec(kind="open-loop-modulated", u_mod_profile=profile, gamma=float(gamma), u_det=det)
+        return ControlSpec(v_det=det, v_mod_profile=profile, gamma=gamma)
 
     @staticmethod
     def feedback(theta: GridFn, v_det: GridFn, v_mod_profile: Optional[GridFn] = None,
                  gamma: Optional[float] = None) -> "ControlSpec":
-        return ControlSpec(kind="feedback", theta=theta, v_det=v_det,
-                           v_mod_profile=v_mod_profile,
-                           gamma=None if gamma is None else float(gamma))
-
-    def needs_gamma(self) -> bool:
-        return self.u_mod_profile is not None or self.v_mod_profile is not None
+        return ControlSpec(theta=theta, v_det=v_det, v_mod_profile=v_mod_profile, gamma=gamma)
 
 
 def feedback_control(sol) -> ControlSpec:
@@ -191,115 +195,123 @@ def _path_block_normals(master_seed: int, start: int, count: int, draws: int) ->
     return out
 
 
-class _ControlEval:
-    """Per-node tables for one control on the simulation grid."""
+def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x for every state of a stack: (..., i, j) with (..., B, j) -> (..., B, i)."""
+    return np.einsum("...ij,...bj->...bi", M, X)
 
-    def __init__(self, ctrl: ControlSpec, p: SLQProblem, s_nodes: np.ndarray, cutoff: float):
-        N = s_nodes.size - 1
-        m = p.m
-        self.kind = ctrl.kind
-        self.gamma = ctrl.gamma
-        self.hold_index = N  # first node index at which the control is held
-        if ctrl.kind == "zero":
-            self.u_det = np.zeros((N + 1, m))
-            self.u_prof = None
-        elif ctrl.kind == "open-loop-grid":
-            self.u_det = ctrl.u_det(s_nodes).reshape(N + 1, m)
-            self.u_prof = None
-        elif ctrl.kind == "open-loop-modulated":
-            self.u_det = (
-                ctrl.u_det(s_nodes).reshape(N + 1, m)
-                if ctrl.u_det is not None
-                else np.zeros((N + 1, m))
-            )
-            self.u_prof = ctrl.u_mod_profile(s_nodes).reshape(N + 1, m)
-        elif ctrl.kind == "feedback":
-            if ctrl.theta.grid[0] > s_nodes[0] + 1e-12:
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray, cutoff: float) -> dict:
+    """The K controls' node tables stacked as (N+1, K, ...) arrays.
+
+    A part is None when no control has it; zero rows fill in for controls
+    that lack a part others have.  ``hold[i]`` is the first node index at
+    which control i is held (N for open-loop controls, never held).
+    """
+    N, K = s_nodes.size - 1, len(controls)
+
+    def stack(part: str, shape: tuple):
+        if all(getattr(c, part) is None for c in controls):
+            return None
+        out = np.zeros((N + 1, K) + shape)
+        for i, c in enumerate(controls):
+            if getattr(c, part) is not None:
+                out[:, i] = getattr(c, part)(s_nodes).reshape((N + 1,) + shape)
+        return out
+
+    hold = np.full(K, N)
+    for i, c in enumerate(controls):
+        if c.theta is not None:
+            if c.theta.grid[0] > s_nodes[0] + 1e-12:
                 raise InvalidInputError("feedback grid starts after the initial time")
-            eff_cut = min(cutoff, ctrl.theta.grid[-1])
-            self.hold_index = int(np.searchsorted(s_nodes, eff_cut + 1e-12) - 1)
-            self.hold_index = max(self.hold_index, 0)
-            self.theta = ctrl.theta(s_nodes).reshape(N + 1, m, p.n)
-            self.v_det = ctrl.v_det(s_nodes).reshape(N + 1, m)
-            self.v_prof = (
-                ctrl.v_mod_profile(s_nodes).reshape(N + 1, m)
-                if ctrl.v_mod_profile is not None
-                else None
-            )
-        else:
-            raise InvalidInputError(f"unknown control kind {ctrl.kind!r}")
-
-    def evaluate(self, k: int, X: np.ndarray, M_ctrl: Optional[np.ndarray], held: Optional[np.ndarray]):
-        """Control values at node k for a block of states X (B, n)."""
-        if self.kind == "feedback":
-            if k > self.hold_index:
-                return held, held
-            u = X @ self.theta[k].T + self.v_det[k]
-            if self.v_prof is not None:
-                u = u + self.v_prof[k] * M_ctrl[:, None]
-            return u, u
-        if self.u_prof is not None:
-            u = self.u_det[k] + self.u_prof[k] * M_ctrl[:, None]
-            return u, held
-        B = X.shape[0]
-        return np.broadcast_to(self.u_det[k], (B, self.u_det.shape[1])), held
+            cut = min(cutoff, c.theta.grid[-1])
+            hold[i] = max(int(np.searchsorted(s_nodes, cut + 1e-12) - 1), 0)
+    return {
+        "m": p.m,
+        "theta": stack("theta", (p.m, p.n)),
+        "v_det": stack("v_det", (p.m,)),
+        "v_mod": stack("v_mod_profile", (p.m,)),
+        "hold": hold,
+    }
 
 
-def _input_tables(p: SLQProblem, s_nodes: np.ndarray):
-    """Deterministic node tables for coefficients, weights and inputs."""
+def _control_at(ct: dict, k: int, X: np.ndarray, M: Optional[np.ndarray], held: Optional[np.ndarray]):
+    """u = Theta X + v_det + v_mod M(s_k) at node k for states X (K, B, n);
+    M is (K, B), and feedback rows past their hold index keep ``held``."""
+    if ct["theta"] is None:
+        u = np.zeros(X.shape[:2] + (ct["m"],))
+    else:
+        u = _apply(ct["theta"][k], X)
+    if ct["v_det"] is not None:
+        u += ct["v_det"][k][:, None]
+    if ct["v_mod"] is not None:
+        u += ct["v_mod"][k][:, None] * M[..., None]
+    frozen = k > ct["hold"]
+    if frozen.any():
+        u[frozen] = held[frozen]
+    return u
+
+
+def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
+    """Node tables of the coefficients and inputs; a zero weight or input is None."""
     N = s_nodes.size - 1
     for name in ("sigma", "q", "rho"):
         if getattr(p, name).modulated is not None:
             raise WrongClassError("the simulator supports a modulated part on b only")
-    tabs = {c: getattr(p, c)(s_nodes) for c in ("A", "B", "C", "D", "Q", "S", "R")}
-    tabs["b_det"] = p.b.deterministic(s_nodes)
-    tabs["sigma_det"] = p.sigma.deterministic(s_nodes)
-    tabs["q_det"] = p.q.deterministic(s_nodes)
-    tabs["rho_det"] = p.rho.deterministic(s_nodes)
-    tabs["flags"] = {
-        "Q": not p.Q.is_zero(),
-        "S": not p.S.is_zero(),
-        "R": not p.R.is_zero(),
-        "q": not p.q.deterministic.is_zero(),
-        "rho": not p.rho.deterministic.is_zero(),
-        "b": not p.b.deterministic.is_zero(),
-        "sigma": not p.sigma.deterministic.is_zero(),
-    }
-    tabs["has_running_cost"] = any(
-        tabs["flags"][k] for k in ("Q", "S", "R", "q", "rho")
-    )
+    tabs = coef_tables(p, s_nodes)
+    for name in ("Q", "S", "R"):
+        if getattr(p, name).is_zero():
+            tabs[name] = None
+    for name in ("b", "sigma", "q", "rho"):
+        det = getattr(p, name).deterministic
+        tabs[name] = None if det.is_zero() else det(s_nodes)
+    tabs["running_cost"] = any(tabs[c] is not None for c in ("Q", "S", "R", "q", "rho"))
+    tabs["D_nonzero"] = np.any(tabs["D"] != 0.0, axis=(1, 2))
+    tabs["b_mod"] = tabs["b_gamma"] = None
     mod = p.b.modulated
     if mod is not None:
         # drift uses left endpoints only, so the profile is never evaluated
         # at a singular terminal node
         prof = np.zeros(N + 1)
-        left = s_nodes[:-1]
-        if isinstance(mod.profile, NamedProfile):
-            prof[:-1] = mod.profile(left, p.T)
-        else:
-            prof[:-1] = np.asarray(mod.profile(left)).reshape(N)
-        tabs["b_prof"] = prof
+        prof[:-1] = np.asarray(mod.profile_at(s_nodes[:-1], p.T)).reshape(N)
+        tabs["b_mod"] = prof
         tabs["b_gamma"] = float(mod.gamma)
-    else:
-        tabs["b_prof"] = None
-        tabs["b_gamma"] = None
     return tabs
 
 
-def _cost_integrand(tabs, k, X, u):
-    f = tabs["flags"]
-    val = np.zeros(X.shape[0])
-    if f["Q"]:
-        val += np.einsum("bi,bi->b", X @ tabs["Q"][k].T, X)
-    if f["S"]:
-        val += 2.0 * np.einsum("bi,bi->b", X @ tabs["S"][k].T, u)
-    if f["R"]:
-        val += np.einsum("bi,bi->b", u @ tabs["R"][k].T, u)
-    if f["q"]:
-        val += 2.0 * (X @ tabs["q_det"][k])
-    if f["rho"]:
-        val += 2.0 * (u @ tabs["rho_det"][k])
+def _cost_integrand(tabs: dict, k: int, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    val = np.zeros(X.shape[:2])
+    if tabs["Q"] is not None:
+        val += _dot(_apply(tabs["Q"][k], X), X)
+    if tabs["S"] is not None:
+        val += 2.0 * _dot(_apply(tabs["S"][k], X), u)
+    if tabs["R"] is not None:
+        val += _dot(_apply(tabs["R"][k], u), u)
+    if tabs["q"] is not None:
+        val += 2.0 * _dot(X, tabs["q"][k])
+    if tabs["rho"] is not None:
+        val += 2.0 * _dot(u, tabs["rho"][k])
     return val
+
+
+def _euler_step(tabs: dict, k: int, X: np.ndarray, u: np.ndarray, M_b: Optional[np.ndarray],
+                dt: float, dw: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step of every control's states X (K, B, n) under
+    controls u (K, B, m); M_b (B,) modulates b, dw (B, 1) is the increment."""
+    drift = _apply(tabs["A"][k], X) + _apply(tabs["B"][k], u)
+    if tabs["b"] is not None:
+        drift = drift + tabs["b"][k]
+    if M_b is not None:
+        drift = drift + (tabs["b_mod"][k] * M_b)[:, None]
+    diff = _apply(tabs["C"][k], X)
+    if tabs["D_nonzero"][k]:
+        diff = diff + _apply(tabs["D"][k], u)
+    if tabs["sigma"] is not None:
+        diff = diff + tabs["sigma"][k]
+    return X + drift * dt + diff * dw
 
 
 def _run_blocks(
@@ -319,115 +331,78 @@ def _run_blocks(
     s_nodes = t + dt * np.arange(N + 1)
     s_nodes[-1] = T
     tabs = _input_tables(p, s_nodes)
-    cutoff = T - cfg.truncation_delta
-    evals = [_ControlEval(c, p, s_nodes, cutoff) for c in controls]
-    gammas = sorted({e.gamma for e in evals if e.gamma is not None} | (
-        {tabs["b_gamma"]} if tabs["b_gamma"] is not None else set()
-    ))
+    ct = _control_tables(controls, p, s_nodes, T - cfg.truncation_delta)
+    # M(s) = exp(gamma W - gamma^2 s / 2) is formed once per distinct gamma
+    gammas = sorted(({c.gamma for c in controls if c.v_mod_profile is not None} | {tabs["b_gamma"]}) - {None})
+    gam = np.array(gammas)
+    g_ctrl = [gammas.index(c.gamma) if c.v_mod_profile is not None else 0 for c in controls]
+    g_b = None if tabs["b_gamma"] is None else gammas.index(tabs["b_gamma"])
 
     K = len(controls)
     M = cfg.paths
     cost = np.zeros((K, M))
     unorm = np.zeros((K, M))
-    pdist = np.zeros((K - 1, M)) if K > 1 else np.zeros((0, M))
+    pdist = np.zeros((max(K - 1, 0), M))
     X_T = np.zeros((K, M, p.n))
     blown = np.zeros(M, dtype=bool)
-    rec = None
-    if record_paths:
-        rec = {
-            "s": s_nodes,
-            "W": np.zeros((M, N + 1)),
-            "X": np.zeros((K, M, N + 1, p.n)),
-            "u": np.zeros((K, M, N + 1, p.m)),
-        }
+    rec = None if not record_paths else {
+        "s": s_nodes,
+        "W": np.zeros((M, N + 1)),
+        "X": np.zeros((K, M, N + 1, p.n)),
+        "u": np.zeros((K, M, N + 1, p.m)),
+    }
 
+    half_dt = 0.5 * dt
     sqrt_dt = np.sqrt(dt)
     sqrt_t = np.sqrt(t) if t > 0.0 else 0.0
 
     for start in range(0, M, block_size):
         Bn = min(block_size, M - start)
+        sl = slice(start, start + Bn)
         z = _path_block_normals(cfg.master_seed, start, Bn, N + 1)
         W = sqrt_t * z[:, 0]
-        dW = z[:, 1:] * sqrt_dt
-        Xs = [np.broadcast_to(ip.x, (Bn, p.n)).copy() for _ in range(K)]
-        held = [None] * K
+        dW = z[:, 1:]
+        dW *= sqrt_dt
+        X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
+        u = None
         bad = np.zeros(Bn, dtype=bool)
-        prev_cost = [None] * K
-        prev_u = [None] * K
-        prev_d = [None] * (K - 1) if K > 1 else []
-        cost_acc = [np.zeros(Bn) for _ in range(K)]
-        unorm_acc = [np.zeros(Bn) for _ in range(K)]
-        dist_acc = [np.zeros(Bn) for _ in range(max(K - 1, 0))]
+        acc, prev = {}, {}
 
         for k in range(N + 1):
-            s_k = s_nodes[k]
-            M_by_gamma = {
-                g: np.exp(g * W - 0.5 * g * g * s_k) for g in gammas
-            }
-            us = []
-            has_cost = tabs["has_running_cost"]
-            for i, ev in enumerate(evals):
-                Mc = M_by_gamma.get(ev.gamma) if ev.gamma is not None else None
-                u, held_i = ev.evaluate(k, Xs[i], Mc, held[i])
-                held[i] = held_i
-                us.append(u)
-                phi_u = np.einsum("bi,bi->b", u, u)
-                if has_cost:
-                    phi_c = _cost_integrand(tabs, k, Xs[i], u)
-                    if k > 0:
-                        cost_acc[i] += 0.5 * dt * (prev_cost[i] + phi_c)
-                    prev_cost[i] = phi_c
-                if k > 0:
-                    unorm_acc[i] += 0.5 * dt * (prev_u[i] + phi_u)
-                prev_u[i] = phi_u
-                if rec is not None:
-                    rec["X"][i, start : start + Bn, k] = Xs[i]
-                    rec["u"][i, start : start + Bn, k] = u
-            for j in range(K - 1):
-                d = us[j] - us[j + 1]
-                phi_d = np.einsum("bi,bi->b", d, d)
-                if k > 0:
-                    dist_acc[j] += 0.5 * dt * (prev_d[j] + phi_d)
-                prev_d[j] = phi_d
+            Mg = np.exp(gam[:, None] * W - (0.5 * gam * gam * s_nodes[k])[:, None]) if gammas else None
+            u = _control_at(ct, k, X, None if ct["v_mod"] is None else Mg[g_ctrl], u)
+            # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
+            phis = {"unorm": _dot(u, u)}
+            if tabs["running_cost"]:
+                phis["cost"] = _cost_integrand(tabs, k, X, u)
+            if K > 1:
+                d = u[:-1] - u[1:]
+                phis["dist"] = _dot(d, d)
+            for key, phi in phis.items():
+                if k == 0:
+                    acc[key] = np.zeros_like(phi)
+                else:
+                    acc[key] += half_dt * (prev[key] + phi)
+                prev[key] = phi
             if rec is not None:
-                rec["W"][start : start + Bn, k] = W
+                rec["X"][:, sl, k] = X
+                rec["u"][:, sl, k] = u
+                rec["W"][sl, k] = W
 
             if k < N:
-                f = tabs["flags"]
-                A_k, B_k = tabs["A"][k], tabs["B"][k]
-                C_k, D_k = tabs["C"][k], tabs["D"][k]
-                has_D = bool(np.any(D_k != 0.0))
-                dw = dW[:, k : k + 1]
-                for i in range(K):
-                    drift = Xs[i] @ A_k.T + us[i] @ B_k.T
-                    if f["b"]:
-                        drift = drift + tabs["b_det"][k]
-                    if tabs["b_prof"] is not None:
-                        drift = drift + (tabs["b_prof"][k] * M_by_gamma[tabs["b_gamma"]])[:, None]
-                    diff = Xs[i] @ C_k.T
-                    if has_D:
-                        diff = diff + us[i] @ D_k.T
-                    if f["sigma"]:
-                        diff = diff + tabs["sigma_det"][k]
-                    Xs[i] = Xs[i] + drift * dt + diff * dw
-                    finite = np.isfinite(Xs[i]).all(axis=1) & (
-                        np.abs(Xs[i]).max(axis=1) < 1e12
-                    )
-                    newly_bad = ~finite & ~bad
-                    if np.any(newly_bad):
-                        bad |= newly_bad
-                    Xs[i][bad] = 0.0
-                W = W + dW[:, k]
+                X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt, dW[:, k : k + 1])
+                # one mask per path: leaving the finite regime under any
+                # control zeroes the path under all of them
+                bad |= ~(np.abs(X) < 1e12).all(axis=(0, 2))
+                if bad.any():
+                    X[:, bad] = 0.0
+                W += dW[:, k]
 
-        sl = slice(start, start + Bn)
-        G, g = p.G, p.g
-        for i in range(K):
-            term = np.einsum("bi,bi->b", Xs[i] @ G.T, Xs[i]) + 2.0 * (Xs[i] @ g)
-            cost[i, sl] = cost_acc[i] + term
-            unorm[i, sl] = unorm_acc[i]
-            X_T[i, sl] = Xs[i]
-        for j in range(K - 1):
-            pdist[j, sl] = dist_acc[j]
+        terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
+        cost[:, sl] = acc.get("cost", 0.0) + terminal
+        unorm[:, sl] = acc["unorm"]
+        pdist[:, sl] = acc.get("dist", 0.0)
+        X_T[:, sl] = X
         blown[sl] = bad
 
     frac = float(blown.mean())

@@ -58,6 +58,18 @@ class TestPinv:
             assert np.array_equal(got[k], pinv(M[k]))
         assert np.array_equal(pinv(np.zeros((4, 2, 2))), np.zeros((4, 2, 2)))
 
+    def test_one_by_one_is_reciprocal(self):
+        # 1x1 inputs skip the SVD: a -> 1/a, 0 -> 0, on one matrix or a stack
+        rng = np.random.default_rng(5)
+        a = 10.0 ** rng.uniform(-12, 12, 200) * rng.choice([-1.0, 1.0], 200)
+        a[::7] = 0.0
+        st = a.reshape(-1, 1, 1)
+        want = np.where(st != 0.0, 1.0 / np.where(st != 0.0, st, 1.0), 0.0)
+        assert np.array_equal(pinv(st), want)
+        assert np.array_equal(pinv(st[3]), want[3])
+        with pytest.raises(InvalidInputError):
+            pinv(np.array([[np.inf]]))
+
 
 class TestRangeIncluded:
     def test_nonzero_into_zero_is_false(self):

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from slq.errors import DegeneratePerturbationError
-from slq.problem import CoefFn, RandomInput, SLQProblem, builtin
+from slq.problem import CoefFn, InitialPair, RandomInput, SLQProblem, builtin
 from slq.riccati import check_regularity, solve_gre, solve_perturbed
+from slq.simulate import ControlSpec, MonteCarloConfig, feedback_control, simulate_coupled
 from slq.strategy import run_ladder
 
 STEPS = 128
@@ -59,6 +60,28 @@ def test_ladder_maps_through_rotations(name, kind):
         assert np.max(np.abs(b.P.P.values - P_map)) <= 1e-12
         assert np.max(np.abs(b.theta.values - theta_map)) <= 1e-12
         assert np.all(b.v_det.values == 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(EMBEDDINGS))
+@pytest.mark.parametrize("name", ["example-1.1", "standard-scalar"])
+def test_monte_carlo_doubles_scalar(name, kind):
+    # both copies start at 1 and share one Brownian motion, so every path
+    # carries twice the scalar cost, |u|^2 and pair distance
+    U, V = EMBEDDINGS[kind]
+    p, ip = builtin(name)
+    ladder = [1.0, 0.5, 0.25]
+    cfg = MonteCarloConfig(paths=400, steps=64, master_seed=31)
+
+    def run(q, sols, x):
+        controls = [ControlSpec.zero()] + [feedback_control(s) for s in sols]
+        return simulate_coupled(q, InitialPair(t=ip.t, x=x), controls, cfg)
+
+    q = embed(p, U, V)
+    scalar = run(p, run_ladder(p, ladder, STEPS), ip.x)
+    matrix = run(q, run_ladder(q, ladder, STEPS), U @ np.ones(2))
+    for name_ in ("cost", "control_norm_sq", "pair_dist_sq"):
+        np.testing.assert_allclose(getattr(matrix, name_), 2.0 * getattr(scalar, name_),
+                                   rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(EMBEDDINGS))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slq.errors import InvalidInputError, UnknownProblemError
+from slq.errors import UnknownProblemError
 from slq.problem import (
     CoefFn,
     Modulation,
@@ -11,7 +11,6 @@ from slq.problem import (
     SLQProblem,
     builtin,
     builtin_names,
-    eval_coef,
     named_profile,
     validate,
 )
@@ -19,8 +18,8 @@ from slq.problem import (
 
 def test_builtin_example_11_coefficients():
     p, ip = builtin("example-1.1")
-    assert eval_coef(p, "A", 0.3) == pytest.approx(-2.0)
-    assert eval_coef(p, "C", 0.7) == pytest.approx(2.0)
+    assert p.A(0.3) == pytest.approx(-2.0)
+    assert p.C(0.7) == pytest.approx(2.0)
     assert p.T == 1.0 and p.n == p.m == 1
     assert p.G[0, 0] == 1.0
     assert ip.t == 0.0
@@ -29,8 +28,8 @@ def test_builtin_example_11_coefficients():
 def test_builtin_example_51_coefficients():
     p, _ = builtin("example-5.1")
     for s in (0.0, 0.33, 1.0):
-        assert eval_coef(p, "C", s)[0, 0] == pytest.approx(math.sqrt(2.0))
-    assert eval_coef(p, "A", 0.5)[0, 0] == pytest.approx(-1.0)
+        assert p.C(s)[0, 0] == pytest.approx(math.sqrt(2.0))
+    assert p.A(0.5)[0, 0] == pytest.approx(-1.0)
     mod = p.b.modulated
     assert mod is not None
     # martingale normalization: gamma^2/2 = 1 makes the modulated drift equal
@@ -44,9 +43,10 @@ def test_builtin_example_51_coefficients():
 def test_builtin_standard_scalar():
     p, _ = builtin("standard-scalar")
     for s in (0.0, 0.5, 1.0):
-        assert eval_coef(p, "R", s)[0, 0] == pytest.approx(1.0)
-    assert eval_coef(p, "A", 0.1)[0, 0] == 0.0
-    assert p.inputs_all_zero()
+        assert p.R(s)[0, 0] == pytest.approx(1.0)
+    assert p.A(0.1)[0, 0] == 0.0
+    assert all(inp.is_zero() for inp in (p.b, p.sigma, p.q, p.rho))
+    assert np.all(p.g == 0.0)
 
 
 def test_unknown_builtin():
@@ -101,22 +101,20 @@ def test_validate_rejects_modulation_on_vector_state():
     assert any("scalar state" in v for v in report.violations)
 
 
-def test_eval_coef_tables():
+def test_table_coefficients():
     p, _ = builtin("standard-scalar")
     tab = CoefFn.from_table([0.0, 1.0], np.array([[[0.0]], [[2.0]]]))
     q = SLQProblem(
         n=1, m=1, T=1.0, A=tab, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
         G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
     )
-    assert eval_coef(q, "A", 0.25)[0, 0] == pytest.approx(0.5)
+    assert q.A(0.25)[0, 0] == pytest.approx(0.5)
     clamped = CoefFn.from_table([0.0, 0.5], np.array([[[1.0]], [[1.0]]]))
     q2 = SLQProblem(
         n=1, m=1, T=1.0, A=clamped, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
         G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
     )
-    assert eval_coef(q2, "A", 0.9)[0, 0] == pytest.approx(1.0)
-    with pytest.raises(InvalidInputError):
-        eval_coef(q, "A", 1.5)
+    assert q2.A(0.9)[0, 0] == pytest.approx(1.0)
 
 
 def test_table_evaluation_is_lipschitz():

@@ -52,6 +52,16 @@ class TestPerturbed:
 
         assert max_err(64) / max_err(128) >= 12.0
 
+    def test_local_error_estimate_is_fifth_order_for_tables(self):
+        # time-dependent A: the step-doubling half steps need their own
+        # midpoints, or the estimate shrinks only like h^2
+        p, _ = builtin("standard-scalar")
+        A = CoefFn.from_table([0.0, 1.0], np.array([[[0.0]], [[4.0]]]))
+        q = SLQProblem(n=1, m=1, T=1.0, A=A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
+                       G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho)
+        est = [solve_perturbed(q, 0.5, n).max_local_error_estimate for n in (200, 400)]
+        assert est[0] / est[1] >= 16.0
+
     def test_eps_monotone_on_example_51(self):
         p, _ = builtin("example-5.1")
         ladder = [1.0, 0.5, 0.25, 0.125]

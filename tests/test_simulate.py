@@ -54,6 +54,16 @@ class TestDeterminism:
         assert np.array_equal(a.cost, b.cost)
         assert np.array_equal(a.X_T, b.X_T)
         assert estimate_cost(p, ip, a).mean == estimate_cost(p, ip, b).mean
+        sol = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1]
+        grid = np.linspace(0.0, 1.0, 3)
+        controls = [ControlSpec.zero(), feedback_control(sol),
+                    ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=0.5)]
+        cfg = MonteCarloConfig(paths=3000, steps=64, master_seed=5, truncation_delta=0.25)
+        a = simulate_coupled(p, ip, controls, cfg, block_size=4096)
+        b = simulate_coupled(p, ip, controls, cfg, block_size=77)
+        assert np.array_equal(a.cost, b.cost)
+        assert np.array_equal(a.control_norm_sq, b.control_norm_sq)
+        assert np.array_equal(a.pair_dist_sq, b.pair_dist_sq)
 
     def test_common_random_numbers_coupling(self):
         # the same seed must reproduce the same Brownian increments, so two
@@ -63,6 +73,31 @@ class TestDeterminism:
         cpl = simulate_coupled(p, ip, [ControlSpec.zero(), ControlSpec.zero()], cfg)
         assert np.all(cpl.pair_dist_sq == 0.0)
         assert np.array_equal(cpl.cost[0], cpl.cost[1])
+
+    def test_stacked_controls_share_only_noise(self):
+        # every row of a coupled run equals a separate run of that control:
+        # stacking shares the Brownian increments and nothing else, and the
+        # open-loop rows are never held past the feedback cutoff
+        p = scalar_problem(A=-0.5, B=1.0, C=0.4, D=0.2, Q=1.0, S=0.1, R=1.0,
+                           G=1.0, b=0.2, sigma=0.3, q=0.1, rho=0.05, g=0.1)
+        ip = InitialPair(t=0.0, x=np.array([0.8]))
+        grid = np.linspace(0.0, 1.0, 9)
+        col = grid.reshape(-1, 1)
+        controls = [
+            ControlSpec.zero(),
+            ControlSpec.open_loop(GridFn(grid, 0.5 - col)),
+            ControlSpec.open_loop_modulated(GridFn(grid, 0.3 + 0.0 * col), gamma=1.2,
+                                            det=GridFn(grid, 0.1 * col)),
+            ControlSpec.feedback(GridFn(grid, (-0.4 - 0.2 * col).reshape(-1, 1, 1)),
+                                 GridFn(grid, 0.25 + 0.0 * col),
+                                 GridFn(grid, -0.2 + 0.1 * col), gamma=0.8),
+        ]
+        cfg = MonteCarloConfig(paths=500, steps=64, master_seed=23, truncation_delta=0.25)
+        cpl = simulate_coupled(p, ip, controls, cfg)
+        for i, c in enumerate(controls):
+            ens = simulate_ensemble(p, ip, c, cfg)
+            assert np.array_equal(cpl.cost[i], ens.cost)
+            assert np.array_equal(cpl.control_norm_sq[i], ens.control_norm_sq)
 
 
 class TestAgainstMomentOracle:
@@ -210,6 +245,15 @@ class TestErrors:
         with pytest.raises(InvalidInputError):
             control_norm(ens, ControlSpec.zero())
 
+    def test_modulated_profile_needs_gamma(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        theta = GridFn(grid, np.zeros((3, 1, 1)))
+        prof = GridFn(grid, np.ones((3, 1)))
+        with pytest.raises(InvalidInputError, match="gamma"):
+            ControlSpec.feedback(theta, GridFn(grid, np.zeros((3, 1))), v_mod_profile=prof)
+        with pytest.raises(InvalidInputError, match="gamma"):
+            ControlSpec(v_mod_profile=prof)
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             MonteCarloConfig(paths=0, steps=64, master_seed=1)
@@ -245,6 +289,6 @@ def test_feedback_control_builder():
     ws = extract_limit(sols, delta=0.2, tol=1e3)
     c1 = feedback_control(sols[-1])
     c2 = feedback_control(ws)
-    assert c1.kind == c2.kind == "feedback"
+    assert c1.theta is sols[-1].theta and c2.theta is ws.theta_star
     assert c1.gamma == pytest.approx(np.sqrt(2.0))
     assert c2.theta.grid[-1] <= 0.8 + 1e-12
