@@ -17,7 +17,6 @@ from .errors import (
     WrongClassError,
 )
 from .problem import (
-    CoefFn,
     InitialPair,
     Modulation,
     NamedProfile,
@@ -54,7 +53,6 @@ from .simulate import (
     PathEnsemble,
     control_norm,
     estimate_cost,
-    feedback_control,
     moment_oracle,
     simulate_coupled,
     simulate_ensemble,

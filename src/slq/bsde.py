@@ -21,7 +21,7 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -186,16 +186,12 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     for k in range(steps - 1, -1, -1):
         h[k] = prop[k] * h[k + 1] + F[k]
 
-    if p.b.deterministic.is_zero() and np.all(p.g == 0.0):
+    if not p.b.deterministic.values.any() and np.all(p.g == 0.0):
         det = GridFn(grid, np.zeros((steps + 1, 1)))
     else:
         # deterministic drift component superposes linearly with the
         # modulated one (zeta = 0 on this component)
-        stripped = SLQProblem(
-            n=p.n, m=p.m, T=p.T, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
-            G=p.G, g=p.g, b=RandomInput(deterministic=p.b.deterministic),
-            sigma=p.sigma, q=p.q, rho=p.rho, name=p.name,
-        )
+        stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
         det = solve_adjoint_deterministic(stripped, P, steps).deterministic_eta
     return AdjointProfile(
         epsilon=P.epsilon,

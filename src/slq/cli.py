@@ -23,10 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError
 from .problem import InitialPair, builtin, builtin_names, validate
 from .problemfile import load_problem
-from .riccati import check_regularity, riccati_csv, solve_gre
+from .riccati import riccati_csv
 from .simulate import (
     ControlSpec,
     MonteCarloConfig,
@@ -34,11 +33,14 @@ from .simulate import (
     estimate_cost,
     estimate_csv_row,
     ESTIMATE_CSV_HEADER,
-    feedback_control,
+    simulate_coupled,
     simulate_ensemble,
     terminal_moment,
 )
 from .strategy import (
+    ETA_RANGE_FAILED,
+    closed_loop_solvable,
+    closed_loop_test,
     default_ladder,
     diagnose,
     extract_limit,
@@ -145,17 +147,19 @@ def _write_atomic(out_dir: str, name: str, text: str):
 
 
 def _closed_loop_lines(p, steps: int) -> list:
-    try:
-        reg = check_regularity(solve_gre(p, steps), p)
-        verdict = "solvable (regular)" if reg.is_regular() else "NOT solvable"
+    reg, blowup, eta_ok = closed_loop_test(p, steps)
+    verdict = "solvable (regular)" if closed_loop_solvable(reg, blowup, eta_ok) else "NOT solvable"
+    if blowup is not None:
+        detail = f"generalized Riccati flow blew up near s={blowup:.6g}"
+    else:
         detail = (
             f"positivity_ok={reg.positivity_ok} range_ok={reg.range_ok} "
             f"theta_hat_l2={reg.theta_hat_l2:.6g}"
         )
-    except BlowUpError as exc:
-        verdict = "NOT solvable"
-        detail = f"generalized Riccati flow blew up near s={exc.time:.6g}"
-    return [f"closed-loop: {verdict}", f"  {detail}"]
+    lines = [f"closed-loop: {verdict}", f"  {detail}"]
+    if eta_ok is False:
+        lines.append(f"  {ETA_RANGE_FAILED}")
+    return lines
 
 
 def _cmd_solve(cfg: RunConfig) -> int:
@@ -168,10 +172,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
     u_norms = None
     if cfg.paths > 0:
-        from .simulate import simulate_coupled
-
         mc = MonteCarloConfig(paths=cfg.paths, steps=cfg.mc_steps, master_seed=cfg.seed)
-        cpl = simulate_coupled(p, ip, [feedback_control(s) for s in sols], mc)
+        cpl = simulate_coupled(p, ip, [s.control for s in sols], mc)
         u_norms = [
             (sols[i].epsilon, float(cpl.control_norm_mean[i]), float(cpl.control_norm_se[i]))
             for i in range(len(sols))
@@ -228,6 +230,8 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
         f"  regularity: positivity_ok={rep.closed_loop.positivity_ok} "
         f"range_ok={rep.closed_loop.range_ok} theta_hat_l2={rep.closed_loop.theta_hat_l2:.6g}"
     )
+    if rep.eta_condition_ok is False:
+        lines.append(f"  {ETA_RANGE_FAILED}")
     lines.append(f"  last u-distance ratio: {rep.convergence_ratio:.4f}")
     lines.append("  u-norms (eps, E int |u|^2, se): " + "; ".join(
         f"{e:.6g}: {v:.6g} +- {se:.2g}" for e, v, se in rep.u_norms
@@ -258,7 +262,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         sols = run_ladder(p, ladder, cfg.steps)
         trunc = cfg.delta if cfg.delta is not None else 1e-2 * p.T
         ws = extract_limit(sols, delta=trunc, tol=cfg.tol)
-        ctrl = feedback_control(ws)
+        ctrl = ws.control
     else:
         raise ValueError(f"unknown control {cfg.control!r} (use zero or feedback)")
 
@@ -271,7 +275,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     ens = simulate_ensemble(p, ip, ctrl, mc, record_paths=cfg.dump_paths)
     rows = [ESTIMATE_CSV_HEADER]
     rows.append(estimate_csv_row(estimate_cost(p, ip, ens)))
-    rows.append(estimate_csv_row(control_norm(ens, ctrl)))
+    rows.append(estimate_csv_row(control_norm(ens)))
     rows.append(estimate_csv_row(terminal_moment(ens)))
     _write_atomic(cfg.out, "ensemble.csv", "\n".join(rows) + "\n")
     if cfg.dump_paths and ens.recorded is not None:

@@ -145,6 +145,11 @@ class GridFn:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
+    @staticmethod
+    def const(value) -> "GridFn":
+        """The constant ``value``: one node at s = 0, clamped everywhere."""
+        return GridFn(np.zeros(1), np.asarray(value, dtype=float)[None])
+
     @property
     def value_shape(self) -> tuple:
         return self.values.shape[1:]

@@ -2,7 +2,9 @@
 
 A problem bundles the state-equation coefficients A, B, C, D, the cost
 weights Q, S, R, G, g and four inhomogeneous inputs b, sigma, q, rho.
-Coefficients are deterministic (constant or time table).  Inputs are a
+Coefficients, deterministic inputs and table profiles are
+:class:`~slq.core.GridFn` time tables; a constant is a one-node table
+(``GridFn.const``), since tables clamp outside their grid.  Inputs are a
 deterministic part plus an optional martingale-modulated part
 ``exp(gamma*W(s) - gamma^2 s/2) * f(s)`` with a deterministic scalar profile
 f; the modulated class is restricted to scalar problems, where it admits an
@@ -21,7 +23,6 @@ from .core import GridFn, is_symmetric
 from .errors import InvalidInputError, UnknownProblemError
 
 __all__ = [
-    "CoefFn",
     "NamedProfile",
     "Modulation",
     "RandomInput",
@@ -34,59 +35,6 @@ __all__ = [
     "named_profile",
     "NAMED_PROFILES",
 ]
-
-
-@dataclass(frozen=True)
-class CoefFn:
-    """Deterministic time-dependent coefficient: a constant or a time table.
-
-    Tables are interpolated linearly and clamped at their endpoints, so
-    evaluation is defined on all of [0, T].
-    """
-
-    kind: str  # "constant" | "table"
-    constant: Optional[np.ndarray] = None
-    table: Optional[GridFn] = None
-
-    def __post_init__(self):
-        if self.kind == "constant":
-            if self.constant is None:
-                raise InvalidInputError("constant CoefFn needs a value")
-            object.__setattr__(self, "constant", np.asarray(self.constant, dtype=float))
-            if not np.all(np.isfinite(self.constant)):
-                raise InvalidInputError("constant coefficient has non-finite entries")
-        elif self.kind == "table":
-            if self.table is None:
-                raise InvalidInputError("table CoefFn needs a GridFn")
-        else:
-            raise InvalidInputError(f"unknown CoefFn kind {self.kind!r}")
-
-    @staticmethod
-    def const(value) -> "CoefFn":
-        return CoefFn(kind="constant", constant=np.asarray(value, dtype=float))
-
-    @staticmethod
-    def from_table(grid, values) -> "CoefFn":
-        return CoefFn(kind="table", table=GridFn(np.asarray(grid, float), np.asarray(values, float)))
-
-    @property
-    def shape(self) -> tuple:
-        if self.kind == "constant":
-            return self.constant.shape
-        return self.table.value_shape
-
-    def __call__(self, s):
-        if self.kind == "constant":
-            s_arr = np.asarray(s, dtype=float)
-            if s_arr.ndim == 0:
-                return self.constant.copy()
-            return np.broadcast_to(self.constant, (s_arr.size,) + self.constant.shape).copy()
-        return self.table(s)
-
-    def is_zero(self) -> bool:
-        if self.kind == "constant":
-            return bool(np.all(self.constant == 0.0))
-        return bool(np.all(self.table.values == 0.0))
 
 
 @dataclass(frozen=True)
@@ -136,7 +84,7 @@ def named_profile(name: str) -> NamedProfile:
         raise UnknownProblemError(f"unknown named profile {name!r}") from None
 
 
-Profile = Union[CoefFn, NamedProfile]
+Profile = Union[GridFn, NamedProfile]
 
 
 @dataclass(frozen=True)
@@ -154,15 +102,15 @@ class Modulation:
 class RandomInput:
     """Inhomogeneous input: deterministic part + optional modulated part."""
 
-    deterministic: CoefFn
+    deterministic: GridFn
     modulated: Optional[Modulation] = None
 
     @staticmethod
     def zero(dim: int) -> "RandomInput":
-        return RandomInput(deterministic=CoefFn.const(np.zeros(dim)))
+        return RandomInput(deterministic=GridFn.const(np.zeros(dim)))
 
     def is_zero(self) -> bool:
-        return self.deterministic.is_zero() and self.modulated is None
+        return not self.deterministic.values.any() and self.modulated is None
 
 
 @dataclass(frozen=True)
@@ -172,13 +120,13 @@ class SLQProblem:
     n: int
     m: int
     T: float
-    A: CoefFn
-    B: CoefFn
-    C: CoefFn
-    D: CoefFn
-    Q: CoefFn
-    S: CoefFn
-    R: CoefFn
+    A: GridFn
+    B: GridFn
+    C: GridFn
+    D: GridFn
+    Q: GridFn
+    S: GridFn
+    R: GridFn
     G: np.ndarray
     g: np.ndarray
     b: RandomInput
@@ -219,7 +167,8 @@ class ValidationReport:
         self.violations.append(message)
 
 
-_COEF_SHAPES = {
+# shapes in terms of the dimensions n, m, in problem-file order
+COEF_SHAPES = {
     "A": ("n", "n"),
     "B": ("n", "m"),
     "C": ("n", "n"),
@@ -229,7 +178,7 @@ _COEF_SHAPES = {
     "R": ("m", "m"),
 }
 
-_INPUT_LENGTHS = {"b": "n", "sigma": "n", "q": "n", "rho": "m"}
+INPUT_LENGTHS = {"b": "n", "sigma": "n", "q": "n", "rho": "m"}
 
 
 def _probe_profile_integrable(mod: Modulation, T: float) -> bool:
@@ -262,30 +211,30 @@ def validate(p: SLQProblem) -> ValidationReport:
     if not (p.T > 0.0):
         report.add("horizon T must be positive")
 
-    for cname, want in _COEF_SHAPES.items():
-        coef: CoefFn = getattr(p, cname)
+    for cname, want in COEF_SHAPES.items():
+        coef: GridFn = getattr(p, cname)
         want_shape = (dims[want[0]], dims[want[1]])
-        if coef.shape != want_shape:
-            report.add(f"{cname} has shape {coef.shape}, expected {want_shape}")
-        if coef.kind == "table":
-            tab = coef.table
-            if tab.grid[0] < -1e-12 or tab.grid[-1] > p.T + 1e-12:
-                report.add(f"{cname} table spans outside [0, T]")
+        if coef.value_shape != want_shape:
+            report.add(f"{cname} has shape {coef.value_shape}, expected {want_shape}")
+        if coef.grid[0] < -1e-12 or coef.grid[-1] > p.T + 1e-12:
+            report.add(f"{cname} table spans outside [0, T]")
 
     for cname in ("Q", "R"):
-        coef: CoefFn = getattr(p, cname)
-        vals = coef.constant[None] if coef.kind == "constant" else coef.table.values
+        vals = getattr(p, cname).values
         if vals.shape[-1] == vals.shape[-2]:
             if not np.allclose(vals, np.swapaxes(vals, -1, -2), atol=0.0):
                 report.add(f"{cname} not symmetric")
     if not is_symmetric(p.G):
         report.add("G not symmetric")
 
-    for iname, want in _INPUT_LENGTHS.items():
+    for iname, want in INPUT_LENGTHS.items():
         inp: RandomInput = getattr(p, iname)
         want_shape = (dims[want],)
-        if inp.deterministic.shape != want_shape:
-            report.add(f"{iname} deterministic part has shape {inp.deterministic.shape}, expected {want_shape}")
+        if inp.deterministic.value_shape != want_shape:
+            report.add(
+                f"{iname} deterministic part has shape {inp.deterministic.value_shape}, "
+                f"expected {want_shape}"
+            )
         mod = inp.modulated
         if mod is None:
             continue
@@ -297,27 +246,13 @@ def validate(p: SLQProblem) -> ValidationReport:
     return report
 
 
-def _scalar_problem(name, T, A, B, C, D, Q, S, R, G, b=None, **kw) -> SLQProblem:
+def _scalar_problem(name, T, G, b=None, **coefs) -> SLQProblem:
+    """Scalar problem with constant coefficients A .. R and zero inputs but b."""
     zero = RandomInput.zero(1)
     return SLQProblem(
-        n=1,
-        m=1,
-        T=T,
-        A=CoefFn.const([[A]]),
-        B=CoefFn.const([[B]]),
-        C=CoefFn.const([[C]]),
-        D=CoefFn.const([[D]]),
-        Q=CoefFn.const([[Q]]),
-        S=CoefFn.const([[S]]),
-        R=CoefFn.const([[R]]),
-        G=np.array([[G]], dtype=float),
-        g=np.zeros(1),
-        b=b if b is not None else zero,
-        sigma=zero,
-        q=zero,
-        rho=zero,
-        name=name,
-        **kw,
+        n=1, m=1, T=T, **{c: GridFn.const([[v]]) for c, v in coefs.items()},
+        G=np.array([[G]], dtype=float), g=np.zeros(1),
+        b=b if b is not None else zero, sigma=zero, q=zero, rho=zero, name=name,
     )
 
 
@@ -344,7 +279,7 @@ def builtin(name: str):
         # gamma^2/2 = 1, so exp(gamma W - gamma^2 s/2) * e^{-s}/sqrt(1-s)
         # equals exp(sqrt(2) W(s) - 2s)/sqrt(1-s) identically.
         b = RandomInput(
-            deterministic=CoefFn.const(np.zeros(1)),
+            deterministic=GridFn.const(np.zeros(1)),
             modulated=Modulation(gamma=gamma, profile=named_profile("exp-inv-sqrt-gap")),
         )
         p = _scalar_problem(name, T=1.0, A=-1.0, B=1.0, C=gamma, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, b=b)

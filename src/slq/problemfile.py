@@ -9,7 +9,10 @@ MATRIX`` or bare table lines ``t : MATRIX``.  Input sections hold
 ``deterministic = VECTOR`` (or ``deterministic = table`` followed by ``t :
 VECTOR`` lines) plus, for modulated inputs, ``gamma = REAL`` and ``profile =
 named:<id>`` or ``profile = table`` followed by ``t : REAL`` lines.
-Missing coefficient and input sections default to zero.
+Missing coefficient and input sections default to zero; unknown sections
+and keys are rejected.  Constants are one-node tables, so a coefficient or
+deterministic input is written as ``constant =`` / ``deterministic =`` iff
+its table has one node.
 
 Reference files for the built-in problems ship under ``docs/problems/``.
 """
@@ -18,9 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import GridFn
 from .errors import InvalidInputError
 from .problem import (
-    CoefFn,
+    COEF_SHAPES,
+    INPUT_LENGTHS,
     Modulation,
     NamedProfile,
     RandomInput,
@@ -30,8 +35,9 @@ from .problem import (
 
 __all__ = ["parse_problem", "load_problem", "problem_text", "save_problem"]
 
-_COEF_SECTIONS = {f"coef.{c.lower()}": c for c in ("A", "B", "C", "D", "Q", "S", "R")}
-_INPUT_SECTIONS = {f"input.{c}": c for c in ("b", "sigma", "q", "rho")}
+_COEF_SECTIONS = {f"coef.{c.lower()}": c for c in COEF_SHAPES}
+_INPUT_SECTIONS = {f"input.{c}": c for c in INPUT_LENGTHS}
+_SECTIONS = {"dims", "horizon", "terminal"} | set(_COEF_SECTIONS) | set(_INPUT_SECTIONS)
 
 
 def _reshape(arr: np.ndarray, shape, what: str) -> np.ndarray:
@@ -64,6 +70,8 @@ def _parse_sections(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in _SECTIONS:
+                raise InvalidInputError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, [])
             continue
         if current is None:
@@ -80,7 +88,25 @@ def _split_kv(line: str, lineno: int, keep_case: bool = False):
     return (key if keep_case else key.lower()), val.strip()
 
 
-def _parse_coef(lines, shape, what: str) -> CoefFn:
+def _section_kv(sections: dict, sec: str, keys: tuple, keep_case: bool = False) -> dict:
+    """The ``key = value`` lines of a fixed-key section; other keys are rejected."""
+    out = {}
+    for lineno, line in sections[sec]:
+        key, val = _split_kv(line, lineno, keep_case)
+        if key not in keys:
+            raise InvalidInputError(f"line {lineno}: unknown key {key!r} in [{sec}]")
+        out[key] = val
+    return out
+
+
+def _table(rows, shape, what: str) -> GridFn:
+    """The GridFn of ``(t, value)`` rows given in any order."""
+    rows = sorted(rows, key=lambda kv: kv[0])
+    vals = np.stack([_reshape(m, shape, what) for _, m in rows])
+    return GridFn(np.array([t for t, _ in rows]), vals)
+
+
+def _parse_coef(lines, shape, what: str) -> GridFn:
     constant = None
     table_rows = []
     for lineno, line in lines:
@@ -96,14 +122,10 @@ def _parse_coef(lines, shape, what: str) -> CoefFn:
             raise InvalidInputError(f"line {lineno}: cannot parse {line!r} in {what}")
     if constant is not None and table_rows:
         raise InvalidInputError(f"{what}: give either a constant or a table, not both")
+    # a constant is a one-node table
     if constant is not None:
-        return CoefFn.const(_reshape(constant, shape, what))
-    if table_rows:
-        table_rows.sort(key=lambda kv: kv[0])
-        grid = np.array([t for t, _ in table_rows])
-        vals = np.stack([_reshape(m, shape, what) for _, m in table_rows])
-        return CoefFn.from_table(grid, vals)
-    return CoefFn.const(np.zeros(shape))
+        table_rows = [(0.0, constant)]
+    return _table(table_rows or [(0.0, np.zeros(shape))], shape, what)
 
 
 def _parse_input(lines, dim: int, what: str) -> RandomInput:
@@ -149,14 +171,8 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
         else:
             raise InvalidInputError(f"line {lineno}: cannot parse {line!r} in {what}")
 
-    if det_rows:
-        det_rows.sort(key=lambda kv: kv[0])
-        det = CoefFn.from_table(
-            np.array([t for t, _ in det_rows]),
-            np.stack([_reshape(m, dim, what) for _, m in det_rows]),
-        )
-    else:
-        det = CoefFn.const(det_const if det_const is not None else np.zeros(dim))
+    det_const = det_const if det_const is not None else np.zeros(dim)
+    det = _table(det_rows or [(0.0, det_const)], dim, what)
 
     modulated = None
     if gamma is not None or profile_named is not None or prof_rows:
@@ -165,11 +181,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
         if profile_named is not None:
             profile = profile_named
         elif prof_rows:
-            prof_rows.sort(key=lambda kv: kv[0])
-            profile = CoefFn.from_table(
-                np.array([t for t, _ in prof_rows]),
-                np.array([float(_reshape(m, (), what + ' profile')) for _, m in prof_rows]),
-            )
+            profile = _table(prof_rows, (), what + " profile")
         else:
             raise InvalidInputError(f"{what}: modulated input needs a profile")
         modulated = Modulation(gamma=gamma, profile=profile)
@@ -183,44 +195,34 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
         if needed not in sections:
             raise InvalidInputError(f"missing required section [{needed}]")
 
-    kv = dict(_split_kv(line, no) for no, line in sections["dims"])
+    kv = _section_kv(sections, "dims", ("n", "m"))
     try:
         n, m = int(kv["n"]), int(kv["m"])
     except KeyError as exc:
         raise InvalidInputError(f"[dims] needs n and m (missing {exc})") from None
-    kv = dict(_split_kv(line, no) for no, line in sections["horizon"])
+    kv = _section_kv(sections, "horizon", ("t",))
     if "t" not in kv:
         raise InvalidInputError("[horizon] needs T")
     T = float(kv["t"])
 
-    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
-              "Q": (n, n), "S": (m, n), "R": (m, m)}
-    coefs = {}
-    for sec, cname in _COEF_SECTIONS.items():
-        lines = sections.get(sec, [])
-        coefs[cname] = _parse_coef(lines, shapes[cname], f"[{sec}]")
+    dims = {"n": n, "m": m}
+    coefs = {
+        c: _parse_coef(sections.get(sec, []), tuple(dims[d] for d in COEF_SHAPES[c]), f"[{sec}]")
+        for sec, c in _COEF_SECTIONS.items()
+    }
 
     # G and g are distinguished by case in [terminal]
-    kv = dict(_split_kv(line, no, keep_case=True) for no, line in sections["terminal"])
+    kv = _section_kv(sections, "terminal", ("G", "g"), keep_case=True)
     if "G" not in kv:
         raise InvalidInputError("[terminal] needs G")
     G = _reshape(_parse_matrix(kv["G"]), (n, n), "[terminal] G")
     g_vec = _reshape(_parse_matrix(kv["g"]), n, "[terminal] g") if "g" in kv else np.zeros(n)
 
-    dims = {"b": n, "sigma": n, "q": n, "rho": m}
-    inputs = {}
-    for sec, iname in _INPUT_SECTIONS.items():
-        lines = sections.get(sec, [])
-        inputs[iname] = _parse_input(lines, dims[iname], f"[{sec}]")
-
-    return SLQProblem(
-        n=n, m=m, T=T,
-        A=coefs["A"], B=coefs["B"], C=coefs["C"], D=coefs["D"],
-        Q=coefs["Q"], S=coefs["S"], R=coefs["R"],
-        G=G, g=g_vec,
-        b=inputs["b"], sigma=inputs["sigma"], q=inputs["q"], rho=inputs["rho"],
-        name=name,
-    )
+    inputs = {
+        i: _parse_input(sections.get(sec, []), dims[INPUT_LENGTHS[i]], f"[{sec}]")
+        for sec, i in _INPUT_SECTIONS.items()
+    }
+    return SLQProblem(n=n, m=m, T=T, **coefs, G=G, g=g_vec, **inputs, name=name)
 
 
 def load_problem(path) -> SLQProblem:
@@ -233,35 +235,36 @@ def _fmt_matrix(M: np.ndarray) -> str:
     return "; ".join(", ".join(f"{v:.17g}" for v in row) for row in M)
 
 
-def _coef_lines(c: CoefFn) -> list:
-    if c.kind == "constant":
-        return [f"constant = {_fmt_matrix(c.constant)}"]
-    return [f"{t:.17g} : {_fmt_matrix(v)}" for t, v in zip(c.table.grid, c.table.values)]
+def _table_lines(f: GridFn) -> list:
+    return [f"{t:.17g} : {_fmt_matrix(v)}" for t, v in zip(f.grid, f.values)]
+
+
+def _coef_lines(c: GridFn) -> list:
+    if c.grid.size == 1:
+        return [f"constant = {_fmt_matrix(c.values[0])}"]
+    return _table_lines(c)
 
 
 def _input_lines(inp: RandomInput) -> list:
-    out = []
     det = inp.deterministic
-    if det.kind == "constant":
-        out.append(f"deterministic = {_fmt_matrix(det.constant)}")
+    if det.grid.size == 1:
+        out = [f"deterministic = {_fmt_matrix(det.values[0])}"]
     else:
-        out.append("deterministic = table")
-        out += [f"{t:.17g} : {_fmt_matrix(v)}" for t, v in zip(det.table.grid, det.table.values)]
+        out = ["deterministic = table"] + _table_lines(det)
     if inp.modulated is not None:
         out.append(f"gamma = {inp.modulated.gamma:.17g}")
         prof = inp.modulated.profile
         if isinstance(prof, NamedProfile):
             out.append(f"profile = named:{prof.name}")
         else:
-            out.append("profile = table")
-            out += [f"{t:.17g} : {_fmt_matrix(v)}" for t, v in zip(prof.table.grid, prof.table.values)]
+            out += ["profile = table"] + _table_lines(prof)
     return out
 
 
 def problem_text(p: SLQProblem) -> str:
     """Serialize a problem in the definition-file format (17 digits)."""
     lines = ["[dims]", f"n = {p.n}", f"m = {p.m}", "", "[horizon]", f"T = {p.T:.17g}", ""]
-    for cname in ("A", "B", "C", "D", "Q", "S", "R"):
+    for cname in COEF_SHAPES:
         lines.append(f"[coef.{cname}]")
         lines += _coef_lines(getattr(p, cname))
         lines.append("")
@@ -270,7 +273,7 @@ def problem_text(p: SLQProblem) -> str:
     if np.any(p.g != 0.0):
         lines.append(f"g = {_fmt_matrix(p.g.reshape(1, -1))}")
     lines.append("")
-    for iname in ("b", "sigma", "q", "rho"):
+    for iname in INPUT_LENGTHS:
         inp = getattr(p, iname)
         if inp.is_zero():
             continue

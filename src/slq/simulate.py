@@ -47,7 +47,6 @@ __all__ = [
     "control_norm",
     "terminal_moment",
     "moment_oracle",
-    "feedback_control",
     "estimate_csv_row",
     "ESTIMATE_CSV_HEADER",
 ]
@@ -111,14 +110,6 @@ class ControlSpec:
     def feedback(theta: GridFn, v_det: GridFn, v_mod_profile: Optional[GridFn] = None,
                  gamma: Optional[float] = None) -> "ControlSpec":
         return ControlSpec(theta=theta, v_det=v_det, v_mod_profile=v_mod_profile, gamma=gamma)
-
-
-def feedback_control(sol) -> ControlSpec:
-    """Build a feedback ControlSpec from a PerturbedSolution or a
-    WeakClosedLoopStrategy."""
-    if hasattr(sol, "theta_star"):
-        return ControlSpec.feedback(sol.theta_star, sol.v_star_det, sol.v_star_mod_profile, sol.gamma)
-    return ControlSpec.feedback(sol.theta, sol.v_det, sol.v_mod_profile, sol.gamma)
 
 
 @dataclass(frozen=True)
@@ -263,11 +254,11 @@ def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
             raise WrongClassError("the simulator supports a modulated part on b only")
     tabs = coef_tables(p, s_nodes)
     for name in ("Q", "S", "R"):
-        if getattr(p, name).is_zero():
+        if not getattr(p, name).values.any():
             tabs[name] = None
     for name in ("b", "sigma", "q", "rho"):
         det = getattr(p, name).deterministic
-        tabs[name] = None if det.is_zero() else det(s_nodes)
+        tabs[name] = det(s_nodes) if det.values.any() else None
     tabs["running_cost"] = any(tabs[c] is not None for c in ("Q", "S", "R", "q", "rho"))
     tabs["D_nonzero"] = np.any(tabs["D"] != 0.0, axis=(1, 2))
     tabs["b_mod"] = tabs["b_gamma"] = None
@@ -476,10 +467,8 @@ def estimate_cost(p: SLQProblem, ip: InitialPair, ens: PathEnsemble) -> MonteCar
     return _estimate(ens.cost, "cost", ens.cfg)
 
 
-def control_norm(ens: PathEnsemble, ctrl: ControlSpec) -> MonteCarloEstimate:
+def control_norm(ens: PathEnsemble) -> MonteCarloEstimate:
     """Monte Carlo estimate of E int |u(s)|^2 ds for the simulated control."""
-    if ens.ctrl is not ctrl:
-        raise InvalidInputError("ensemble was simulated under a different control")
     return _estimate(ens.control_norm_sq, "control-norm-squared", ens.cfg)
 
 

@@ -37,6 +37,7 @@ from .riccati import (
     solve_inner,
     solve_perturbed,
 )
+from .simulate import ControlSpec
 
 __all__ = [
     "PerturbedSolution",
@@ -47,6 +48,8 @@ __all__ = [
     "run_ladder",
     "extract_limit",
     "diagnose",
+    "closed_loop_test",
+    "closed_loop_solvable",
     "default_ladder",
     "ladder_summary_csv",
     "strategy_csv",
@@ -108,33 +111,27 @@ def v_eps_parts(P: RiccatiSolution, adj: AdjointProfile, p: SLQProblem, s):
 class PerturbedSolution:
     """Feedback pair (Theta_eps, v_eps) with its Riccati and adjoint data.
 
-    theta node values satisfy the defining formula at every node exactly (to
-    round-off); v_mod_profile, when present, is the deterministic profile
-    multiplying M(s) = exp(gamma W(s) - gamma^2 s / 2) pathwise.
+    ``control`` is the pair as a feedback :class:`ControlSpec` on the full
+    grid; its theta node values satisfy the defining formula at every node
+    exactly (to round-off).
     """
 
     epsilon: float
     P: RiccatiSolution
-    theta: GridFn
     adjoint: AdjointProfile
-    v_det: GridFn
-    v_mod_profile: Optional[GridFn] = None
-    gamma: Optional[float] = None
+    control: ControlSpec
 
 
 @dataclass(frozen=True)
 class WeakClosedLoopStrategy:
-    """Limit pair (Theta*, v*) on the truncated window [0, T - delta].
+    """Limit pair (Theta*, v*) as a feedback ``control`` on [0, T - delta].
 
     cauchy_evidence rows are (eps_k, theta distance, v distance) between
     consecutive ladder members in L2(0, T - delta); ``converged`` records
     whether the final distance passed the declared tolerance.
     """
 
-    theta_star: GridFn
-    v_star_det: GridFn
-    v_star_mod_profile: Optional[GridFn]
-    gamma: Optional[float]
+    control: ControlSpec
     delta: float
     epsilon: float
     cauchy_evidence: list
@@ -185,17 +182,13 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
         theta_vals, v_det_vals, v_mod_vals = _feedback(
             P, adj, p, grid, P.P.values, adj.deterministic_eta.values, h
         )
-        out.append(
-            PerturbedSolution(
-                epsilon=eps,
-                P=P,
-                theta=GridFn(grid, theta_vals),
-                adjoint=adj,
-                v_det=GridFn(grid, v_det_vals),
-                v_mod_profile=GridFn(grid, v_mod_vals) if v_mod_vals is not None else None,
-                gamma=adj.gamma,
-            )
+        control = ControlSpec.feedback(
+            GridFn(grid, theta_vals),
+            GridFn(grid, v_det_vals),
+            GridFn(grid, v_mod_vals) if v_mod_vals is not None else None,
+            adj.gamma,
         )
+        out.append(PerturbedSolution(epsilon=eps, P=P, adjoint=adj, control=control))
     return out
 
 
@@ -212,6 +205,13 @@ def _v_l2_sq(grid, dv_det, dv_mod, gamma) -> float:
     return _trapz_sq(grid, sq)
 
 
+def _l2_pair(g, theta, v_det, v_mod, gamma) -> tuple:
+    """L2(g) norms of theta and of v_det + v_mod M(s), in the same order as
+    the Cauchy evidence rows."""
+    sq_theta = np.sum(theta.reshape(g.size, -1) ** 2, axis=1)
+    return math.sqrt(_trapz_sq(g, sq_theta)), math.sqrt(_v_l2_sq(g, v_det, v_mod, gamma))
+
+
 def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrategy:
     """Take the weak closed-loop limit of a ladder on [0, T - delta].
 
@@ -222,9 +222,10 @@ def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrateg
     """
     if len(sols) < 3:
         raise InvalidInputError("need at least 3 ladder members")
-    grid0 = sols[0].theta.grid
-    for s in sols[1:]:
-        if s.theta.grid.shape != grid0.shape or not np.array_equal(s.theta.grid, grid0):
+    ctrls = [s.control for s in sols]
+    grid0 = ctrls[0].theta.grid
+    for c in ctrls[1:]:
+        if c.theta.grid.shape != grid0.shape or not np.array_equal(c.theta.grid, grid0):
             raise InvalidInputError("ladder members must share one grid")
     T = grid0[-1]
     if not (0.0 < delta < T):
@@ -235,39 +236,35 @@ def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrateg
         raise InvalidInputError("truncated window contains fewer than 2 grid nodes")
     g = grid0[keep]
 
-    gamma = sols[-1].gamma
+    last = ctrls[-1]
+    gamma = last.gamma if last.gamma is not None else 0.0
     evidence = []
-    for a, b in zip(sols[:-1], sols[1:]):
-        dth = (b.theta.values - a.theta.values)[keep]
-        d_theta = math.sqrt(_trapz_sq(g, np.sum(dth.reshape(g.size, -1) ** 2, axis=1)))
-        dvd = (b.v_det.values - a.v_det.values)[keep]
-        if a.v_mod_profile is not None and b.v_mod_profile is not None:
-            dvm = (b.v_mod_profile.values - a.v_mod_profile.values)[keep]
-        elif a.v_mod_profile is None and b.v_mod_profile is None:
-            dvm = None
-        else:
+    for sol, a, b in zip(sols, ctrls, ctrls[1:]):
+        if (a.v_mod_profile is None) != (b.v_mod_profile is None):
             raise InvalidInputError("ladder members disagree on modulation structure")
-        d_v = math.sqrt(_v_l2_sq(g, dvd, dvm, gamma if gamma is not None else 0.0))
-        evidence.append((a.epsilon, d_theta, d_v))
+        dth = (b.theta.values - a.theta.values)[keep]
+        dvd = (b.v_det.values - a.v_det.values)[keep]
+        dvm = None
+        if a.v_mod_profile is not None:
+            dvm = (b.v_mod_profile.values - a.v_mod_profile.values)[keep]
+        evidence.append((sol.epsilon, *_l2_pair(g, dth, dvd, dvm, gamma)))
 
-    last = sols[-1]
-    th_last = last.theta.values[keep]
-    norm_theta = math.sqrt(_trapz_sq(g, np.sum(th_last.reshape(g.size, -1) ** 2, axis=1)))
-    vm_last = last.v_mod_profile.values[keep] if last.v_mod_profile is not None else None
-    norm_v = math.sqrt(
-        _v_l2_sq(g, last.v_det.values[keep], vm_last, gamma if gamma is not None else 0.0)
+    window = ControlSpec.feedback(
+        last.theta.restrict(cut),
+        last.v_det.restrict(cut),
+        last.v_mod_profile.restrict(cut) if last.v_mod_profile is not None else None,
+        last.gamma,
     )
+    vm_last = window.v_mod_profile.values if window.v_mod_profile is not None else None
+    norm_theta, norm_v = _l2_pair(g, window.theta.values, window.v_det.values, vm_last, gamma)
     converged = evidence[-1][1] <= tol * max(1.0, norm_theta) and evidence[-1][2] <= tol * max(
         1.0, norm_v
     )
 
     return WeakClosedLoopStrategy(
-        theta_star=GridFn(g, th_last),
-        v_star_det=GridFn(g, last.v_det.values[keep]),
-        v_star_mod_profile=GridFn(g, vm_last) if vm_last is not None else None,
-        gamma=gamma,
+        control=window,
         delta=delta,
-        epsilon=last.epsilon,
+        epsilon=sols[-1].epsilon,
         cauchy_evidence=evidence,
         converged=converged,
     )
@@ -291,11 +288,18 @@ class SolvabilityReport:
     convergence_ratio: float
 
     def closed_loop_solvable(self) -> bool:
-        return (
-            self.closed_loop_blowup is None
-            and self.closed_loop.is_regular()
-            and self.eta_condition_ok is not False
-        )
+        return closed_loop_solvable(self.closed_loop, self.closed_loop_blowup, self.eta_condition_ok)
+
+
+# report line for a verdict decided by the adjoint range condition alone (K = R + D'PD)
+ETA_RANGE_FAILED = "eta range condition fails: B'eta + D'zeta + D'P sigma + rho not in range(K)"
+
+
+def closed_loop_solvable(reg: RegularityReport, blowup_time: Optional[float],
+                         eta_ok: Optional[bool]) -> bool:
+    """The closed-loop verdict from :func:`closed_loop_test`'s results: no
+    Riccati blow-up, a regular solution and no failed eta range check."""
+    return blowup_time is None and reg.is_regular() and eta_ok is not False
 
 
 def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: float) -> bool:
@@ -308,6 +312,28 @@ def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: f
     return all(range_included(r, K, tol) for r in rhs)
 
 
+def closed_loop_test(p: SLQProblem, steps: int) -> tuple:
+    """Generalized Riccati solve plus the regularity tests and, for a
+    regular solution, the adjoint range condition.
+
+    Returns ``(regularity, blowup_time, eta_ok)``.  A finite-time blow-up
+    counts as not regular and gives its time; ``eta_ok`` is None unless the
+    solution is regular.
+    """
+    try:
+        P0 = solve_gre(p, steps)
+        reg = check_regularity(P0, p)
+    except BlowUpError as exc:
+        reg = RegularityReport(
+            positivity_ok=False, theta_hat_l2=float("inf"), range_ok=False, verdict="not-regular"
+        )
+        return reg, exc.time, None
+    eta_ok = None
+    if reg.is_regular():
+        eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, steps), tol=1e-9)
+    return reg, None, eta_ok
+
+
 def diagnose(
     p: SLQProblem,
     ip: InitialPair,
@@ -317,8 +343,7 @@ def diagnose(
 ) -> SolvabilityReport:
     """Diagnose closed-loop and open-loop solvability.
 
-    Closed-loop: generalized Riccati solve plus the regularity tests (a
-    finite-time blow-up counts as not regular).  Open-loop: simulate the
+    Closed-loop: :func:`closed_loop_test`.  Open-loop: simulate the
     outcome u_eps = Theta_eps X_eps + v_eps for every ladder rung under
     common random numbers, then judge boundedness of E int |u_eps|^2 and the
     decay of consecutive pathwise L2 distances.  Thresholds: bounded means
@@ -326,22 +351,9 @@ def diagnose(
     per halving; growth by >= 2x per rung over >= 4 rungs means not-solvable;
     anything else is inconclusive.
     """
-    blowup_time = None
-    eta_ok = None
-    try:
-        P0 = solve_gre(p, steps)
-        reg = check_regularity(P0, p)
-        if reg.is_regular():
-            eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, steps), tol=1e-9)
-    except BlowUpError as exc:
-        blowup_time = exc.time
-        reg = RegularityReport(
-            positivity_ok=False, theta_hat_l2=float("inf"), range_ok=False, verdict="not-regular"
-        )
-
+    reg, blowup_time, eta_ok = closed_loop_test(p, steps)
     sols = run_ladder(p, ladder, steps)
-    controls = [sim_mod.feedback_control(s) for s in sols]
-    coupled = sim_mod.simulate_coupled(p, ip, controls, mc)
+    coupled = sim_mod.simulate_coupled(p, ip, [s.control for s in sols], mc)
 
     u_norms = [
         (sols[i].epsilon, coupled.control_norm_mean[i], coupled.control_norm_se[i])
@@ -383,9 +395,7 @@ def diagnose(
 def ladder_summary_csv(sols: list, evidence: list, u_norms=None) -> str:
     """CSV: eps,u_norm_sq,theta_l2_dist,v_l2_dist (distances to next rung)."""
     lines = ["eps,u_norm_sq,theta_l2_dist,v_l2_dist"]
-    norm_by_eps = {}
-    if u_norms:
-        norm_by_eps = {e: v for e, v, *_ in u_norms}
+    norm_by_eps = {e: v for e, v, *_ in u_norms or ()}
     dist_by_eps = {e: (dt, dv) for e, dt, dv in evidence}
     for s in sols:
         e = s.epsilon
@@ -398,16 +408,17 @@ def ladder_summary_csv(sols: list, evidence: list, u_norms=None) -> str:
 
 def strategy_csv(ws: WeakClosedLoopStrategy) -> str:
     """CSV dump of (Theta*, v*): s,theta_11..,v_det_1..,v_mod_profile."""
-    g = ws.theta_star.grid
-    th = ws.theta_star.values
-    vd = ws.v_star_det.values
+    c = ws.control
+    g = c.theta.grid
+    th = c.theta.values
+    vd = c.v_det.values
     m, n = th.shape[1], th.shape[2]
     cols = ["s"]
     cols += [f"theta_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
     cols += [f"v_det_{i + 1}" for i in range(m)]
     cols.append("v_mod_profile")
     lines = [",".join(cols)]
-    vm = ws.v_star_mod_profile.values if ws.v_star_mod_profile is not None else None
+    vm = c.v_mod_profile.values if c.v_mod_profile is not None else None
     for k, s in enumerate(g):
         row = [f"{s:.17g}"]
         row += [f"{v:.17g}" for v in th[k].reshape(-1)]

@@ -27,7 +27,6 @@ from .simulate import (
     control_norm,
     estimate_cost,
     estimate_csv_row,
-    feedback_control,
     simulate_coupled,
     simulate_ensemble,
 )
@@ -125,8 +124,8 @@ def _c5_control_norm() -> CriterionResult:
     sols = run_ladder(p, [1.0, 0.5, 0.25], 2000)
     for sol in sols:
         cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
-        ens = simulate_ensemble(p, ip, feedback_control(sol), cfg)
-        est = control_norm(ens, ens.ctrl)
+        ens = simulate_ensemble(p, ip, sol.control, cfg)
+        est = control_norm(ens)
         exact = ((x + 2.0) / (sol.epsilon + 1.0)) ** 2
         ok3 = abs(est.mean - exact) <= 3.0 * est.std_error
         checks.append((f"E int |u|^2 vs ((x+2)/(eps+1))^2, eps={sol.epsilon}", ok3,
@@ -143,8 +142,8 @@ def _c6_limit_strategy() -> CriterionResult:
     ladder = [2.0**-k for k in range(0, 11)]
     sols = run_ladder(p, ladder, 2000)
     ws = extract_limit(sols, delta=0.1, tol=1e-3)
-    g = ws.theta_star.grid
-    th = ws.theta_star.values[:, 0, 0]
+    g = ws.control.theta.grid
+    th = ws.control.theta.values[:, 0, 0]
     err = float(np.max(np.abs(th + 1.0 / (1.0 - g))))
     s_edge = 0.9
     bound = 1.2 * eps_min / ((1.0 - s_edge) * (eps_min + 1.0 - s_edge))
@@ -166,7 +165,7 @@ def _c7_strategy_optimality() -> CriterionResult:
     ladder = [2.0**-k for k in range(0, 11)]
     sols = run_ladder(p, ladder, 2000)
     ws = extract_limit(sols, delta=1e-3, tol=1e-3)
-    ctrl = feedback_control(ws)
+    ctrl = ws.control
     means = []
     checks = []
     for delta in (0.1, 0.01, 0.001):
@@ -221,7 +220,7 @@ def _c9_value_monotonicity() -> CriterionResult:
         p, ip = builtin(name)
         sols = run_ladder(p, ladder, 1024)
         cfg = MonteCarloConfig(paths=20_000, steps=512, master_seed=MASTER_SEED)
-        cpl = simulate_coupled(p, ip, [feedback_control(s) for s in sols], cfg)
+        cpl = simulate_coupled(p, ip, [s.control for s in sols], cfg)
         ok = True
         worst = math.inf
         for i in range(len(ladder) - 1):
@@ -244,7 +243,7 @@ def _c10_determinism() -> CriterionResult:
         ws = extract_limit(sols, delta=0.1, tol=1e3)
         cfg = MonteCarloConfig(paths=2000, steps=64, master_seed=MASTER_SEED,
                                truncation_delta=0.1)
-        ens = simulate_ensemble(p, ip, feedback_control(ws), cfg, block_size=block_size)
+        ens = simulate_ensemble(p, ip, ws.control, cfg, block_size=block_size)
         est = estimate_cost(p, ip, ens)
         return (
             riccati_csv(sols[0].P) + strategy_csv(ws) + estimate_csv_row(est)

@@ -10,7 +10,8 @@ from slq.bsde import (
     solve_adjoint_modulated,
 )
 from slq.errors import WrongClassError
-from slq.problem import CoefFn, Modulation, RandomInput, SLQProblem, builtin
+from slq.core import GridFn
+from slq.problem import Modulation, RandomInput, SLQProblem, builtin
 from slq.riccati import solve_perturbed
 from slq.strategy import theta_eps
 
@@ -21,7 +22,7 @@ def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None):
             return RandomInput.zero(dim)
         if isinstance(v, RandomInput):
             return v
-        return RandomInput(deterministic=CoefFn.const(np.full(dim, float(v))))
+        return RandomInput(deterministic=GridFn.const(np.full(dim, float(v))))
 
     return SLQProblem(
         n=p.n, m=p.m, T=p.T, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
@@ -45,8 +46,8 @@ class TestDeterministic:
         # kill A, B so the closed-loop drift matrix vanishes
         p = SLQProblem(
             n=1, m=1, T=1.0,
-            A=CoefFn.const([[0.0]]), B=CoefFn.const([[0.0]]),
-            C=CoefFn.const([[0.0]]), D=CoefFn.const([[0.0]]),
+            A=GridFn.const([[0.0]]), B=GridFn.const([[0.0]]),
+            C=GridFn.const([[0.0]]), D=GridFn.const([[0.0]]),
             Q=p.Q, S=p.S, R=p.R, G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
         )
         P = solve_perturbed(p, 0.5, 64)
@@ -144,19 +145,19 @@ class TestModulated:
     def test_linearity_via_scaled_profile(self):
         # doubling the forcing profile doubles h node-wise
         p, _ = builtin("example-5.1")
-        tab = CoefFn.from_table([0.0, 1.0], np.array([1.0, 1.0]))
-        tab2 = CoefFn.from_table([0.0, 1.0], np.array([2.0, 2.0]))
+        tab = GridFn([0.0, 1.0], np.array([1.0, 1.0]))
+        tab2 = GridFn([0.0, 1.0], np.array([2.0, 2.0]))
         base = SLQProblem(
             n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
             G=p.G, g=p.g,
-            b=RandomInput(deterministic=CoefFn.const(np.zeros(1)),
+            b=RandomInput(deterministic=GridFn.const(np.zeros(1)),
                           modulated=Modulation(gamma=1.0, profile=tab)),
             sigma=p.sigma, q=p.q, rho=p.rho,
         )
         double = SLQProblem(
             n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
             G=p.G, g=p.g,
-            b=RandomInput(deterministic=CoefFn.const(np.zeros(1)),
+            b=RandomInput(deterministic=GridFn.const(np.zeros(1)),
                           modulated=Modulation(gamma=1.0, profile=tab2)),
             sigma=p.sigma, q=p.q, rho=p.rho,
         )

@@ -102,6 +102,25 @@ class TestDiagnose:
         assert report[2] == "weak-closed-loop: NOT solvable"
 
 
+def test_solve_and_diagnose_share_closed_loop_verdict(tmp_path):
+    # K = R + D'PD = 0 and every regularity test passes, but rho = 1 is not
+    # in range(K): the eta range condition alone makes it NOT solvable
+    prob = tmp_path / "rho.slq"
+    prob.write_text(
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[terminal]\nG = 1\n"
+        "[input.rho]\ndeterministic = 1\n",
+        encoding="utf-8",
+    )
+    reports = {}
+    for cmd, extra in (("solve", []), ("diagnose", ["--paths", "500", "--mc-steps", "32"])):
+        out = tmp_path / cmd
+        run([cmd, "--problem", prob, "--out", out, *FAST_SOLVE, *extra])
+        reports[cmd] = read(out / "report.txt").split("\n")
+    for lines in reports.values():
+        assert "closed-loop: NOT solvable" in lines
+        assert sum(line.startswith("  eta range condition fails") for line in lines) == 1
+
+
 class TestSimulateCmd:
     def test_zero_control_summary(self, tmp_path):
         rc = run(["simulate", "--builtin", "example-1.1", "--control", "zero",

@@ -130,6 +130,25 @@ class TestGridFn:
         assert np.array_equal(r.grid, g[g <= 0.55 + 1e-15])
         assert np.array_equal(r.values, f.values[: r.grid.size])
 
+    def test_const(self):
+        scalar = GridFn.const(2.5)
+        assert scalar.grid.tolist() == [0.0] and scalar.value_shape == ()
+        assert scalar(0.7) == 2.5
+        assert np.array_equal(scalar(np.array([-1.0, 0.0, 3.0])), [2.5, 2.5, 2.5])
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mat = GridFn.const(M)
+        assert mat.value_shape == (2, 2)
+        assert np.array_equal(mat(0.3), M)
+        assert mat(np.linspace(0.0, 1.0, 4)).shape == (4, 2, 2)
+        # every evaluation is a fresh array: mutating it leaves f unchanged
+        for f, s in ((scalar, np.array([0.1, 0.2])), (mat, 0.2), (mat, np.array([0.1]))):
+            before = f(s).copy()
+            out = f(s)
+            out[...] = -7.0
+            assert np.array_equal(f(s), before)
+        with pytest.raises(InvalidInputError):
+            GridFn.const([np.nan])
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             GridFn(np.array([0.0, 0.0]), np.array([1.0, 2.0]))

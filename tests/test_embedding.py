@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from slq.errors import DegeneratePerturbationError
-from slq.problem import CoefFn, InitialPair, RandomInput, SLQProblem, builtin
+from slq.core import GridFn
+from slq.problem import InitialPair, RandomInput, SLQProblem, builtin
 from slq.riccati import check_regularity, solve_gre, solve_perturbed
-from slq.simulate import ControlSpec, MonteCarloConfig, feedback_control, simulate_coupled
+from slq.simulate import ControlSpec, MonteCarloConfig, simulate_coupled
 from slq.strategy import run_ladder
 
 STEPS = 128
@@ -30,13 +31,13 @@ def embed(p: SLQProblem, U: np.ndarray, V: np.ndarray, R=None) -> SLQProblem:
     """Two copies of the scalar problem p, rotated by U (state) and V (control)."""
 
     def c(name, left, right):
-        return CoefFn.const(left @ (float(getattr(p, name)(0.0)[0, 0]) * np.eye(2)) @ right.T)
+        return GridFn.const(left @ (float(getattr(p, name)(0.0)[0, 0]) * np.eye(2)) @ right.T)
 
     return SLQProblem(
         n=2, m=2, T=p.T,
         A=c("A", U, U), B=c("B", U, V), C=c("C", U, U), D=c("D", U, V),
         Q=c("Q", U, U), S=c("S", V, U),
-        R=CoefFn.const(R) if R is not None else c("R", V, V),
+        R=GridFn.const(R) if R is not None else c("R", V, V),
         G=U @ (p.G[0, 0] * np.eye(2)) @ U.T, g=np.zeros(2),
         b=RandomInput.zero(2), sigma=RandomInput.zero(2),
         q=RandomInput.zero(2), rho=RandomInput.zero(2), name=p.name + "-2x2",
@@ -56,10 +57,10 @@ def test_ladder_maps_through_rotations(name, kind):
     matrix = run_ladder(embed(p, U, V), ladder, STEPS)
     for a, b in zip(scalar, matrix):
         P_map = a.P.P.values[:, :1, :1] * (U @ U.T)
-        theta_map = a.theta.values[:, :1, :1] * (V @ U.T)
+        theta_map = a.control.theta.values[:, :1, :1] * (V @ U.T)
         assert np.max(np.abs(b.P.P.values - P_map)) <= 1e-12
-        assert np.max(np.abs(b.theta.values - theta_map)) <= 1e-12
-        assert np.all(b.v_det.values == 0.0)
+        assert np.max(np.abs(b.control.theta.values - theta_map)) <= 1e-12
+        assert np.all(b.control.v_det.values == 0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(EMBEDDINGS))
@@ -73,7 +74,7 @@ def test_monte_carlo_doubles_scalar(name, kind):
     cfg = MonteCarloConfig(paths=400, steps=64, master_seed=31)
 
     def run(q, sols, x):
-        controls = [ControlSpec.zero()] + [feedback_control(s) for s in sols]
+        controls = [ControlSpec.zero()] + [s.control for s in sols]
         return simulate_coupled(q, InitialPair(t=ip.t, x=x), controls, cfg)
 
     q = embed(p, U, V)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from slq.core import GridFn
 from slq.errors import UnknownProblemError
 from slq.problem import (
-    CoefFn,
     Modulation,
     RandomInput,
     SLQProblem,
@@ -67,13 +67,13 @@ def test_validate_flags_nonsymmetric_q():
     p, _ = builtin("standard-scalar")
     bad = SLQProblem(
         n=2, m=1, T=1.0,
-        A=CoefFn.const(np.zeros((2, 2))),
-        B=CoefFn.const(np.ones((2, 1))),
-        C=CoefFn.const(np.zeros((2, 2))),
-        D=CoefFn.const(np.zeros((2, 1))),
-        Q=CoefFn.const(np.array([[0.0, 1.0], [0.0, 0.0]])),
-        S=CoefFn.const(np.zeros((1, 2))),
-        R=CoefFn.const(np.eye(1)),
+        A=GridFn.const(np.zeros((2, 2))),
+        B=GridFn.const(np.ones((2, 1))),
+        C=GridFn.const(np.zeros((2, 2))),
+        D=GridFn.const(np.zeros((2, 1))),
+        Q=GridFn.const(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        S=GridFn.const(np.zeros((1, 2))),
+        R=GridFn.const(np.eye(1)),
         G=np.eye(2), g=np.zeros(2),
         b=RandomInput.zero(2), sigma=RandomInput.zero(2),
         q=RandomInput.zero(2), rho=RandomInput.zero(1),
@@ -86,15 +86,15 @@ def test_validate_rejects_modulation_on_vector_state():
     mod = Modulation(gamma=1.0, profile=named_profile("inv-sqrt-gap"))
     p = SLQProblem(
         n=2, m=1, T=1.0,
-        A=CoefFn.const(np.zeros((2, 2))),
-        B=CoefFn.const(np.ones((2, 1))),
-        C=CoefFn.const(np.zeros((2, 2))),
-        D=CoefFn.const(np.zeros((2, 1))),
-        Q=CoefFn.const(np.zeros((2, 2))),
-        S=CoefFn.const(np.zeros((1, 2))),
-        R=CoefFn.const(np.eye(1)),
+        A=GridFn.const(np.zeros((2, 2))),
+        B=GridFn.const(np.ones((2, 1))),
+        C=GridFn.const(np.zeros((2, 2))),
+        D=GridFn.const(np.zeros((2, 1))),
+        Q=GridFn.const(np.zeros((2, 2))),
+        S=GridFn.const(np.zeros((1, 2))),
+        R=GridFn.const(np.eye(1)),
         G=np.eye(2), g=np.zeros(2),
-        b=RandomInput(deterministic=CoefFn.const(np.zeros(2)), modulated=mod),
+        b=RandomInput(deterministic=GridFn.const(np.zeros(2)), modulated=mod),
         sigma=RandomInput.zero(2), q=RandomInput.zero(2), rho=RandomInput.zero(1),
     )
     report = validate(p)
@@ -103,13 +103,13 @@ def test_validate_rejects_modulation_on_vector_state():
 
 def test_table_coefficients():
     p, _ = builtin("standard-scalar")
-    tab = CoefFn.from_table([0.0, 1.0], np.array([[[0.0]], [[2.0]]]))
+    tab = GridFn([0.0, 1.0], np.array([[[0.0]], [[2.0]]]))
     q = SLQProblem(
         n=1, m=1, T=1.0, A=tab, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
         G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
     )
     assert q.A(0.25)[0, 0] == pytest.approx(0.5)
-    clamped = CoefFn.from_table([0.0, 0.5], np.array([[[1.0]], [[1.0]]]))
+    clamped = GridFn([0.0, 0.5], np.array([[[1.0]], [[1.0]]]))
     q2 = SLQProblem(
         n=1, m=1, T=1.0, A=clamped, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
         G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
@@ -120,7 +120,7 @@ def test_table_coefficients():
 def test_table_evaluation_is_lipschitz():
     grid = np.array([0.0, 0.4, 1.0])
     vals = np.array([[[0.0]], [[2.0]], [[1.0]]])
-    tab = CoefFn.from_table(grid, vals)
+    tab = GridFn(grid, vals)
     slopes = [2.0 / 0.4, 1.0 / 0.6]
     L = max(slopes)
     rng = np.random.default_rng(11)

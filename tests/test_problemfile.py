@@ -25,15 +25,7 @@ def test_reference_files_match_builtins(name):
         assert q.b.modulated.profile.name == p.b.modulated.profile.name
 
 
-@pytest.mark.parametrize("name", builtin_names())
-def test_round_trip(name):
-    p, _ = builtin(name)
-    q = parse_problem(problem_text(p))
-    assert problem_text(q) == problem_text(p)
-
-
-def test_tables_and_terminal_vector():
-    text = """
+TABLE_PROBLEM = """
 [dims]
 n = 2
 m = 1
@@ -52,7 +44,33 @@ deterministic = table
 0 : 1, 1
 2 : 3, 3
 """
-    p = parse_problem(text)
+
+
+def _problem(name):
+    return parse_problem(TABLE_PROBLEM) if name == "tables" else builtin(name)[0]
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["tables"])
+def test_round_trip(name):
+    p = _problem(name)
+    text = problem_text(p)
+    q = parse_problem(text)
+    assert problem_text(q) == text
+    s = np.linspace(0.0, p.T, 9)
+    for c in ("A", "B", "C", "D", "Q", "S", "R"):
+        assert np.array_equal(getattr(q, c)(s), getattr(p, c)(s)), c
+    assert np.array_equal(q.b.deterministic(s), p.b.deterministic(s))
+
+
+def test_one_node_tables_serialize_as_constants():
+    text = problem_text(_problem("tables"))
+    assert "[coef.A]\n0 : 1, 0; 0, 1\n2 : 0, 1; 1, 0\n" in text
+    assert "[coef.B]\nconstant = 1; 0\n" in text
+    assert "[input.b]\ndeterministic = table\n0 : 1, 1\n2 : 3, 3\n" in text
+
+
+def test_tables_and_terminal_vector():
+    p = parse_problem(TABLE_PROBLEM)
     assert p.n == 2 and p.T == 2.0
     assert np.allclose(p.A(1.0), [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(p.G, [[1.0, 0.0], [0.0, 2.0]])
@@ -94,3 +112,25 @@ profile = table
 def test_rejects_malformed(bad):
     with pytest.raises((InvalidInputError, LookupError)):
         parse_problem(bad)
+
+
+_MINIMAL = "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[terminal]\nG = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_MINIMAL + "[inputs.b]\ndeterministic = 5\n", r"line 8: unknown section \[inputs\.b\]"),
+        (_MINIMAL + "[bogus]\n", r"line 8: unknown section \[bogus\]"),
+        (_MINIMAL + "[coef.E]\nconstant = 1\n", r"line 8: unknown section \[coef\.e\]"),
+        (_MINIMAL.replace("m = 1\n", "m = 1\nk = 2\n"), r"line 4: unknown key 'k' in \[dims\]"),
+        (_MINIMAL.replace("T = 1\n", "T = 1\nt0 = 0\n"),
+         r"line 6: unknown key 't0' in \[horizon\]"),
+        (_MINIMAL + "H = 1\n", r"line 8: unknown key 'H' in \[terminal\]"),
+    ],
+    ids=["inputs.b", "bogus", "coef.E", "dims", "horizon", "terminal"],
+)
+def test_rejects_unknown_sections_and_keys(text, where):
+    parse_problem(_MINIMAL)
+    with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)

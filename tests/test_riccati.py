@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from slq.errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
-from slq.problem import CoefFn, RandomInput, SLQProblem, builtin
+from slq.core import GridFn
+from slq.problem import RandomInput, SLQProblem, builtin
 from slq.riccati import (
     check_regularity,
     riccati_csv,
@@ -16,9 +17,9 @@ def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0
     zero = RandomInput.zero(1)
     return SLQProblem(
         n=1, m=1, T=T,
-        A=CoefFn.const([[A]]), B=CoefFn.const([[B]]), C=CoefFn.const([[C]]),
-        D=CoefFn.const([[D]]), Q=CoefFn.const([[Q]]), S=CoefFn.const([[S]]),
-        R=CoefFn.const([[R]]), G=np.array([[G]]), g=np.zeros(1),
+        A=GridFn.const([[A]]), B=GridFn.const([[B]]), C=GridFn.const([[C]]),
+        D=GridFn.const([[D]]), Q=GridFn.const([[Q]]), S=GridFn.const([[S]]),
+        R=GridFn.const([[R]]), G=np.array([[G]]), g=np.zeros(1),
         b=zero, sigma=zero, q=zero, rho=zero,
     )
 
@@ -56,7 +57,7 @@ class TestPerturbed:
         # time-dependent A: the step-doubling half steps need their own
         # midpoints, or the estimate shrinks only like h^2
         p, _ = builtin("standard-scalar")
-        A = CoefFn.from_table([0.0, 1.0], np.array([[[0.0]], [[4.0]]]))
+        A = GridFn([0.0, 1.0], np.array([[[0.0]], [[4.0]]]))
         q = SLQProblem(n=1, m=1, T=1.0, A=A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
                        G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho)
         est = [solve_perturbed(q, 0.5, n).max_local_error_estimate for n in (200, 400)]
@@ -74,12 +75,12 @@ class TestPerturbed:
         M = rng.standard_normal((2, 2))
         p = SLQProblem(
             n=2, m=1, T=1.0,
-            A=CoefFn.const(rng.standard_normal((2, 2))),
-            B=CoefFn.const(rng.standard_normal((2, 1))),
-            C=CoefFn.const(rng.standard_normal((2, 2)) * 0.3),
-            D=CoefFn.const(rng.standard_normal((2, 1)) * 0.3),
-            Q=CoefFn.const(M @ M.T), S=CoefFn.const(rng.standard_normal((1, 2))),
-            R=CoefFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
+            A=GridFn.const(rng.standard_normal((2, 2))),
+            B=GridFn.const(rng.standard_normal((2, 1))),
+            C=GridFn.const(rng.standard_normal((2, 2)) * 0.3),
+            D=GridFn.const(rng.standard_normal((2, 1)) * 0.3),
+            Q=GridFn.const(M @ M.T), S=GridFn.const(rng.standard_normal((1, 2))),
+            R=GridFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
             b=RandomInput.zero(2), sigma=RandomInput.zero(2),
             q=RandomInput.zero(2), rho=RandomInput.zero(1),
         )
@@ -166,11 +167,10 @@ class TestRegularity:
     def test_l2_probe_flags_divergent_gain(self):
         # hand-built solution P = 1 against R(s) = 1 - s gives the gain
         # -1/(1-s), whose squared integral diverges at the horizon
-        from slq.core import GridFn
         from slq.riccati import RiccatiSolution
 
         p = scalar_problem(B=1.0, G=1.0)
-        tab = CoefFn.from_table([0.0, 1.0], np.array([[[1.0]], [[0.0]]]))
+        tab = GridFn([0.0, 1.0], np.array([[[1.0]], [[0.0]]]))
         q = SLQProblem(
             n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=tab,
             G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,

@@ -3,13 +3,12 @@ import pytest
 
 from slq.core import GridFn
 from slq.errors import EnsembleError, InvalidInputError, WrongClassError
-from slq.problem import CoefFn, InitialPair, Modulation, RandomInput, SLQProblem, builtin, named_profile
+from slq.problem import InitialPair, Modulation, RandomInput, SLQProblem, builtin, named_profile
 from slq.simulate import (
     ControlSpec,
     MonteCarloConfig,
     control_norm,
     estimate_cost,
-    feedback_control,
     moment_oracle,
     simulate_coupled,
     simulate_ensemble,
@@ -25,13 +24,13 @@ def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0,
             return v
         if v is None:
             return RandomInput.zero(dim)
-        return RandomInput(deterministic=CoefFn.const(np.full(dim, float(v))))
+        return RandomInput(deterministic=GridFn.const(np.full(dim, float(v))))
 
     return SLQProblem(
         n=1, m=1, T=T,
-        A=CoefFn.const([[A]]), B=CoefFn.const([[B]]), C=CoefFn.const([[C]]),
-        D=CoefFn.const([[D]]), Q=CoefFn.const([[Q]]), S=CoefFn.const([[S]]),
-        R=CoefFn.const([[R]]), G=np.array([[G]]), g=np.array([g]),
+        A=GridFn.const([[A]]), B=GridFn.const([[B]]), C=GridFn.const([[C]]),
+        D=GridFn.const([[D]]), Q=GridFn.const([[Q]]), S=GridFn.const([[S]]),
+        R=GridFn.const([[R]]), G=np.array([[G]]), g=np.array([g]),
         b=inp(b, 1), sigma=inp(sigma, 1), q=inp(q, 1), rho=inp(rho, 1), name=name,
     )
 
@@ -56,7 +55,7 @@ class TestDeterminism:
         assert estimate_cost(p, ip, a).mean == estimate_cost(p, ip, b).mean
         sol = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1]
         grid = np.linspace(0.0, 1.0, 3)
-        controls = [ControlSpec.zero(), feedback_control(sol),
+        controls = [ControlSpec.zero(), sol.control,
                     ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=0.5)]
         cfg = MonteCarloConfig(paths=3000, steps=64, master_seed=5, truncation_delta=0.25)
         a = simulate_coupled(p, ip, controls, cfg, block_size=4096)
@@ -157,7 +156,7 @@ class TestControlsAndCost:
         p, ip = builtin("example-1.1")
         cfg = MonteCarloConfig(paths=200, steps=32, master_seed=1)
         ens = simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
-        est = control_norm(ens, ens.ctrl)
+        est = control_norm(ens)
         assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_empty_cost_functional_is_zero(self):
@@ -176,7 +175,7 @@ class TestControlsAndCost:
         ctrl = ControlSpec.open_loop(GridFn(grid, (2.0 * grid).reshape(-1, 1)))
         cfg = MonteCarloConfig(paths=100, steps=100, master_seed=9)
         ens = simulate_ensemble(p, ip, ctrl, cfg)
-        est = control_norm(ens, ctrl)
+        est = control_norm(ens)
         assert est.mean == pytest.approx(4.0 / 3.0, abs=1e-3)
         assert est.std_error <= 1e-15  # deterministic integrand, ulp-level spread
 
@@ -190,7 +189,7 @@ class TestControlsAndCost:
         ctrl = ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=gamma)
         cfg = MonteCarloConfig(paths=50_000, steps=256, master_seed=21)
         ens = simulate_ensemble(p, ip, ctrl, cfg)
-        est = control_norm(ens, ctrl)
+        est = control_norm(ens)
         expected = (np.exp(gamma**2) - 1.0) / gamma**2
         assert abs(est.mean - expected) <= 3.0 * est.std_error
 
@@ -226,7 +225,7 @@ class TestErrors:
 
     def test_modulated_sigma_rejected(self):
         mod = Modulation(gamma=1.0, profile=named_profile("inv-sqrt-gap"))
-        p = scalar_problem(sigma=RandomInput(deterministic=CoefFn.const(np.zeros(1)),
+        p = scalar_problem(sigma=RandomInput(deterministic=GridFn.const(np.zeros(1)),
                                              modulated=mod))
         ip = InitialPair(t=0.0, x=np.array([1.0]))
         cfg = MonteCarloConfig(paths=16, steps=16, master_seed=1)
@@ -242,8 +241,6 @@ class TestErrors:
             estimate_cost(q, ip, ens)
         with pytest.raises(InvalidInputError):
             estimate_cost(p, InitialPair(t=0.0, x=np.array([2.0])), ens)
-        with pytest.raises(InvalidInputError):
-            control_norm(ens, ControlSpec.zero())
 
     def test_modulated_profile_needs_gamma(self):
         grid = np.linspace(0.0, 1.0, 3)
@@ -283,12 +280,18 @@ def test_terminal_moment_estimator():
     assert tm.quantity == "terminal-moment"
 
 
-def test_feedback_control_builder():
+def test_strategy_control_is_truncated_feedback():
     p, _ = builtin("example-5.1")
     sols = run_ladder(p, [1.0, 0.5, 0.25], 64)
     ws = extract_limit(sols, delta=0.2, tol=1e3)
-    c1 = feedback_control(sols[-1])
-    c2 = feedback_control(ws)
-    assert c1.theta is sols[-1].theta and c2.theta is ws.theta_star
-    assert c1.gamma == pytest.approx(np.sqrt(2.0))
-    assert c2.theta.grid[-1] <= 0.8 + 1e-12
+    full, window = sols[-1].control, ws.control
+    assert full.theta.grid[-1] == p.T
+    # the window ends at the last node at or below T - delta
+    grid = full.theta.grid
+    last = grid[grid <= 0.8 + 1e-15][-1]
+    for part in (window.theta, window.v_det, window.v_mod_profile):
+        assert part.grid[-1] == last
+    k = window.theta.grid.size
+    assert np.array_equal(window.theta.values, full.theta.values[:k])
+    assert np.array_equal(window.v_mod_profile.values, full.v_mod_profile.values[:k])
+    assert window.gamma == full.gamma == pytest.approx(np.sqrt(2.0))

@@ -6,7 +6,8 @@ import pytest
 from slq import bsde
 from slq.bsde import solve_adjoint
 from slq.errors import InvalidInputError
-from slq.problem import CoefFn, RandomInput, SLQProblem, builtin
+from slq.core import GridFn
+from slq.problem import RandomInput, SLQProblem, builtin
 from slq.riccati import solve_perturbed
 from slq.simulate import MonteCarloConfig
 from slq.strategy import (
@@ -25,9 +26,9 @@ def zero_input_problem():
     zero = RandomInput.zero(1)
     return SLQProblem(
         n=1, m=1, T=1.0,
-        A=CoefFn.const([[0.0]]), B=CoefFn.const([[1.0]]), C=CoefFn.const([[0.0]]),
-        D=CoefFn.const([[0.0]]), Q=CoefFn.const([[0.0]]), S=CoefFn.const([[0.0]]),
-        R=CoefFn.const([[0.0]]), G=np.zeros((1, 1)), g=np.zeros(1),
+        A=GridFn.const([[0.0]]), B=GridFn.const([[1.0]]), C=GridFn.const([[0.0]]),
+        D=GridFn.const([[0.0]]), Q=GridFn.const([[0.0]]), S=GridFn.const([[0.0]]),
+        R=GridFn.const([[0.0]]), G=np.zeros((1, 1)), g=np.zeros(1),
         b=zero, sigma=zero, q=zero, rho=zero, name="zero-terminal",
     )
 
@@ -44,9 +45,9 @@ class TestThetaEps:
         zero = RandomInput.zero(1)
         p = SLQProblem(
             n=1, m=1, T=1.0,
-            A=CoefFn.const([[0.4]]), B=CoefFn.const([[0.0]]), C=CoefFn.const([[0.2]]),
-            D=CoefFn.const([[0.0]]), Q=CoefFn.const([[1.0]]), S=CoefFn.const([[0.0]]),
-            R=CoefFn.const([[1.0]]), G=np.eye(1), g=np.zeros(1),
+            A=GridFn.const([[0.4]]), B=GridFn.const([[0.0]]), C=GridFn.const([[0.2]]),
+            D=GridFn.const([[0.0]]), Q=GridFn.const([[1.0]]), S=GridFn.const([[0.0]]),
+            R=GridFn.const([[1.0]]), G=np.eye(1), g=np.zeros(1),
             b=zero, sigma=zero, q=zero, rho=zero,
         )
         P = solve_perturbed(p, 0.3, 64)
@@ -94,7 +95,7 @@ class TestRunLadder:
     def test_example_51_theta_values(self):
         p, _ = builtin("example-5.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 512)
-        got = [s.theta(0.0)[0, 0] for s in sols]
+        got = [s.control.theta(0.0)[0, 0] for s in sols]
         assert got == pytest.approx([-0.5, -2.0 / 3.0, -0.8], abs=1e-8)
 
     def test_ladder_validation(self):
@@ -110,25 +111,25 @@ class TestRunLadder:
         p, _ = builtin("example-1.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 64)
         for s in sols:
-            assert np.all(s.v_det.values == 0.0)
-            assert s.v_mod_profile is None
+            assert np.all(s.control.v_det.values == 0.0)
+            assert s.control.v_mod_profile is None
 
     def test_theta_node_identity(self):
         p, _ = builtin("example-5.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 128)
         for sol in sols:
-            grid = sol.theta.grid
-            assert np.max(np.abs(sol.theta.values - theta_eps(sol.P, p, grid))) <= 1e-12
+            grid = sol.control.theta.grid
+            assert np.max(np.abs(sol.control.theta.values - theta_eps(sol.P, p, grid))) <= 1e-12
             for k in (0, 50, 128):
                 direct = theta_eps(sol.P, p, grid[k])
-                assert np.max(np.abs(sol.theta.values[k] - direct)) <= 1e-12
+                assert np.max(np.abs(sol.control.theta.values[k] - direct)) <= 1e-12
 
     def test_ladder_monotone_feedback_magnitude(self):
         for name in ("example-1.1", "example-5.1"):
             p, _ = builtin(name)
             sols = run_ladder(p, [1.0, 0.5, 0.25, 0.125], 256)
-            mags = np.stack([np.abs(s.theta.values[:, 0, 0]) for s in sols])
-            interior = sols[0].theta.grid < 1.0
+            mags = np.stack([np.abs(s.control.theta.values[:, 0, 0]) for s in sols])
+            interior = sols[0].control.theta.grid < 1.0
             assert np.all(np.diff(mags[:, interior], axis=0) > 0.0)
 
 
@@ -137,8 +138,8 @@ class TestExtractLimit:
         sols = run_ladder(zero_input_problem(), [1.0, 0.5, 0.25], 64)
         ws = extract_limit(sols, delta=0.1, tol=1e-3)
         assert ws.converged
-        assert np.all(ws.theta_star.values == 0.0)
-        assert np.all(ws.v_star_det.values == 0.0)
+        assert np.all(ws.control.theta.values == 0.0)
+        assert np.all(ws.control.v_det.values == 0.0)
 
     def test_example_11_limit_value(self):
         p, _ = builtin("example-1.1")
@@ -146,16 +147,16 @@ class TestExtractLimit:
         sols = run_ladder(p, ladder, 1024)
         ws = extract_limit(sols, delta=0.1, tol=1e-3)
         # Theta_eps(0) = -1/(eps+1) -> -1
-        assert ws.theta_star(0.0)[0, 0] == pytest.approx(-1.0, abs=2e-3)
+        assert ws.control.theta(0.0)[0, 0] == pytest.approx(-1.0, abs=2e-3)
 
     def test_truncation_consistency(self):
         p, _ = builtin("example-5.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25, 0.125], 200)
         wide = extract_limit(sols, delta=0.05, tol=1e-3)
         narrow = extract_limit(sols, delta=0.2, tol=1e-3)
-        k = narrow.theta_star.grid.size
-        assert np.array_equal(wide.theta_star.grid[:k], narrow.theta_star.grid)
-        assert np.array_equal(wide.theta_star.values[:k], narrow.theta_star.values)
+        k = narrow.control.theta.grid.size
+        assert np.array_equal(wide.control.theta.grid[:k], narrow.control.theta.grid)
+        assert np.array_equal(wide.control.theta.values[:k], narrow.control.theta.values)
 
     def test_cauchy_ratio_band_late_rungs(self):
         p, _ = builtin("example-5.1")
@@ -185,7 +186,7 @@ def test_csv_outputs():
     s_csv = strategy_csv(ws)
     lines = s_csv.strip().split("\n")
     assert lines[0] == "s,theta_11,v_det_1,v_mod_profile"
-    assert len(lines) == ws.theta_star.grid.size + 1
+    assert len(lines) == ws.control.theta.grid.size + 1
     l_csv = ladder_summary_csv(sols, ws.cauchy_evidence)
     lines = l_csv.strip().split("\n")
     assert lines[0] == "eps,u_norm_sq,theta_l2_dist,v_l2_dist"
