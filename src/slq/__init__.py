@@ -30,9 +30,10 @@ from .riccati import (
     RegularityReport,
     RiccatiSolution,
     check_regularity,
+    gain,
     solve_gre,
+    solve_ladder,
     solve_perturbed,
-    theta_hat,
 )
 from .bsde import AdjointProfile, solve_adjoint, solve_adjoint_deterministic, solve_adjoint_modulated
 from .strategy import (
@@ -43,8 +44,6 @@ from .strategy import (
     diagnose,
     extract_limit,
     run_ladder,
-    theta_eps,
-    v_eps_parts,
 )
 from .simulate import (
     ControlSpec,

@@ -29,7 +29,7 @@ import numpy as np
 from .core import GridFn, rk4_step
 from .errors import WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
-from .riccati import RiccatiSolution, coef_tables, inner, solve_inner
+from .riccati import RiccatiSolution, coef_tables, gain
 
 __all__ = [
     "AdjointProfile",
@@ -57,22 +57,6 @@ class AdjointProfile:
     modulated_h: Optional[GridFn] = None
     gamma: Optional[float] = None
 
-    def eta_det_at(self, s):
-        return self.deterministic_eta(s)
-
-    def h_at(self, s):
-        if self.modulated_h is None:
-            return np.zeros_like(np.asarray(s, dtype=float))
-        return self.modulated_h(s)
-
-
-def _theta(P: RiccatiSolution, p: SLQProblem, s: np.ndarray) -> tuple:
-    """Theta_eps at an array of times, with the coefficient tables and P there."""
-    cf = coef_tables(p, s)
-    Ps = P.P(s)
-    K, L, scale = inner(cf, Ps, P.epsilon)
-    return -solve_inner(K, L, P.epsilon, scale, s), cf, Ps
-
 
 def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -> AdjointProfile:
     """Backward RK4 for the adjoint ODE under purely deterministic inputs.
@@ -90,7 +74,9 @@ def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -
     T = p.T
     h = T / steps
     half_times = np.linspace(0.0, T, 2 * steps + 1)
-    Th, cf, Pv = _theta(P, p, half_times)
+    Th = gain(P, p, half_times)
+    cf = coef_tables(p, half_times)
+    Pv = P.P(half_times)
     sig = p.sigma.deterministic(half_times)[..., None]
     rho = p.rho.deterministic(half_times)[..., None]
     qv = p.q.deterministic(half_times)
@@ -149,11 +135,9 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     lo, hi = grid[:-1], grid[1:]
 
     def a_of(s: np.ndarray) -> np.ndarray:
-        Th, cf, _ = _theta(P, p, s)
+        Th = gain(P, p, s)
+        cf = coef_tables(p, s)
         return (cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)).reshape(-1)
-
-    def P_of(s: np.ndarray) -> np.ndarray:
-        return P.P(s).reshape(-1)
 
     # propagator exponents int_{lo_k}^{hi_k} a
     tau_nodes, tau_w = _gauss_nodes(lo, hi)
@@ -178,7 +162,7 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     in_nodes, in_w = _gauss_nodes(inner_lo, r_nodes)
     inner = np.sum(a_of(in_nodes.reshape(-1)).reshape(in_nodes.shape) * in_w, axis=2)
 
-    g_vals = np.exp(inner) * P_of(r_nodes.reshape(-1)).reshape(r_nodes.shape) * f_smooth * dens
+    g_vals = np.exp(inner) * P.P(r_nodes.reshape(-1)).reshape(r_nodes.shape) * f_smooth * dens
     F = np.sum(g_vals * u_w, axis=1)
 
     prop = np.exp(Ia)

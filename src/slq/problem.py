@@ -199,7 +199,7 @@ def _probe_profile_integrable(mod: Modulation, T: float) -> bool:
 
 
 def validate(p: SLQProblem) -> ValidationReport:
-    """Check shapes, symmetry, finiteness and modulated-profile integrability.
+    """Check shapes, table spans, symmetry and modulated-profile integrability.
 
     Never raises; every finding is a line in the report.
     """
@@ -211,13 +211,16 @@ def validate(p: SLQProblem) -> ValidationReport:
     if not (p.T > 0.0):
         report.add("horizon T must be positive")
 
+    def check_span(name: str, f: GridFn):
+        if f.grid[0] < -1e-12 or f.grid[-1] > p.T + 1e-12:
+            report.add(f"{name} table spans outside [0, T]")
+
     for cname, want in COEF_SHAPES.items():
         coef: GridFn = getattr(p, cname)
         want_shape = (dims[want[0]], dims[want[1]])
         if coef.value_shape != want_shape:
             report.add(f"{cname} has shape {coef.value_shape}, expected {want_shape}")
-        if coef.grid[0] < -1e-12 or coef.grid[-1] > p.T + 1e-12:
-            report.add(f"{cname} table spans outside [0, T]")
+        check_span(cname, coef)
 
     for cname in ("Q", "R"):
         vals = getattr(p, cname).values
@@ -235,9 +238,12 @@ def validate(p: SLQProblem) -> ValidationReport:
                 f"{iname} deterministic part has shape {inp.deterministic.value_shape}, "
                 f"expected {want_shape}"
             )
+        check_span(f"{iname} deterministic", inp.deterministic)
         mod = inp.modulated
         if mod is None:
             continue
+        if isinstance(mod.profile, GridFn):
+            check_span(f"{iname} profile", mod.profile)
         if p.n != 1:
             report.add(f"{iname}: modulated inputs require scalar state (n=1), got n={p.n}")
             continue

@@ -10,7 +10,8 @@ MATRIX`` or bare table lines ``t : MATRIX``.  Input sections hold
 VECTOR`` lines) plus, for modulated inputs, ``gamma = REAL`` and ``profile =
 named:<id>`` or ``profile = table`` followed by ``t : REAL`` lines.
 Missing coefficient and input sections default to zero; unknown sections
-and keys are rejected.  Constants are one-node tables, so a coefficient or
+and keys, repeated keys and a value given both inline and as a table are
+rejected.  Constants are one-node tables, so a coefficient or
 deterministic input is written as ``constant =`` / ``deterministic =`` iff
 its table has one node.
 
@@ -95,6 +96,8 @@ def _section_kv(sections: dict, sec: str, keys: tuple, keep_case: bool = False) 
         key, val = _split_kv(line, lineno, keep_case)
         if key not in keys:
             raise InvalidInputError(f"line {lineno}: unknown key {key!r} in [{sec}]")
+        if key in out:
+            raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in [{sec}]")
         out[key] = val
     return out
 
@@ -114,6 +117,8 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
             key, val = _split_kv(line, lineno)
             if key != "constant":
                 raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
+            if constant is not None:
+                raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in {what}")
             constant = _parse_matrix(val)
         elif ":" in line:
             t_str, mat = line.split(":", 1)
@@ -129,33 +134,32 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
 
 
 def _parse_input(lines, dim: int, what: str) -> RandomInput:
-    det_const = None
+    det_const = np.zeros(dim)
     gamma = None
     profile_named = None
     mode = None  # which '... = table' is collecting bare lines
+    seen = set()  # (key, is a '= table' line)
     det_rows: list = []
     prof_rows: list = []
     for lineno, line in lines:
         if "=" in line and ":" not in line.split("=", 1)[0]:
             key, val = _split_kv(line, lineno)
-            if key == "deterministic":
-                if val.lower() == "table":
-                    mode = "deterministic"
-                else:
-                    det_const = _reshape(_parse_matrix(val), dim, what)
+            if key not in ("deterministic", "gamma", "profile"):
+                raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
+            table = val.lower() == "table"
+            if (key, table) in seen:
+                raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in {what}")
+            seen.add((key, table))
+            if table and key != "gamma":
+                mode = key
+            elif key == "deterministic":
+                det_const = _reshape(_parse_matrix(val), dim, what)
             elif key == "gamma":
                 gamma = float(val)
-            elif key == "profile":
-                if val.lower() == "table":
-                    mode = "profile"
-                elif val.lower().startswith("named:"):
-                    profile_named = named_profile(val[6:].strip())
-                else:
-                    raise InvalidInputError(
-                        f"line {lineno}: profile must be 'named:<id>' or 'table'"
-                    )
+            elif val.lower().startswith("named:"):
+                profile_named = named_profile(val[6:].strip())
             else:
-                raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
+                raise InvalidInputError(f"line {lineno}: profile must be 'named:<id>' or 'table'")
         elif ":" in line:
             t_str, vec = line.split(":", 1)
             row = (float(t_str), _parse_matrix(vec))
@@ -170,8 +174,10 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
                 )
         else:
             raise InvalidInputError(f"line {lineno}: cannot parse {line!r} in {what}")
+    for key in ("deterministic", "profile"):
+        if (key, False) in seen and (key, True) in seen:
+            raise InvalidInputError(f"{what}: give either a {key} value or a table, not both")
 
-    det_const = det_const if det_const is not None else np.zeros(dim)
     det = _table(det_rows or [(0.0, det_const)], dim, what)
 
     modulated = None

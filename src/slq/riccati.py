@@ -8,9 +8,9 @@ with K = R + eps*I + D'P D inverted exactly in the perturbed flow and
 K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
 classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
 step; uniform grids keep downstream L2 norms and eps-comparisons
-node-aligned.  Blow-up is detected and reported, not papered over: an
-indefinite generalized equation may legitimately fail to have a global
-solution.
+node-aligned, and a whole eps ladder advances as one stack of flows.
+Blow-up is detected and reported, not papered over: an indefinite
+generalized equation may legitimately fail to have a global solution.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ __all__ = [
     "RiccatiSolution",
     "RegularityReport",
     "solve_perturbed",
+    "solve_ladder",
     "solve_gre",
     "coef_tables",
     "inner",
     "solve_inner",
-    "theta_hat",
+    "gain",
     "check_regularity",
     "riccati_csv",
 ]
@@ -54,9 +55,6 @@ class RiccatiSolution:
     max_local_error_estimate: float
     max_step_asymmetry: float
 
-    def at(self, s):
-        return self.P(s)
-
     @property
     def grid(self) -> np.ndarray:
         return self.P.grid
@@ -67,69 +65,59 @@ def coef_tables(p: SLQProblem, times) -> dict:
     return {name: getattr(p, name)(times) for name in ("A", "B", "C", "D", "Q", "S", "R")}
 
 
-def inner(cf: dict, P: np.ndarray, eps: float, idx=slice(None)) -> tuple:
+def inner(cf: dict, P: np.ndarray, eps, idx=slice(None)) -> tuple:
     """K = R + eps I + D'PD, L = B'P + D'PC + S, and the summand scale of K.
 
-    ``P`` is one node ``(n, n)`` or a stack ``(N, n, n)``; ``idx`` picks the
-    matching entries of the coefficient tables ``cf`` (a half-grid index for
-    one node, all rows for a stack).  The scale is a float for one node and
-    an array of N for a stack.
+    ``P`` is a stack ``(N, n, n)``; ``idx`` picks the matching rows of the
+    coefficient tables ``cf`` (one quarter-grid row shared by the stack, or
+    one row per entry).  ``eps`` is a scalar or an array of N; the scale is
+    an array of N, or None for eps = 0.
     """
     D = cf["D"][idx]
     R = cf["R"][idx]
     PD = P @ D
     DPD = D.mT @ PD
+    eps = np.asarray(eps, dtype=float)
     K = R + DPD
-    if P.ndim == 2:
-        scale = float(np.abs(R).max(initial=0.0) + np.abs(DPD).max(initial=0.0)) + eps
-    else:
-        scale = (
-            np.abs(R).max(axis=(1, 2), initial=0.0) + np.abs(DPD).max(axis=(1, 2), initial=0.0) + eps
-        )
-    if eps != 0.0:
-        K = K + eps * np.eye(K.shape[-1])
+    scale = None  # read only by the eps > 0 conditioning check
+    if eps.any():
+        scale = np.abs(R).max(axis=(-2, -1)) + np.abs(DPD).max(axis=(-2, -1)) + eps
+        K = K + eps[..., None, None] * np.eye(K.shape[-1])
     L = cf["B"][idx].mT @ P + PD.mT @ cf["C"][idx] + cf["S"][idx]
     return K, L, scale
 
 
-def solve_inner(K: np.ndarray, rhs: np.ndarray, eps: float, scale, times) -> np.ndarray:
+def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray:
     """K^{-1} rhs for eps > 0, the pseudoinverse K^+ rhs for eps = 0.
 
-    Works on one node or on a stack, as returned by :func:`inner`.  For
-    eps > 0, K = R + eps I + D'PD must be invertible relative to the scale of
-    its summands (not of K itself): a tiny K produced by large cancelling
-    terms means eps is too small for the given weights, and raises
-    :class:`DegeneratePerturbationError` naming the first bad time.
+    Works on a stack as returned by :func:`inner`; ``eps`` and ``times`` are
+    each a scalar or an array along the stack axis.  For eps > 0, K = R +
+    eps I + D'PD must be invertible relative to the scale of its summands
+    (not of K itself): a tiny K produced by large cancelling terms means eps
+    is too small for the given weights, and raises
+    :class:`DegeneratePerturbationError` naming the eps and time of the first
+    bad stack entry.
     """
-    if eps == 0.0:
+    if not np.asarray(eps).any():
         return pinv(K) @ rhs
     m = K.shape[-1]
-    if K.ndim == 2:
-        if m == 1:
-            smin = smax = abs(float(K[0, 0]))
-        else:
-            ev = np.abs(np.linalg.eigvalsh(symmetrize(K)))
-            smin, smax = float(ev.min()), float(ev.max())
-        bad = smin <= max(smax, scale) / COND_LIMIT
-        where = times
-    else:
-        ev = np.abs(K[:, :, 0] if m == 1 else np.linalg.eigvalsh(symmetrize(K)))
-        bad_nodes = ev.min(axis=1) <= np.maximum(ev.max(axis=1), scale) / COND_LIMIT
-        bad = bad_nodes.any()
-        where = times[np.argmax(bad_nodes)] if bad else None
-    if bad:
+    ev = np.abs(K[:, :, 0] if m == 1 else np.linalg.eigvalsh(symmetrize(K)))
+    bad = ev.min(axis=1) <= np.maximum(ev.max(axis=1), scale) / COND_LIMIT
+    if bad.any():
+        i = np.argmax(bad)
+        e, s = (float(np.broadcast_to(x, bad.shape)[i]) for x in (eps, times))
         raise DegeneratePerturbationError(
-            f"R + {eps}*I + D'PD is numerically singular at s={float(where):.6g}; increase eps"
+            f"R + {e}*I + D'PD is numerically singular at s={s:.6g}; increase eps"
         )
     if m == 1:
         return rhs / K
     return np.linalg.solve(K, rhs)
 
 
-def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
+def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
+    """One RK4 loop over the stack of flows for the L values in ``eps``."""
     if steps < 16:
         raise InvalidInputError(f"steps must be >= 16, got {steps}")
-    n = p.n
     h = p.T / steps
     grid = np.linspace(0.0, p.T, steps + 1)
     # index j on the quarter grid is 4k for node k: a full RK4 step spans
@@ -137,48 +125,62 @@ def _solve_backward(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     # stride 2 with midpoints at 4k - 1 and 4k - 3.
     times = np.linspace(0.0, p.T, 4 * steps + 1)
     cf = coef_tables(p, times)
-    scalar_gain = eps > 0.0 and p.m == 1
+    scalar_gain = p.m == 1 and eps.all()
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
         K, L, scale = inner(cf, P, eps, j)
         if scalar_gain:
             # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
-            gain = solve_inner(K, L.T @ L, eps, scale, times[j])
+            gain = solve_inner(K, L.mT @ L, eps, scale, times[j])
         else:
-            gain = L.T @ solve_inner(K, L, eps, scale, times[j])
+            gain = L.mT @ solve_inner(K, L, eps, scale, times[j])
         A, C, Q = cf["A"][j], cf["C"][j], cf["Q"][j]
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - gain)
 
-    values = np.empty((steps + 1, n, n))
-    values[steps] = symmetrize(np.asarray(p.G, dtype=float))
-    P = values[steps].copy()
-    max_asym = 0.0
-    max_local_err = 0.0
+    values = np.empty((eps.size, steps + 1, p.n, p.n))
+    values[:, steps] = symmetrize(np.asarray(p.G, dtype=float))
+    P = values[:, steps].copy()
+    max_asym = np.zeros(eps.size)
+    max_local_err = np.zeros(eps.size)
     err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
     for k in range(steps, 0, -1):
         j_right = 4 * k
         P_new = rk4_step(rhs, j_right, P, h, 4)
-        if not np.all(np.isfinite(P_new)) or np.linalg.norm(P_new) > BLOWUP_NORM:
+        norm = np.linalg.norm(P_new, axis=(-2, -1))
+        blown = ~(norm <= BLOWUP_NORM)  # also true for NaN
+        if blown.any():
             raise BlowUpError(
-                f"Riccati flow (eps={eps}) left the finite regime near s={grid[k - 1]:.6g}",
+                f"Riccati flow (eps={float(eps[np.argmax(blown)])}) left the finite regime "
+                f"near s={grid[k - 1]:.6g}",
                 time=grid[k - 1],
             )
         if k % err_stride == 0:
             # step-doubling local error estimate on a subsample of steps
             P_half = rk4_step(rhs, j_right, P, 0.5 * h, 2)
             P_half = rk4_step(rhs, j_right - 2, P_half, 0.5 * h, 2)
-            max_local_err = max(max_local_err, float(np.linalg.norm(P_new - P_half)))
-        asym = np.linalg.norm(P_new - P_new.T) / max(1.0, np.linalg.norm(P_new))
-        max_asym = max(max_asym, float(asym))
+            max_local_err = np.maximum(max_local_err, np.linalg.norm(P_new - P_half, axis=(-2, -1)))
+        asym = np.linalg.norm(P_new - P_new.mT, axis=(-2, -1)) / np.maximum(1.0, norm)
+        max_asym = np.maximum(max_asym, asym)
         P = symmetrize(P_new)
-        values[k - 1] = P
-    return RiccatiSolution(
-        epsilon=float(eps),
-        P=GridFn(grid, values),
-        steps=steps,
-        max_local_error_estimate=max_local_err,
-        max_step_asymmetry=max_asym,
-    )
+        values[:, k - 1] = P
+    return [
+        RiccatiSolution(float(e), GridFn(grid, v), steps, float(err), float(asym))
+        for e, v, err, asym in zip(eps, values, max_local_err, max_asym)
+    ]
+
+
+def solve_ladder(p: SLQProblem, ladder, steps: int) -> list:
+    """Integrate the eps-perturbed Riccati equation for every eps of a ladder.
+
+    All rungs advance as one ``(L, n, n)`` stack through one RK4 loop on one
+    uniform grid; rung k equals :func:`solve_perturbed` for ``ladder[k]``.
+    The first step at which a rung leaves the finite regime raises
+    :class:`BlowUpError` naming its eps (the first in ladder order on a tie).
+    """
+    eps = np.asarray(ladder, dtype=float)
+    if not np.all(eps > 0.0):
+        raise InvalidInputError(f"eps must be positive, got {float(eps[np.argmin(eps > 0.0)])}")
+    return _solve_backward(p, eps, steps)
 
 
 def solve_perturbed(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
@@ -192,9 +194,7 @@ def solve_perturbed(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
     steps >~ T * |P| / eps for stability; too coarse a grid surfaces as a
     :class:`BlowUpError` rather than silent garbage.
     """
-    if not (eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {eps}")
-    return _solve_backward(p, eps, steps)
+    return solve_ladder(p, [eps], steps)[0]
 
 
 def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
@@ -203,13 +203,18 @@ def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
     Completes even when the solution exists but is not regular; finite-time
     blow-up raises :class:`BlowUpError` carrying the first bad node time.
     """
-    return _solve_backward(p, 0.0, steps)
+    return _solve_backward(p, np.zeros(1), steps)[0]
 
 
-def theta_hat(P: RiccatiSolution, p: SLQProblem, s) -> np.ndarray:
-    """Candidate feedback -(R + D'PD)^+ (B'P + D'PC + S) at a time or an array of times."""
-    K, L, scale = inner(coef_tables(p, s), P.at(s), 0.0)
-    return -solve_inner(K, L, 0.0, scale, s)
+def gain(P: RiccatiSolution, p: SLQProblem, times) -> np.ndarray:
+    """Feedback gain -K^{-1} L of a Riccati solution at an array of times, ``(N, m, n)``.
+
+    K = R + eps I + D'PD uses ``P.epsilon``; for eps = 0 this is the
+    pseudoinverse candidate gain -(R + D'PD)^+ (B'P + D'PC + S) of the
+    generalized equation.
+    """
+    K, L, scale = inner(coef_tables(p, times), P.P(times), P.epsilon)
+    return -solve_inner(K, L, P.epsilon, scale, times)
 
 
 @dataclass(frozen=True)
@@ -230,9 +235,9 @@ class RegularityReport:
 
 
 def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem) -> float:
-    """L2 norm of theta_hat with a delta-halving divergence probe near T.
+    """L2 norm of the candidate gain with a delta-halving divergence probe near T.
 
-    A genuinely infinite int |theta_hat|^2 cannot be computed, so the norm
+    A genuinely infinite int |gain|^2 cannot be computed, so the norm
     over [0, T - delta] is tracked while delta halves from 1e-2 to 1e-5; if
     the last halving still grows the norm materially the value is flagged
     infinite.
@@ -242,14 +247,14 @@ def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem) -> float:
     base_grid = P.grid[P.grid <= base_cut]
     if base_grid.size < 2 or base_grid[-1] < base_cut - 1e-15:
         base_grid = np.append(base_grid, base_cut)
-    th = theta_hat(P, p, base_grid)
+    th = gain(P, p, base_grid)
     sq = np.sum(th.reshape(base_grid.size, -1) ** 2, axis=1)
     base_sq = float(np.trapezoid(sq, base_grid))
 
     deltas = 1e-2 * T * 0.5 ** np.arange(0, 11)  # down to ~1e-5 T
     gaps = np.unique(np.concatenate([np.geomspace(deltas[-1], 1e-2 * T, 257), deltas]))
     tail_nodes = T - gaps[::-1]  # ascending times from base_cut to T - min(delta)
-    th_tail = theta_hat(P, p, tail_nodes)
+    th_tail = gain(P, p, tail_nodes)
     sq_tail = np.sum(th_tail.reshape(tail_nodes.size, -1) ** 2, axis=1)
 
     norms = []
@@ -266,11 +271,16 @@ def check_regularity(P: RiccatiSolution, p: SLQProblem, tol: float = 1e-9) -> Re
     """Test the three regularity conditions of a generalized Riccati solution.
 
     (a) min eigenvalue of R + D'PD >= -tol at every grid node,
-    (b) trapezoid L2 norm of theta_hat finite under the delta-halving probe,
+    (b) trapezoid L2 norm of the candidate gain finite under the
+        delta-halving probe,
     (c) range(B'P + D'PC + S) contained in range(R + D'PD) at every node.
     """
     if tol <= 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
+    if P.epsilon != 0.0:
+        raise InvalidInputError(
+            f"regularity needs a generalized solution (eps = 0), got eps={P.epsilon}"
+        )
     K, L, _ = inner(coef_tables(p, P.grid), P.P.values, 0.0)
     positivity_ok = bool(np.linalg.eigvalsh(symmetrize(K)).min() >= -tol)
     range_ok = range_included(L, K, tol)

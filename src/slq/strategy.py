@@ -25,7 +25,7 @@ from . import bsde as bsde_mod
 from . import simulate as sim_mod
 from .bsde import AdjointProfile
 from .core import GridFn, range_included
-from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
+from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import (
     RegularityReport,
@@ -35,7 +35,7 @@ from .riccati import (
     inner,
     solve_gre,
     solve_inner,
-    solve_perturbed,
+    solve_ladder,
 )
 from .simulate import ControlSpec
 
@@ -43,8 +43,6 @@ __all__ = [
     "PerturbedSolution",
     "WeakClosedLoopStrategy",
     "SolvabilityReport",
-    "theta_eps",
-    "v_eps_parts",
     "run_ladder",
     "extract_limit",
     "diagnose",
@@ -56,55 +54,23 @@ __all__ = [
 ]
 
 
-def _bias_rhs(p: SLQProblem, cf: dict, Ps, adj: AdjointProfile, s, eta, h) -> list:
-    """Right-hand sides of v_eps as columns: B'eta + D'P sigma + rho, then
+def _node_kernel(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile) -> tuple:
+    """K, L and the scale of K at the grid nodes of ``P``, plus the
+    right-hand sides of v_eps as columns: B'eta + D'P sigma + rho, then
     (B + gamma D) h when the adjoint is modulated."""
+    grid = P.grid
+    cf = coef_tables(p, grid)
+    Ps = P.P.values
+    K, L, scale = inner(cf, Ps, P.epsilon)
     B, D = cf["B"], cf["D"]
-    out = [
-        B.mT @ eta[..., None]
-        + D.mT @ (Ps @ p.sigma.deterministic(s)[..., None])
-        + p.rho.deterministic(s)[..., None]
+    rhs = [
+        B.mT @ adj.deterministic_eta.values[..., None]
+        + D.mT @ (Ps @ p.sigma.deterministic(grid)[..., None])
+        + p.rho.deterministic(grid)[..., None]
     ]
     if adj.modulated_h is not None:
-        out.append(((B + adj.gamma * D)[..., 0, :] * np.asarray(h)[..., None])[..., None])
-    return out
-
-
-def _feedback(P: RiccatiSolution, adj: AdjointProfile, p: SLQProblem, s, Ps, eta, h) -> tuple:
-    """(Theta_eps, v_det, v_mod) at a time or an array of times, from one
-    kernel call; ``Ps``, ``eta`` and ``h`` are P, the deterministic eta and
-    the modulated h at those times."""
-    cf = coef_tables(p, s)
-    K, L, scale = inner(cf, Ps, P.epsilon)
-    theta = -solve_inner(K, L, P.epsilon, scale, s)
-    rhs = _bias_rhs(p, cf, Ps, adj, s, eta, h)
-    v = [-solve_inner(K, r, P.epsilon, scale, s)[..., 0] for r in rhs]
-    return theta, v[0], v[1] if len(v) > 1 else None
-
-
-def theta_eps(P: RiccatiSolution, p: SLQProblem, s) -> np.ndarray:
-    """Perturbed feedback gain Theta_eps(s), an (m, n) matrix, or a stack of
-    them for an array of times.
-
-    Uses the true inverse of R + eps I + D'P_eps D; with eps = 0 this is the
-    pseudoinverse candidate gain of the generalized equation instead.
-    """
-    K, L, scale = inner(coef_tables(p, s), P.at(s), P.epsilon)
-    return -solve_inner(K, L, P.epsilon, scale, s)
-
-
-def v_eps_parts(P: RiccatiSolution, adj: AdjointProfile, p: SLQProblem, s):
-    """Deterministic and modulated parts of the bias term v_eps(s).
-
-    Returns ``(v_det, v_mod)`` where the per-path value is
-    ``v_det + v_mod * M(s)`` (``v_mod`` is None without modulation); for an
-    array of times both carry a leading time axis.
-    """
-    if adj.epsilon != P.epsilon:
-        raise InvalidInputError(
-            f"adjoint eps {adj.epsilon} does not match Riccati eps {P.epsilon}"
-        )
-    return _feedback(P, adj, p, s, P.at(s), adj.eta_det_at(s), adj.h_at(s))[1:]
+        rhs.append(((B + adj.gamma * D)[..., 0, :] * adj.modulated_h.values[..., None])[..., None])
+    return K, L, scale, rhs
 
 
 @dataclass(frozen=True)
@@ -150,50 +116,33 @@ def default_ladder(eps_max: float = 1.0, eps_min: float = 2.0**-10, factor: floa
     return out
 
 
-def _tag_eps(exc: Exception, eps: float) -> Exception:
-    if exc.args:
-        exc.args = (f"eps={eps:g}: {exc.args[0]}",) + exc.args[1:]
-    return exc
-
-
 def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
     """Solve Riccati + adjoint and assemble (Theta_eps, v_eps) per rung.
 
-    All ladder members share one uniform grid so downstream comparisons are
-    node-aligned.  Solver errors propagate tagged with their eps.
+    All rungs integrate as one stack on one uniform grid (see
+    :func:`solve_ladder`), so downstream comparisons are node-aligned;
+    solver errors name the eps of the rung that failed.
     """
     ladder = [float(e) for e in ladder]
     if len(ladder) < 3:
         raise InvalidInputError("ladder must have at least 3 members")
-    if any(e <= 0.0 for e in ladder):
-        raise InvalidInputError("ladder entries must be positive")
     if any(not (a > b) for a, b in zip(ladder, ladder[1:])):
         raise InvalidInputError("ladder must be strictly decreasing")
 
     out = []
-    for eps in ladder:
-        try:
-            P = solve_perturbed(p, eps, steps)
-            adj = bsde_mod.solve_adjoint(p, P, steps)
-        except (BlowUpError, DegeneratePerturbationError) as exc:
-            raise _tag_eps(exc, eps)
+    for P in solve_ladder(p, ladder, steps):
+        adj = bsde_mod.solve_adjoint(p, P, steps)
+        K, L, scale, rhs = _node_kernel(p, P, adj)
         grid = P.grid
-        h = adj.modulated_h.values if adj.modulated_h is not None else None
-        theta_vals, v_det_vals, v_mod_vals = _feedback(
-            P, adj, p, grid, P.P.values, adj.deterministic_eta.values, h
-        )
+        theta, *v = (-solve_inner(K, r, P.epsilon, scale, grid) for r in [L] + rhs)
         control = ControlSpec.feedback(
-            GridFn(grid, theta_vals),
-            GridFn(grid, v_det_vals),
-            GridFn(grid, v_mod_vals) if v_mod_vals is not None else None,
+            GridFn(grid, theta),
+            GridFn(grid, v[0][..., 0]),
+            GridFn(grid, v[1][..., 0]) if len(v) > 1 else None,
             adj.gamma,
         )
-        out.append(PerturbedSolution(epsilon=eps, P=P, adjoint=adj, control=control))
+        out.append(PerturbedSolution(epsilon=P.epsilon, P=P, adjoint=adj, control=control))
     return out
-
-
-def _trapz_sq(grid: np.ndarray, sq: np.ndarray) -> float:
-    return float(np.trapezoid(sq, grid))
 
 
 def _v_l2_sq(grid, dv_det, dv_mod, gamma) -> float:
@@ -202,14 +151,14 @@ def _v_l2_sq(grid, dv_det, dv_mod, gamma) -> float:
     if dv_mod is not None:
         cross = 2.0 * np.sum(dv_det * dv_mod, axis=1)
         sq = sq + cross + np.sum(dv_mod**2, axis=1) * np.exp(gamma**2 * grid)
-    return _trapz_sq(grid, sq)
+    return float(np.trapezoid(sq, grid))
 
 
 def _l2_pair(g, theta, v_det, v_mod, gamma) -> tuple:
     """L2(g) norms of theta and of v_det + v_mod M(s), in the same order as
     the Cauchy evidence rows."""
     sq_theta = np.sum(theta.reshape(g.size, -1) ** 2, axis=1)
-    return math.sqrt(_trapz_sq(g, sq_theta)), math.sqrt(_v_l2_sq(g, v_det, v_mod, gamma))
+    return math.sqrt(np.trapezoid(sq_theta, g)), math.sqrt(_v_l2_sq(g, v_det, v_mod, gamma))
 
 
 def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrategy:
@@ -304,11 +253,7 @@ def closed_loop_solvable(reg: RegularityReport, blowup_time: Optional[float],
 
 def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: float) -> bool:
     """Grid check of the adjoint range condition of the closed-loop test."""
-    grid = P.grid
-    cf = coef_tables(p, grid)
-    K, _, _ = inner(cf, P.P.values, P.epsilon)
-    h = adj.modulated_h.values if adj.modulated_h is not None else None
-    rhs = _bias_rhs(p, cf, P.P.values, adj, grid, adj.deterministic_eta.values, h)
+    K, _, _, rhs = _node_kernel(p, P, adj)
     return all(range_included(r, K, tol) for r in rhs)
 
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import solve_adjoint_modulated
 from .core import GridFn
 from .problem import builtin
-from .riccati import check_regularity, riccati_csv, solve_gre, solve_perturbed
+from .riccati import check_regularity, riccati_csv, solve_gre, solve_ladder
 from .simulate import (
     ControlSpec,
     MonteCarloConfig,
@@ -30,7 +29,7 @@ from .simulate import (
     simulate_coupled,
     simulate_ensemble,
 )
-from .strategy import extract_limit, run_ladder, strategy_csv, theta_eps, v_eps_parts
+from .strategy import extract_limit, run_ladder, strategy_csv
 
 __all__ = ["MASTER_SEED", "CriterionResult", "run_criterion", "criteria_for", "CRITERIA"]
 
@@ -57,9 +56,8 @@ class CriterionResult:
 def _c1_perturbed_closed_form() -> CriterionResult:
     p, _ = builtin("example-5.1")
     checks = []
-    for eps in (1.0, 0.5, 0.25):
-        sol = solve_perturbed(p, eps, 2000)
-        s = sol.grid
+    for sol in solve_ladder(p, [1.0, 0.5, 0.25], 2000):
+        eps, s = sol.epsilon, sol.grid
         err = float(np.max(np.abs(sol.P.values[:, 0, 0] - eps / (eps + 1.0 - s))))
         checks.append((f"P_eps vs eps/(eps+1-s), eps={eps}", err <= 1e-8, f"max err {err:.3e} <= 1e-8"))
     return CriterionResult(1, "perturbed Riccati closed form", checks)
@@ -98,18 +96,15 @@ def _c3_regularity() -> CriterionResult:
 
 def _c4_theta_v_closed_forms() -> CriterionResult:
     p, _ = builtin("example-5.1")
-    steps = 4000
     checks = []
-    for eps in (1.0, 0.5, 0.25):
-        P = solve_perturbed(p, eps, steps)
-        s = P.grid
-        th = theta_eps(P, p, s)[:, 0, 0]
-        err_th = float(np.max(np.abs(th + 1.0 / (eps + 1.0 - s))))
+    for sol in run_ladder(p, [1.0, 0.5, 0.25], 4000):
+        eps, c = sol.epsilon, sol.control
+        s = c.theta.grid
+        err_th = float(np.max(np.abs(c.theta.values[:, 0, 0] + 1.0 / (eps + 1.0 - s))))
         checks.append((f"Theta_eps closed form, eps={eps}", err_th <= 1e-8,
                        f"max err {err_th:.3e} <= 1e-8"))
-        adj = solve_adjoint_modulated(p, P, steps)
         mask = s <= 0.999
-        v_prof = v_eps_parts(P, adj, p, s[mask])[1][:, 0]
+        v_prof = c.v_mod_profile.values[mask, 0]
         exact = -(1.0 / (eps + 1.0 - s[mask])) * np.exp(-s[mask]) * 2.0 * np.sqrt(1.0 - s[mask])
         err_v = float(np.max(np.abs(v_prof - exact)))
         checks.append((f"v_eps modulated profile, eps={eps}", err_v <= 1e-5,

@@ -12,8 +12,7 @@ from slq.bsde import (
 from slq.errors import WrongClassError
 from slq.core import GridFn
 from slq.problem import Modulation, RandomInput, SLQProblem, builtin
-from slq.riccati import solve_perturbed
-from slq.strategy import theta_eps
+from slq.riccati import gain, solve_perturbed
 
 
 def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None):
@@ -130,10 +129,10 @@ class TestModulated:
             W = rng.normal(0.0, max(np.sqrt(s), 1e-9))
             M = math.exp(gamma * W - 0.5 * gamma**2 * s)
             h = float(adj.modulated_h(s))
-            Th = float(theta_eps(P, p, s)[0, 0])
+            Th = float(gain(P, p, [s])[0, 0, 0])
             A = float(p.A(s)[0, 0]); B = float(p.B(s)[0, 0])
             C = float(p.C(s)[0, 0]); D = float(p.D(s)[0, 0])
-            Pv = float(P.at(s)[0, 0])
+            Pv = float(P.P(s)[0, 0])
             f = float(p.b.modulated.profile(s, p.T))
             eta, zeta = M * h, gamma * M * h
             bsde_drift = -((A + B * Th) * eta + (C + D * Th) * zeta + Pv * M * f)

@@ -101,6 +101,23 @@ def test_validate_rejects_modulation_on_vector_state():
     assert any("scalar state" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("part", ["deterministic", "profile"])
+def test_validate_flags_input_tables_outside_horizon(part):
+    # a table node at s = 3 on T = 1 would otherwise be silently ignored
+    p, _ = builtin("standard-scalar")
+    tab = GridFn([0.0, 3.0], np.array([[1.0], [2.0]]))
+    if part == "deterministic":
+        b = RandomInput(deterministic=tab)
+    else:
+        b = RandomInput(deterministic=GridFn.const(np.zeros(1)),
+                        modulated=Modulation(gamma=1.0, profile=GridFn(tab.grid, tab.values[:, 0])))
+    q = SLQProblem(
+        n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
+        G=p.G, g=p.g, b=b, sigma=p.sigma, q=p.q, rho=p.rho,
+    )
+    assert validate(q).violations == [f"b {part} table spans outside [0, T]"]
+
+
 def test_table_coefficients():
     p, _ = builtin("standard-scalar")
     tab = GridFn([0.0, 1.0], np.array([[[0.0]], [[2.0]]]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slq.errors import InvalidInputError
-from slq.problem import builtin, builtin_names
+from slq.problem import builtin, builtin_names, validate
 from slq.problemfile import load_problem, parse_problem, problem_text
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "problems"
@@ -14,6 +14,7 @@ DOCS = Path(__file__).resolve().parents[1] / "docs" / "problems"
 def test_reference_files_match_builtins(name):
     p, _ = builtin(name)
     q = load_problem(DOCS / f"{name}.slq")
+    assert validate(q).ok(), validate(q).violations
     s = np.linspace(0.0, p.T, 13)
     for c in ("A", "B", "C", "D", "Q", "S", "R"):
         assert np.allclose(getattr(q, c)(s), getattr(p, c)(s)), c
@@ -133,4 +134,44 @@ _MINIMAL = "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[terminal]\nG = 1\n"
 def test_rejects_unknown_sections_and_keys(text, where):
     parse_problem(_MINIMAL)
     with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)
+
+
+_B = _MINIMAL + "[input.b]\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_MINIMAL.replace("m = 1\n", "m = 1\nn = 2\n"), r"line 4: duplicate key 'n' in \[dims\]"),
+        (_MINIMAL.replace("T = 1\n", "T = 1\nT = 2\n"),
+         r"line 6: duplicate key 't' in \[horizon\]"),
+        (_MINIMAL + "G = 2\n", r"line 8: duplicate key 'G' in \[terminal\]"),
+        (_MINIMAL + "[coef.a]\nconstant = 1\nconstant = 3\n",
+         r"line 10: duplicate key 'constant' in \[coef\.a\]"),
+        (_B + "deterministic = 5\ndeterministic = 6\n",
+         r"line 10: duplicate key 'deterministic' in \[input\.b\]"),
+        (_B + "gamma = 1\nprofile = named:inv-sqrt-gap\ngamma = 2\n",
+         r"line 11: duplicate key 'gamma' in \[input\.b\]"),
+        (_B + "gamma = 1\nprofile = named:inv-sqrt-gap\nprofile = named:exp-inv-sqrt-gap\n",
+         r"line 11: duplicate key 'profile' in \[input\.b\]"),
+    ],
+    ids=["dims", "horizon", "terminal", "coef", "input-deterministic", "input-gamma",
+         "input-profile"],
+)
+def test_rejects_duplicate_keys(text, where):
+    with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _B + "deterministic = 5\ndeterministic = table\n0 : 1\n1 : 2\n",
+        _B + "gamma = 1\nprofile = named:inv-sqrt-gap\nprofile = table\n0 : 1\n1 : 2\n",
+    ],
+    ids=["deterministic", "profile"],
+)
+def test_rejects_value_and_table_together(text):
+    with pytest.raises(InvalidInputError, match=r"\[input\.b\]: give either .* not both"):
         parse_problem(text)

@@ -6,10 +6,11 @@ from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
 from slq.riccati import (
     check_regularity,
+    gain,
     riccati_csv,
     solve_gre,
+    solve_ladder,
     solve_perturbed,
-    theta_hat,
 )
 
 
@@ -24,13 +25,30 @@ def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0
     )
 
 
+def random_problem():
+    """An n = 2, m = 1 problem with random constant coefficients."""
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((2, 2))
+    return SLQProblem(
+        n=2, m=1, T=1.0,
+        A=GridFn.const(rng.standard_normal((2, 2))),
+        B=GridFn.const(rng.standard_normal((2, 1))),
+        C=GridFn.const(rng.standard_normal((2, 2)) * 0.3),
+        D=GridFn.const(rng.standard_normal((2, 1)) * 0.3),
+        Q=GridFn.const(M @ M.T), S=GridFn.const(rng.standard_normal((1, 2))),
+        R=GridFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
+        b=RandomInput.zero(2), sigma=RandomInput.zero(2),
+        q=RandomInput.zero(2), rho=RandomInput.zero(1),
+    )
+
+
 class TestPerturbed:
     def test_example_51_closed_form_values(self):
         p, _ = builtin("example-5.1")
         sol = solve_perturbed(p, 0.5, 2000)
-        assert sol.at(0.5)[0, 0] == pytest.approx(0.5, abs=1e-10)
+        assert sol.P(0.5)[0, 0] == pytest.approx(0.5, abs=1e-10)
         sol1 = solve_perturbed(p, 1.0, 2000)
-        assert sol1.at(0.0)[0, 0] == pytest.approx(0.5, abs=1e-10)
+        assert sol1.P(0.0)[0, 0] == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_fixed_point(self):
         p = scalar_problem(A=0.3, B=1.0, C=0.2, D=0.5, R=1.0, G=0.0)
@@ -40,7 +58,7 @@ class TestPerturbed:
     def test_terminal_condition_exact(self):
         p, _ = builtin("example-5.1")
         sol = solve_perturbed(p, 0.5, 64)
-        assert sol.at(p.T)[0, 0] == p.G[0, 0]
+        assert sol.P(p.T)[0, 0] == p.G[0, 0]
 
     def test_fourth_order_convergence(self):
         p, _ = builtin("example-5.1")
@@ -71,22 +89,21 @@ class TestPerturbed:
             assert np.all(hi.P.values >= lo.P.values - 1e-12)
 
     def test_symmetry_enforced_and_drift_small(self):
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((2, 2))
-        p = SLQProblem(
-            n=2, m=1, T=1.0,
-            A=GridFn.const(rng.standard_normal((2, 2))),
-            B=GridFn.const(rng.standard_normal((2, 1))),
-            C=GridFn.const(rng.standard_normal((2, 2)) * 0.3),
-            D=GridFn.const(rng.standard_normal((2, 1)) * 0.3),
-            Q=GridFn.const(M @ M.T), S=GridFn.const(rng.standard_normal((1, 2))),
-            R=GridFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
-            b=RandomInput.zero(2), sigma=RandomInput.zero(2),
-            q=RandomInput.zero(2), rho=RandomInput.zero(1),
-        )
+        p = random_problem()
         sol = solve_perturbed(p, 0.5, 256)
         assert np.array_equal(sol.P.values, np.swapaxes(sol.P.values, 1, 2))
         assert sol.max_step_asymmetry <= 1e-10
+
+    @pytest.mark.parametrize("name", ["example-5.1", "random-n2"])
+    def test_ladder_rungs_equal_single_solves(self, name):
+        p = random_problem() if name == "random-n2" else builtin(name)[0]
+        ladder = [1.0, 0.5, 0.25]
+        for eps, rung in zip(ladder, solve_ladder(p, ladder, 256)):
+            alone = solve_perturbed(p, eps, 256)
+            assert rung.epsilon == eps
+            assert np.array_equal(rung.P.values, alone.P.values)
+            assert rung.max_local_error_estimate == alone.max_local_error_estimate
+            assert rung.max_step_asymmetry == alone.max_step_asymmetry
 
     def test_eps_must_be_positive(self):
         p, _ = builtin("example-5.1")
@@ -116,7 +133,7 @@ class TestGRE:
     def test_standard_scalar_separable_solution(self):
         p, _ = builtin("standard-scalar")
         sol = solve_gre(p, 2000)
-        assert sol.at(0.0)[0, 0] == pytest.approx(0.5, abs=1e-8)
+        assert sol.P(0.0)[0, 0] == pytest.approx(0.5, abs=1e-8)
         exact = 1.0 / (2.0 - sol.grid)
         assert np.max(np.abs(sol.P.values[:, 0, 0] - exact)) <= 1e-8
 
@@ -132,19 +149,17 @@ class TestThetaHat:
     def test_zero_when_inner_matrix_vanishes(self):
         p, _ = builtin("example-1.1")
         sol = solve_gre(p, 256)
-        for s in (0.0, 0.37, 1.0):
-            assert theta_hat(sol, p, s)[0, 0] == 0.0
+        assert np.all(gain(sol, p, [0.0, 0.37, 1.0]) == 0.0)
 
     def test_standard_scalar_value(self):
         p, _ = builtin("standard-scalar")
         sol = solve_gre(p, 2000)
-        assert theta_hat(sol, p, 0.0)[0, 0] == pytest.approx(-0.5, abs=1e-8)
+        assert gain(sol, p, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-8)
 
     def test_zero_numerator(self):
         p = scalar_problem(A=0.5, B=0.0, C=0.1, D=0.0, Q=1.0, R=1.0, G=1.0)
         sol = solve_gre(p, 256)
-        for s in (0.0, 0.5, 1.0):
-            assert theta_hat(sol, p, s)[0, 0] == 0.0
+        assert np.all(gain(sol, p, [0.0, 0.5, 1.0]) == 0.0)
 
 
 class TestRegularity:
@@ -163,6 +178,11 @@ class TestRegularity:
         assert rep.verdict == "regular"
         # integral of (2-s)^-2 over [0,1] is 1/2
         assert rep.theta_hat_l2 == pytest.approx(np.sqrt(0.5), abs=1e-3)
+
+    def test_rejects_perturbed_solution(self):
+        p, _ = builtin("standard-scalar")
+        with pytest.raises(InvalidInputError, match="eps=0.5"):
+            check_regularity(solve_perturbed(p, 0.5, 64), p)
 
     def test_l2_probe_flags_divergent_gain(self):
         # hand-built solution P = 1 against R(s) = 1 - s gives the gain

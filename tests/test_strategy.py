@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from slq import bsde
-from slq.bsde import solve_adjoint
-from slq.errors import InvalidInputError
+from slq.errors import BlowUpError, InvalidInputError
 from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
-from slq.riccati import solve_perturbed
+from slq.riccati import gain, solve_perturbed
 from slq.simulate import MonteCarloConfig
 from slq.strategy import (
     extract_limit,
@@ -17,8 +16,6 @@ from slq.strategy import (
     ladder_summary_csv,
     run_ladder,
     strategy_csv,
-    theta_eps,
-    v_eps_parts,
 )
 
 
@@ -37,9 +34,9 @@ class TestThetaEps:
     def test_example_51_values(self):
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 0.1, 2000)
-        assert theta_eps(P, p, 0.9)[0, 0] == pytest.approx(-5.0, abs=1e-7)
+        assert gain(P, p, [0.9])[0, 0, 0] == pytest.approx(-5.0, abs=1e-7)
         P1 = solve_perturbed(p, 1.0, 2000)
-        assert theta_eps(P1, p, 0.0)[0, 0] == pytest.approx(-0.5, abs=1e-9)
+        assert gain(P1, p, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_numerator(self):
         zero = RandomInput.zero(1)
@@ -51,44 +48,36 @@ class TestThetaEps:
             b=zero, sigma=zero, q=zero, rho=zero,
         )
         P = solve_perturbed(p, 0.3, 64)
-        for s in (0.0, 0.4, 1.0):
-            assert theta_eps(P, p, s)[0, 0] == 0.0
+        assert np.all(gain(P, p, [0.0, 0.4, 1.0]) == 0.0)
 
 
 class TestVEpsParts:
-    def test_example_51_per_path_value_at_zero(self):
+    # v_eps of the ladder controls at grid nodes, 4000 steps on [0, 1]
+    @pytest.fixture(scope="class")
+    def ladder_51(self):
+        p, _ = builtin("example-5.1")
+        return run_ladder(p, [1.0, 0.5, 0.25], 4000)
+
+    def test_example_51_per_path_value_at_zero(self, ladder_51):
         # modulated profile at s=0, eps=1: -(1/(eps+1-s)) e^{-s} 2 sqrt(1-s)
         # evaluates to -1, and M(0) = 1 so the per-path value is -1
-        p, _ = builtin("example-5.1")
-        P = solve_perturbed(p, 1.0, 2000)
-        adj = solve_adjoint(p, P, 2000)
-        v_det, v_mod = v_eps_parts(P, adj, p, 0.0)
-        assert v_det[0] == 0.0
-        assert v_mod[0] == pytest.approx(-1.0, abs=1e-6)
+        c = ladder_51[0].control
+        assert c.v_det.values[0, 0] == 0.0
+        assert c.v_mod_profile.values[0, 0] == pytest.approx(-1.0, abs=1e-6)
 
-    def test_example_51_profile_mid(self):
-        p, _ = builtin("example-5.1")
-        eps, s = 0.5, 0.5
-        P = solve_perturbed(p, eps, 4000)
-        adj = solve_adjoint(p, P, 4000)
-        _, v_mod = v_eps_parts(P, adj, p, s)
+    def test_example_51_profile_mid(self, ladder_51):
+        sol = ladder_51[1]
+        eps, k = sol.epsilon, 2000
+        s = sol.control.v_mod_profile.grid[k]
+        assert (eps, s) == (0.5, 0.5)
         expected = -(1.0 / (eps + 1.0 - s)) * math.exp(-s) * 2.0 * math.sqrt(1.0 - s)
-        assert v_mod[0] == pytest.approx(expected, abs=1e-6)
+        assert sol.control.v_mod_profile.values[k, 0] == pytest.approx(expected, abs=1e-6)
 
     def test_zero_adjoint_gives_zero(self):
         p, _ = builtin("standard-scalar")
-        P = solve_perturbed(p, 0.5, 64)
-        adj = solve_adjoint(p, P, 64)
-        v_det, v_mod = v_eps_parts(P, adj, p, 0.3)
-        assert np.all(v_det == 0.0) and v_mod is None
-
-    def test_eps_mismatch_rejected(self):
-        p, _ = builtin("standard-scalar")
-        P1 = solve_perturbed(p, 0.5, 64)
-        P2 = solve_perturbed(p, 0.25, 64)
-        adj = solve_adjoint(p, P1, 64)
-        with pytest.raises(InvalidInputError):
-            v_eps_parts(P2, adj, p, 0.1)
+        for sol in run_ladder(p, [1.0, 0.5, 0.25], 64):
+            assert np.all(sol.control.v_det.values == 0.0)
+            assert sol.control.v_mod_profile is None
 
 
 class TestRunLadder:
@@ -107,6 +96,15 @@ class TestRunLadder:
         with pytest.raises(InvalidInputError):
             run_ladder(p, [1.0, 0.5, -0.25], 64)
 
+    def test_blowup_names_first_rung_in_time_once(self):
+        # at 16 steps both small rungs blow up; the eps = 2^-6 flow leaves the
+        # finite regime first in backward time
+        p, _ = builtin("example-5.1")
+        with pytest.raises(BlowUpError, match=r"eps=0\.015625\).* near s=0\.875") as exc_info:
+            run_ladder(p, [1.0, 2.0**-5, 2.0**-6], 16)
+        assert str(exc_info.value).count("eps=") == 1
+        assert exc_info.value.time == 0.875
+
     def test_zero_inputs_zero_bias(self):
         p, _ = builtin("example-1.1")
         sols = run_ladder(p, [1.0, 0.5, 0.25], 64)
@@ -119,9 +117,9 @@ class TestRunLadder:
         sols = run_ladder(p, [1.0, 0.5, 0.25], 128)
         for sol in sols:
             grid = sol.control.theta.grid
-            assert np.max(np.abs(sol.control.theta.values - theta_eps(sol.P, p, grid))) <= 1e-12
+            assert np.max(np.abs(sol.control.theta.values - gain(sol.P, p, grid))) <= 1e-12
             for k in (0, 50, 128):
-                direct = theta_eps(sol.P, p, grid[k])
+                direct = gain(sol.P, p, grid[k:k + 1])[0]
                 assert np.max(np.abs(sol.control.theta.values[k] - direct)) <= 1e-12
 
     def test_ladder_monotone_feedback_magnitude(self):
