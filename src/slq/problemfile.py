@@ -50,15 +50,23 @@ def _reshape(arr: np.ndarray, shape, what: str) -> np.ndarray:
         ) from None
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
+def _number(text: str, lineno: int, where: str, kind=float):
+    """``kind(text)``; a malformed value raises naming its line and section."""
     try:
-        data = [[float(x) for x in row.split(",")] for row in rows]
-    except ValueError as exc:
-        raise InvalidInputError(f"bad matrix literal {text!r}: {exc}") from None
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise InvalidInputError(
+            f"line {lineno}: {text.strip()!r} is not {expected} in {where}"
+        ) from None
+
+
+def _parse_matrix(text: str, lineno: int, where: str) -> np.ndarray:
+    rows = [r for r in text.split(";") if r.strip()]
+    data = [[_number(x, lineno, where) for x in row.split(",")] for row in rows]
     lengths = {len(r) for r in data}
     if not data or len(lengths) != 1:
-        raise InvalidInputError(f"ragged matrix literal {text!r}")
+        raise InvalidInputError(f"line {lineno}: ragged matrix literal {text!r} in {where}")
     return np.asarray(data, dtype=float)
 
 
@@ -90,7 +98,8 @@ def _split_kv(line: str, lineno: int, keep_case: bool = False):
 
 
 def _section_kv(sections: dict, sec: str, keys: tuple, keep_case: bool = False) -> dict:
-    """The ``key = value`` lines of a fixed-key section; other keys are rejected."""
+    """Each key of a fixed-key section mapped to (value, line number); other
+    keys are rejected."""
     out = {}
     for lineno, line in sections[sec]:
         key, val = _split_kv(line, lineno, keep_case)
@@ -98,7 +107,7 @@ def _section_kv(sections: dict, sec: str, keys: tuple, keep_case: bool = False) 
             raise InvalidInputError(f"line {lineno}: unknown key {key!r} in [{sec}]")
         if key in out:
             raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in [{sec}]")
-        out[key] = val
+        out[key] = (val, lineno)
     return out
 
 
@@ -119,10 +128,10 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
                 raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
             if constant is not None:
                 raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in {what}")
-            constant = _parse_matrix(val)
+            constant = _parse_matrix(val, lineno, what)
         elif ":" in line:
             t_str, mat = line.split(":", 1)
-            table_rows.append((float(t_str), _parse_matrix(mat)))
+            table_rows.append((_number(t_str, lineno, what), _parse_matrix(mat, lineno, what)))
         else:
             raise InvalidInputError(f"line {lineno}: cannot parse {line!r} in {what}")
     if constant is not None and table_rows:
@@ -153,16 +162,16 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
             if table and key != "gamma":
                 mode = key
             elif key == "deterministic":
-                det_const = _reshape(_parse_matrix(val), dim, what)
+                det_const = _reshape(_parse_matrix(val, lineno, what), dim, what)
             elif key == "gamma":
-                gamma = float(val)
+                gamma = _number(val, lineno, what)
             elif val.lower().startswith("named:"):
                 profile_named = named_profile(val[6:].strip())
             else:
                 raise InvalidInputError(f"line {lineno}: profile must be 'named:<id>' or 'table'")
         elif ":" in line:
             t_str, vec = line.split(":", 1)
-            row = (float(t_str), _parse_matrix(vec))
+            row = (_number(t_str, lineno, what), _parse_matrix(vec, lineno, what))
             if mode == "deterministic":
                 det_rows.append(row)
             elif mode == "profile":
@@ -203,13 +212,13 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
 
     kv = _section_kv(sections, "dims", ("n", "m"))
     try:
-        n, m = int(kv["n"]), int(kv["m"])
+        n, m = _number(*kv["n"], "[dims]", int), _number(*kv["m"], "[dims]", int)
     except KeyError as exc:
         raise InvalidInputError(f"[dims] needs n and m (missing {exc})") from None
     kv = _section_kv(sections, "horizon", ("t",))
     if "t" not in kv:
         raise InvalidInputError("[horizon] needs T")
-    T = float(kv["t"])
+    T = _number(*kv["t"], "[horizon]")
 
     dims = {"n": n, "m": m}
     coefs = {
@@ -221,8 +230,9 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
     kv = _section_kv(sections, "terminal", ("G", "g"), keep_case=True)
     if "G" not in kv:
         raise InvalidInputError("[terminal] needs G")
-    G = _reshape(_parse_matrix(kv["G"]), (n, n), "[terminal] G")
-    g_vec = _reshape(_parse_matrix(kv["g"]), n, "[terminal] g") if "g" in kv else np.zeros(n)
+    G = _reshape(_parse_matrix(*kv["G"], "[terminal]"), (n, n), "[terminal] G")
+    g_vec = (_reshape(_parse_matrix(*kv["g"], "[terminal]"), n, "[terminal] g")
+             if "g" in kv else np.zeros(n))
 
     inputs = {
         i: _parse_input(sections.get(sec, []), dims[INPUT_LENGTHS[i]], f"[{sec}]")

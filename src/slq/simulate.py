@@ -11,7 +11,10 @@ increments.  Paths are therefore independent of how work is blocked, and all
 reductions run over full per-path arrays in fixed order, so results cannot
 depend on a worker or block count.  Two runs with the same master seed share
 Brownian increments exactly, which is what couples controls under common
-random numbers.
+random numbers.  Paths are simulated in blocks, and the next block's normals
+are drawn on one background thread while the current block steps; since a
+stream depends only on (master_seed, i), results do not depend on that
+thread or its timing.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
@@ -24,6 +27,7 @@ sweeps the hold gap down instead of stepping into the singularity.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +57,7 @@ __all__ = [
 
 MASK64 = (1 << 64) - 1
 DEFAULT_BLOCK = 8192
+_DRAW_CHUNK = 64  # paths per transposing copy into a draw-major block
 
 
 @dataclass(frozen=True)
@@ -179,20 +184,82 @@ class CoupledEnsembles:
 
 
 def _path_block_normals(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    out = np.empty((count, draws))
-    for i in range(count):
-        gen = Generator(Philox(key=np.array([master_seed, (start + i) & MASK64], dtype=np.uint64)))
-        out[i] = gen.standard_normal(draws)
+    """Normals of paths start .. start + count - 1, ``draws`` per path.
+
+    Row i is the stream of a fresh ``Philox(key=[master_seed, start + i])``.
+    One bit generator is re-keyed per path instead, with its counter, buffer
+    and cached half word reset: the same bits, without the OS entropy read
+    that constructing a bit generator costs.  The block is stored draw-major
+    (Fortran order), so the Euler loop reads each step's increments as one
+    contiguous column; rows are filled through a small buffer of paths.
+    """
+    out = np.empty((draws, count)).T
+    buf = np.empty((min(_DRAW_CHUNK, count), draws))
+    bits = Philox(0)
+    gen = Generator(bits)
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    empty = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
+             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for c0 in range(0, count, len(buf)):
+        rows = buf[: count - c0]
+        for j, row in enumerate(rows):
+            key[1] = (start + c0 + j) & MASK64
+            bits.state = fresh
+            gen.standard_normal(out=row)
+        out[c0 : c0 + len(rows)] = rows
     return out
 
 
+class _BackgroundDraw:
+    """One block of normals drawn on its own thread.
+
+    ``result`` joins the thread and re-raises whatever the draw raised.  The
+    draw looks ``_path_block_normals`` up when it runs, so a wrapper
+    installed on the module attribute sees every block.
+    """
+
+    def __init__(self, master_seed: int, start: int, count: int, draws: int):
+        self._z = self._exc = None
+        self._thread = threading.Thread(
+            target=self._run, args=(master_seed, start, count, draws), daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, *args):
+        try:
+            self._z = _path_block_normals(*args)
+        except BaseException as exc:  # handed to the thread that joins
+            self._exc = exc
+
+    def join(self):
+        self._thread.join()
+
+    def result(self) -> np.ndarray:
+        self.join()
+        if self._exc is not None:
+            raise self._exc
+        z, self._z = self._z, None
+        return z
+
+
 def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M x for every state of a stack: (..., i, j) with (..., B, j) -> (..., B, i)."""
-    return np.einsum("...ij,...bj->...bi", M, X)
+    """M x for every state of a stack: (..., i, j) with (..., B, j) -> (..., B, i).
+
+    Written as a sum of broadcast products over j: on these small matrices
+    and long stacks it is several times faster than ``einsum``.
+    """
+    out = M[..., None, :, 0] * X[..., :1]
+    for j in range(1, X.shape[-1]):
+        out = out + M[..., None, :, j] * X[..., j : j + 1]
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a, b)
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
 
 
 def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray, cutoff: float) -> dict:
@@ -346,55 +413,73 @@ def _run_blocks(
     half_dt = 0.5 * dt
     sqrt_dt = np.sqrt(dt)
     sqrt_t = np.sqrt(t) if t > 0.0 else 0.0
+    # W is read only to form M(s) or to record paths
+    need_W = bool(gammas) or rec is not None
 
-    for start in range(0, M, block_size):
-        Bn = min(block_size, M - start)
-        sl = slice(start, start + Bn)
-        z = _path_block_normals(cfg.master_seed, start, Bn, N + 1)
-        W = sqrt_t * z[:, 0]
-        dW = z[:, 1:]
-        dW *= sqrt_dt
-        X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
-        u = None
-        bad = np.zeros(Bn, dtype=bool)
-        acc, prev = {}, {}
+    def draw_from(start: int) -> _BackgroundDraw:
+        return _BackgroundDraw(cfg.master_seed, start, min(block_size, M - start), N + 1)
 
-        for k in range(N + 1):
-            Mg = np.exp(gam[:, None] * W - (0.5 * gam * gam * s_nodes[k])[:, None]) if gammas else None
-            u = _control_at(ct, k, X, None if ct["v_mod"] is None else Mg[g_ctrl], u)
-            # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
-            phis = {"unorm": _dot(u, u)}
-            if tabs["running_cost"]:
-                phis["cost"] = _cost_integrand(tabs, k, X, u)
-            if K > 1:
-                d = u[:-1] - u[1:]
-                phis["dist"] = _dot(d, d)
-            for key, phi in phis.items():
-                if k == 0:
-                    acc[key] = np.zeros_like(phi)
-                else:
-                    acc[key] += half_dt * (prev[key] + phi)
-                prev[key] = phi
-            if rec is not None:
-                rec["X"][:, sl, k] = X
-                rec["u"][:, sl, k] = u
-                rec["W"][sl, k] = W
+    # block b + 1 is drawn while block b steps
+    draw = draw_from(0)
+    try:
+        for start in range(0, M, block_size):
+            z = draw.result()
+            Bn = z.shape[0]
+            sl = slice(start, start + Bn)
+            W = sqrt_t * z[:, 0] if need_W else None
+            dW = z[:, 1:]
+            dW *= sqrt_dt
+            # z and dW no longer hold block b - 1, so starting the next draw
+            # keeps two blocks alive, as drawing in place of the old one did
+            nxt = start + Bn
+            draw = draw_from(nxt) if nxt < M else None
+            X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
+            u = None
+            bad = np.zeros(Bn, dtype=bool)
+            acc, prev = {}, {}
 
-            if k < N:
-                X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt, dW[:, k : k + 1])
-                # one mask per path: leaving the finite regime under any
-                # control zeroes the path under all of them
-                bad |= ~(np.abs(X) < 1e12).all(axis=(0, 2))
-                if bad.any():
-                    X[:, bad] = 0.0
-                W += dW[:, k]
+            for k in range(N + 1):
+                Mg = np.exp(gam[:, None] * W - (0.5 * gam * gam * s_nodes[k])[:, None]) if gammas else None
+                u = _control_at(ct, k, X, None if ct["v_mod"] is None else Mg[g_ctrl], u)
+                # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
+                phis = {"unorm": _dot(u, u)}
+                if tabs["running_cost"]:
+                    phis["cost"] = _cost_integrand(tabs, k, X, u)
+                if K > 1:
+                    d = u[:-1] - u[1:]
+                    phis["dist"] = _dot(d, d)
+                for key, phi in phis.items():
+                    if k == 0:
+                        acc[key] = np.zeros_like(phi)
+                    else:
+                        acc[key] += half_dt * (prev[key] + phi)
+                    prev[key] = phi
+                if rec is not None:
+                    rec["X"][:, sl, k] = X
+                    rec["u"][:, sl, k] = u
+                    rec["W"][sl, k] = W
 
-        terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
-        cost[:, sl] = acc.get("cost", 0.0) + terminal
-        unorm[:, sl] = acc["unorm"]
-        pdist[:, sl] = acc.get("dist", 0.0)
-        X_T[:, sl] = X
-        blown[sl] = bad
+                if k < N:
+                    X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt, dW[:, k : k + 1])
+                    # one mask per path: leaving the finite regime under any
+                    # control zeroes the path under all of them; the cheap
+                    # whole-block test (NaN fails it too) usually passes
+                    if not np.abs(X).max() < 1e12:
+                        bad |= ~(np.abs(X) < 1e12).all(axis=(0, 2))
+                    if bad.any():
+                        X[:, bad] = 0.0
+                    if need_W:
+                        W += dW[:, k]
+
+            terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
+            cost[:, sl] = acc.get("cost", 0.0) + terminal
+            unorm[:, sl] = acc["unorm"]
+            pdist[:, sl] = acc.get("dist", 0.0)
+            X_T[:, sl] = X
+            blown[sl] = bad
+    finally:
+        if draw is not None:
+            draw.join()
 
     frac = float(blown.mean())
     if frac > 0.01:

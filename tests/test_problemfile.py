@@ -175,3 +175,20 @@ def test_rejects_duplicate_keys(text, where):
 def test_rejects_value_and_table_together(text):
     with pytest.raises(InvalidInputError, match=r"\[input\.b\]: give either .* not both"):
         parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_B + "gamma = abc\nprofile = named:inv-sqrt-gap\n",
+         r"line 9: 'abc' is not a number in \[input\.b\]"),
+        (_MINIMAL + "[coef.a]\nx : 1\n", r"line 9: 'x' is not a number in \[coef\.a\]"),
+        (_MINIMAL.replace("n = 1\n", "n = 1.5\n"), r"line 2: '1\.5' is not an integer in \[dims\]"),
+        (_MINIMAL.replace("T = 1\n", "T = abc\n"), r"line 5: 'abc' is not a number in \[horizon\]"),
+        (_MINIMAL + "[coef.b]\nconstant = 1, x\n", r"line 9: 'x' is not a number in \[coef\.b\]"),
+    ],
+    ids=["input-gamma", "coef-table-time", "dims", "horizon", "coef-matrix"],
+)
+def test_rejects_non_numeric_values_with_line(text, where):
+    with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)

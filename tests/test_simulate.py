@@ -1,6 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from slq import simulate
 from slq.core import GridFn
 from slq.errors import EnsembleError, InvalidInputError, WrongClassError
 from slq.problem import InitialPair, Modulation, RandomInput, SLQProblem, builtin, named_profile
@@ -97,6 +101,68 @@ class TestDeterminism:
             ens = simulate_ensemble(p, ip, c, cfg)
             assert np.array_equal(cpl.cost[i], ens.cost)
             assert np.array_equal(cpl.control_norm_sq[i], ens.control_norm_sq)
+
+
+@pytest.mark.parametrize(
+    "seed, start, count, draws",
+    [
+        (2**64 - 1, 0, 3, 17),
+        (2**64 - 1, 2**64 - 2, 5, 1025),  # path indices wrap to 0, 1, 2
+        (12345, 2**64 - 3, 70, 17),  # more paths than one fill buffer
+    ],
+)
+def test_path_block_normals_stream_contract(seed, start, count, draws):
+    # row i is the stream of a fresh Philox keyed by (seed, start + i mod 2^64)
+    z = simulate._path_block_normals(seed, start, count, draws)
+    ref = np.stack([
+        Generator(Philox(key=np.array([seed, (start + i) & simulate.MASK64], dtype=np.uint64)))
+        .standard_normal(draws)
+        for i in range(count)
+    ])
+    assert np.array_equal(z, ref)
+
+
+class TestBackgroundDraw:
+    """The next block's normals are drawn on a thread that never outlives a run."""
+
+    def test_no_thread_left_after_run(self):
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
+        before = threading.active_count()
+        simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=64)
+        assert threading.active_count() == before
+
+    def test_no_thread_left_after_ensemble_error(self):
+        p = scalar_problem(A=60.0, G=1.0)
+        ip = InitialPair(t=0.0, x=np.array([1.0]))
+        cfg = MonteCarloConfig(paths=100, steps=64, master_seed=1)
+        before = threading.active_count()
+        with pytest.raises(EnsembleError):
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=30)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("target", ["_path_block_normals", "_euler_step"])
+    def test_failure_reaches_caller_and_joins_the_draw(self, monkeypatch, target):
+        # the draw of the second block fails, or stepping the first block
+        # fails while the second block is being drawn
+        orig = getattr(simulate, target)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if target == "_euler_step" or len(calls) == 2:
+                raise RuntimeError("injected")
+            return orig(*args)
+
+        monkeypatch.setattr(simulate, target, failing)
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=100)
+        assert threading.active_count() == before
+        if target == "_path_block_normals":
+            assert [a[1] for a in calls] == [0, 100]  # nothing drawn after the failure
 
 
 class TestAgainstMomentOracle:
