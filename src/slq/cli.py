@@ -146,8 +146,8 @@ def _write_atomic(out_dir: str, name: str, text: str):
         raise
 
 
-def _closed_loop_lines(p, steps: int) -> list:
-    reg, blowup, eta_ok = closed_loop_test(p, steps)
+def _closed_loop_lines(p, P0) -> list:
+    reg, blowup, eta_ok = closed_loop_test(p, P0)
     verdict = "solvable (regular)" if closed_loop_solvable(reg, blowup, eta_ok) else "NOT solvable"
     if blowup is not None:
         detail = f"generalized Riccati flow blew up near s={blowup:.6g}"
@@ -167,7 +167,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
     eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-10
     ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
-    sols = run_ladder(p, ladder, cfg.steps)
+    P0, *sols = run_ladder(p, [0.0, *ladder], cfg.steps)
     ws = extract_limit(sols, delta=delta, tol=cfg.tol)
 
     u_norms = None
@@ -195,7 +195,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     ]
     for eps, dth, dv in ws.cauchy_evidence:
         lines.append(f"  {eps:.10g}, {dth:.6e}, {dv:.6e}")
-    lines += _closed_loop_lines(p, cfg.steps)
+    lines += _closed_loop_lines(p, P0)
     files["report.txt"] = "\n".join(lines) + "\n"
 
     for name, text in files.items():
@@ -214,7 +214,8 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
     mc = MonteCarloConfig(paths=paths, steps=cfg.mc_steps, master_seed=cfg.seed)
     rep = diagnose(p, ip, ladder, cfg.steps, mc)
 
-    closed = "solvable (regular)" if rep.closed_loop_solvable() else "NOT solvable"
+    solvable = closed_loop_solvable(rep.closed_loop, rep.closed_loop_blowup, rep.eta_condition_ok)
+    closed = "solvable (regular)" if solvable else "NOT solvable"
     open_v = {"solvable": "solvable", "not-solvable": "NOT solvable"}.get(
         rep.open_loop_verdict, "inconclusive"
     )

@@ -35,7 +35,7 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
         A = A.reshape(-1, 1)
     if A.ndim > 3:
         raise InvalidInputError(f"{name} must be at most 3-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
 
@@ -64,7 +64,7 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     if A.shape[-2:] == (1, 1):
         # the one singular value is |a|, so the relative cutoff keeps every
         # nonzero a
-        return np.divide(1.0, A, out=np.zeros_like(A), where=A != 0.0)
+        return np.divide(1.0, A, out=np.zeros(A.shape), where=A != 0.0)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.ndim == 1 and (s.size == 0 or s[0] == 0.0):
         return np.zeros((A.shape[1], A.shape[0]))

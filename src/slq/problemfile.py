@@ -41,12 +41,12 @@ _INPUT_SECTIONS = {f"input.{c}": c for c in INPUT_LENGTHS}
 _SECTIONS = {"dims", "horizon", "terminal"} | set(_COEF_SECTIONS) | set(_INPUT_SECTIONS)
 
 
-def _reshape(arr: np.ndarray, shape, what: str) -> np.ndarray:
+def _reshape(arr: np.ndarray, shape, lineno: int, where: str) -> np.ndarray:
     try:
         return arr.reshape(shape)
     except ValueError:
         raise InvalidInputError(
-            f"{what}: value of size {arr.size} does not fit shape {shape}"
+            f"line {lineno}: value of size {arr.size} does not fit shape {shape} in {where}"
         ) from None
 
 
@@ -111,11 +111,10 @@ def _section_kv(sections: dict, sec: str, keys: tuple, keep_case: bool = False) 
     return out
 
 
-def _table(rows, shape, what: str) -> GridFn:
+def _table(rows) -> GridFn:
     """The GridFn of ``(t, value)`` rows given in any order."""
     rows = sorted(rows, key=lambda kv: kv[0])
-    vals = np.stack([_reshape(m, shape, what) for _, m in rows])
-    return GridFn(np.array([t for t, _ in rows]), vals)
+    return GridFn(np.array([t for t, _ in rows]), np.stack([v for _, v in rows]))
 
 
 def _parse_coef(lines, shape, what: str) -> GridFn:
@@ -128,10 +127,11 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
                 raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
             if constant is not None:
                 raise InvalidInputError(f"line {lineno}: duplicate key {key!r} in {what}")
-            constant = _parse_matrix(val, lineno, what)
+            constant = _reshape(_parse_matrix(val, lineno, what), shape, lineno, what)
         elif ":" in line:
             t_str, mat = line.split(":", 1)
-            table_rows.append((_number(t_str, lineno, what), _parse_matrix(mat, lineno, what)))
+            t = _number(t_str, lineno, what)
+            table_rows.append((t, _reshape(_parse_matrix(mat, lineno, what), shape, lineno, what)))
         else:
             raise InvalidInputError(f"line {lineno}: cannot parse {line!r} in {what}")
     if constant is not None and table_rows:
@@ -139,7 +139,7 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
     # a constant is a one-node table
     if constant is not None:
         table_rows = [(0.0, constant)]
-    return _table(table_rows or [(0.0, np.zeros(shape))], shape, what)
+    return _table(table_rows or [(0.0, np.zeros(shape))])
 
 
 def _parse_input(lines, dim: int, what: str) -> RandomInput:
@@ -162,7 +162,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
             if table and key != "gamma":
                 mode = key
             elif key == "deterministic":
-                det_const = _reshape(_parse_matrix(val, lineno, what), dim, what)
+                det_const = _reshape(_parse_matrix(val, lineno, what), dim, lineno, what)
             elif key == "gamma":
                 gamma = _number(val, lineno, what)
             elif val.lower().startswith("named:"):
@@ -171,11 +171,11 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
                 raise InvalidInputError(f"line {lineno}: profile must be 'named:<id>' or 'table'")
         elif ":" in line:
             t_str, vec = line.split(":", 1)
-            row = (_number(t_str, lineno, what), _parse_matrix(vec, lineno, what))
+            t, arr = _number(t_str, lineno, what), _parse_matrix(vec, lineno, what)
             if mode == "deterministic":
-                det_rows.append(row)
+                det_rows.append((t, _reshape(arr, dim, lineno, what)))
             elif mode == "profile":
-                prof_rows.append(row)
+                prof_rows.append((t, _reshape(arr, (), lineno, what + " profile")))
             else:
                 raise InvalidInputError(
                     f"line {lineno}: table row outside 'deterministic = table' or "
@@ -187,7 +187,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
         if (key, False) in seen and (key, True) in seen:
             raise InvalidInputError(f"{what}: give either a {key} value or a table, not both")
 
-    det = _table(det_rows or [(0.0, det_const)], dim, what)
+    det = _table(det_rows or [(0.0, det_const)])
 
     modulated = None
     if gamma is not None or profile_named is not None or prof_rows:
@@ -196,7 +196,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
         if profile_named is not None:
             profile = profile_named
         elif prof_rows:
-            profile = _table(prof_rows, (), what + " profile")
+            profile = _table(prof_rows)
         else:
             raise InvalidInputError(f"{what}: modulated input needs a profile")
         modulated = Modulation(gamma=gamma, profile=profile)
@@ -230,8 +230,8 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
     kv = _section_kv(sections, "terminal", ("G", "g"), keep_case=True)
     if "G" not in kv:
         raise InvalidInputError("[terminal] needs G")
-    G = _reshape(_parse_matrix(*kv["G"], "[terminal]"), (n, n), "[terminal] G")
-    g_vec = (_reshape(_parse_matrix(*kv["g"], "[terminal]"), n, "[terminal] g")
+    G = _reshape(_parse_matrix(*kv["G"], "[terminal]"), (n, n), kv["G"][1], "[terminal] G")
+    g_vec = (_reshape(_parse_matrix(*kv["g"], "[terminal]"), n, kv["g"][1], "[terminal] g")
              if "g" in kv else np.zeros(n))
 
     inputs = {

@@ -8,9 +8,10 @@ with K = R + eps*I + D'P D inverted exactly in the perturbed flow and
 K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
 classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
 step; uniform grids keep downstream L2 norms and eps-comparisons
-node-aligned, and a whole eps ladder advances as one stack of flows.
-Blow-up is detected and reported, not papered over: an indefinite
-generalized equation may legitimately fail to have a global solution.
+node-aligned.  One backward pass holds the generalized flow and a whole
+eps ladder as one stack of flows.  Blow-up is detected and reported, not
+papered over: an indefinite generalized equation may legitimately fail to
+have a global solution, so its blow-up is returned while the ladder goes on.
 """
 
 from __future__ import annotations
@@ -61,8 +62,17 @@ class RiccatiSolution:
 
 
 def coef_tables(p: SLQProblem, times) -> dict:
-    """The coefficients entering K and L, evaluated at scalar or array times."""
-    return {name: getattr(p, name)(times) for name in ("A", "B", "C", "D", "Q", "S", "R")}
+    """Coefficients of K and L at scalar or array times, with A'..D' and |R| = max |R_ij|."""
+    cf = {name: getattr(p, name)(times) for name in "ABCDQSR"}
+    cf.update({f"{name}'": cf[name].mT for name in "ABCD"})
+    cf["|R|"] = np.abs(cf["R"]).max(axis=(-2, -1))
+    return cf
+
+
+def _eps_rows(eps: np.ndarray, m: int) -> tuple:
+    """``(g, eps[g:], eps[g:] I)`` for a stack whose first ``g`` entries are 0."""
+    g = int(np.count_nonzero(eps == 0.0))
+    return g, eps[g:], eps[g:, None, None] * np.eye(m)
 
 
 def inner(cf: dict, P: np.ndarray, eps, idx=slice(None)) -> tuple:
@@ -70,39 +80,44 @@ def inner(cf: dict, P: np.ndarray, eps, idx=slice(None)) -> tuple:
 
     ``P`` is a stack ``(N, n, n)``; ``idx`` picks the matching rows of the
     coefficient tables ``cf`` (one quarter-grid row shared by the stack, or
-    one row per entry).  ``eps`` is a scalar or an array of N; the scale is
-    an array of N, or None for eps = 0.
+    one row per entry).  ``eps`` is one value for the whole stack, or the
+    :func:`_eps_rows` of a stack led by generalized flows (eps = 0).  The
+    scale covers the eps > 0 rows, or is None if there are none.
     """
-    D = cf["D"][idx]
-    R = cf["R"][idx]
-    PD = P @ D
-    DPD = D.mT @ PD
-    eps = np.asarray(eps, dtype=float)
-    K = R + DPD
+    if not isinstance(eps, tuple):
+        eps = _eps_rows(np.full(len(P), eps), cf["R"].shape[-1])
+    g, e, eps_I = eps
+    PD = P @ cf["D"][idx]
+    DPD = cf["D'"][idx] @ PD
+    K = cf["R"][idx] + DPD
     scale = None  # read only by the eps > 0 conditioning check
-    if eps.any():
-        scale = np.abs(R).max(axis=(-2, -1)) + np.abs(DPD).max(axis=(-2, -1)) + eps
-        K = K + eps[..., None, None] * np.eye(K.shape[-1])
-    L = cf["B"][idx].mT @ P + PD.mT @ cf["C"][idx] + cf["S"][idx]
+    if g < len(P):
+        scale = cf["|R|"][idx] + np.abs(DPD[g:]).max(axis=(-2, -1)) + e
+        K[g:] += eps_I
+    L = cf["B'"][idx] @ P + PD.mT @ cf["C"][idx] + cf["S"][idx]
     return K, L, scale
 
 
 def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray:
     """K^{-1} rhs for eps > 0, the pseudoinverse K^+ rhs for eps = 0.
 
-    Works on a stack as returned by :func:`inner`; ``eps`` and ``times`` are
-    each a scalar or an array along the stack axis.  For eps > 0, K = R +
-    eps I + D'PD must be invertible relative to the scale of its summands
-    (not of K itself): a tiny K produced by large cancelling terms means eps
-    is too small for the given weights, and raises
-    :class:`DegeneratePerturbationError` naming the eps and time of the first
-    bad stack entry.
+    Works on a stack as returned by :func:`inner` with one sign of eps, the
+    scale being None for eps = 0; ``eps`` and ``times`` are each a scalar or
+    an array along the stack axis.  For eps > 0, K = R + eps I + D'PD must
+    be invertible relative to the scale of its summands (not of K itself): a
+    tiny K produced by large cancelling terms means eps is too small for the
+    given weights, and raises :class:`DegeneratePerturbationError` naming
+    the eps and time of the first bad stack entry.
     """
-    if not np.asarray(eps).any():
+    if scale is None:
         return pinv(K) @ rhs
     m = K.shape[-1]
-    ev = np.abs(K[:, :, 0] if m == 1 else np.linalg.eigvalsh(symmetrize(K)))
-    bad = ev.min(axis=1) <= np.maximum(ev.max(axis=1), scale) / COND_LIMIT
+    if m == 1:
+        lo = hi = np.abs(K[:, 0, 0])
+    else:
+        ev = np.abs(np.linalg.eigvalsh(symmetrize(K)))
+        lo, hi = ev.min(axis=1), ev.max(axis=1)
+    bad = lo <= np.maximum(hi, scale) / COND_LIMIT
     if bad.any():
         i = np.argmax(bad)
         e, s = (float(np.broadcast_to(x, bad.shape)[i]) for x in (eps, times))
@@ -115,7 +130,13 @@ def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray
 
 
 def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
-    """One RK4 loop over the stack of flows for the L values in ``eps``."""
+    """One RK4 loop over the stack of flows for the values in ``eps``.
+
+    A leading eps = 0 is the generalized flow.  Its blow-up never raises:
+    the row freezes at its last finite value, the other rows go on, and its
+    entry is the :class:`BlowUpError`.  A positive row that leaves the
+    finite regime raises, naming the first such eps in stack order.
+    """
     if steps < 16:
         raise InvalidInputError(f"steps must be >= 16, got {steps}")
     h = p.T / steps
@@ -125,17 +146,25 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     # stride 2 with midpoints at 4k - 1 and 4k - 3.
     times = np.linspace(0.0, p.T, 4 * steps + 1)
     cf = coef_tables(p, times)
-    scalar_gain = p.m == 1 and eps.all()
+    A, At, Ct, C, Q = cf["A"], cf["A'"], cf["C'"], cf["C"], cf["Q"]
+    rows = g, e, _ = _eps_rows(eps, p.m)
+    LKL = np.empty((eps.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
+    gre_blowup = None
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
-        K, L, scale = inner(cf, P, eps, j)
-        if scalar_gain:
-            # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
-            gain = solve_inner(K, L.mT @ L, eps, scale, times[j])
-        else:
-            gain = L.mT @ solve_inner(K, L, eps, scale, times[j])
-        A, C, Q = cf["A"][j], cf["C"][j], cf["Q"][j]
-        return -(P @ A + A.T @ P + C.T @ P @ C + Q - gain)
+        K, L, scale = inner(cf, P, rows, j)
+        if g:
+            LKL[:g] = L[:g].mT @ (pinv(K[:g]) @ L[:g])
+        if g < eps.size:
+            if p.m == 1:
+                # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
+                LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, times[j])
+            else:
+                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, times[j])
+        dP = -(P @ A[j] + At[j] @ P + Ct[j] @ P @ C[j] + Q[j] - LKL)
+        if gre_blowup is not None:
+            dP[:g] = 0.0  # a blown generalized flow stays at its last finite value
+        return dP
 
     values = np.empty((eps.size, steps + 1, p.n, p.n))
     values[:, steps] = symmetrize(np.asarray(p.G, dtype=float))
@@ -149,11 +178,16 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
         norm = np.linalg.norm(P_new, axis=(-2, -1))
         blown = ~(norm <= BLOWUP_NORM)  # also true for NaN
         if blown.any():
-            raise BlowUpError(
-                f"Riccati flow (eps={float(eps[np.argmax(blown)])}) left the finite regime "
+            i = g + np.argmax(blown[g:]) if blown[g:].any() else 0  # else the generalized flow
+            exc = BlowUpError(
+                f"Riccati flow (eps={float(eps[i])}) left the finite regime "
                 f"near s={grid[k - 1]:.6g}",
                 time=grid[k - 1],
             )
+            if i >= g:
+                raise exc
+            gre_blowup = exc
+            P_new[:g] = P[:g]
         if k % err_stride == 0:
             # step-doubling local error estimate on a subsample of steps
             P_half = rk4_step(rhs, j_right, P, 0.5 * h, 2)
@@ -163,10 +197,11 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
         max_asym = np.maximum(max_asym, asym)
         P = symmetrize(P_new)
         values[:, k - 1] = P
-    return [
+    sols = [
         RiccatiSolution(float(e), GridFn(grid, v), steps, float(err), float(asym))
         for e, v, err, asym in zip(eps, values, max_local_err, max_asym)
     ]
+    return [gre_blowup, *sols[1:]] if gre_blowup else sols
 
 
 def solve_ladder(p: SLQProblem, ladder, steps: int) -> list:
@@ -176,10 +211,13 @@ def solve_ladder(p: SLQProblem, ladder, steps: int) -> list:
     uniform grid; rung k equals :func:`solve_perturbed` for ``ladder[k]``.
     The first step at which a rung leaves the finite regime raises
     :class:`BlowUpError` naming its eps (the first in ladder order on a tie).
+    An eps = 0 ahead of the rungs adds the generalized flow as one more row:
+    its entry equals :func:`solve_gre`, but a blow-up is returned, not raised.
     """
     eps = np.asarray(ladder, dtype=float)
-    if not np.all(eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {float(eps[np.argmin(eps > 0.0)])}")
+    rungs = eps[1:] if eps.size > 1 and eps[0] == 0.0 else eps
+    if not np.all(rungs > 0.0):
+        raise InvalidInputError(f"eps must be positive, got {float(rungs[np.argmin(rungs > 0.0)])}")
     return _solve_backward(p, eps, steps)
 
 
@@ -203,7 +241,10 @@ def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
     Completes even when the solution exists but is not regular; finite-time
     blow-up raises :class:`BlowUpError` carrying the first bad node time.
     """
-    return _solve_backward(p, np.zeros(1), steps)[0]
+    sol = _solve_backward(p, np.zeros(1), steps)[0]
+    if isinstance(sol, BlowUpError):
+        raise sol
+    return sol
 
 
 def gain(P: RiccatiSolution, p: SLQProblem, times) -> np.ndarray:

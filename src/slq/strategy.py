@@ -33,7 +33,6 @@ from .riccati import (
     check_regularity,
     coef_tables,
     inner,
-    solve_gre,
     solve_inner,
     solve_ladder,
 )
@@ -121,16 +120,19 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
 
     All rungs integrate as one stack on one uniform grid (see
     :func:`solve_ladder`), so downstream comparisons are node-aligned;
-    solver errors name the eps of the rung that failed.
+    solver errors name the eps of the rung that failed.  A leading eps = 0
+    adds the generalized flow to the same pass; its entry, the solution or
+    its :class:`BlowUpError`, is passed on unassembled (see :func:`closed_loop_test`).
     """
     ladder = [float(e) for e in ladder]
-    if len(ladder) < 3:
+    g = int(bool(ladder) and ladder[0] == 0.0)
+    if len(ladder) - g < 3:
         raise InvalidInputError("ladder must have at least 3 members")
-    if any(not (a > b) for a, b in zip(ladder, ladder[1:])):
+    if any(not (a > b) for a, b in zip(ladder[g:], ladder[g + 1:])):
         raise InvalidInputError("ladder must be strictly decreasing")
 
-    out = []
-    for P in solve_ladder(p, ladder, steps):
+    out = solve_ladder(p, ladder, steps)
+    for k, P in enumerate(out[g:], start=g):
         adj = bsde_mod.solve_adjoint(p, P, steps)
         K, L, scale, rhs = _node_kernel(p, P, adj)
         grid = P.grid
@@ -141,7 +143,7 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
             GridFn(grid, v[1][..., 0]) if len(v) > 1 else None,
             adj.gamma,
         )
-        out.append(PerturbedSolution(epsilon=P.epsilon, P=P, adjoint=adj, control=control))
+        out[k] = PerturbedSolution(epsilon=P.epsilon, P=P, adjoint=adj, control=control)
     return out
 
 
@@ -236,9 +238,6 @@ class SolvabilityReport:
     u_distances: list  # (eps_k, sqrt E int |u_k - u_{k+1}|^2)
     convergence_ratio: float
 
-    def closed_loop_solvable(self) -> bool:
-        return closed_loop_solvable(self.closed_loop, self.closed_loop_blowup, self.eta_condition_ok)
-
 
 # report line for a verdict decided by the adjoint range condition alone (K = R + D'PD)
 ETA_RANGE_FAILED = "eta range condition fails: B'eta + D'zeta + D'P sigma + rho not in range(K)"
@@ -257,25 +256,24 @@ def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: f
     return all(range_included(r, K, tol) for r in rhs)
 
 
-def closed_loop_test(p: SLQProblem, steps: int) -> tuple:
-    """Generalized Riccati solve plus the regularity tests and, for a
-    regular solution, the adjoint range condition.
+def closed_loop_test(p: SLQProblem, P0) -> tuple:
+    """The regularity tests of a generalized Riccati solution and, for a
+    regular one, the adjoint range condition.
 
-    Returns ``(regularity, blowup_time, eta_ok)``.  A finite-time blow-up
-    counts as not regular and gives its time; ``eta_ok`` is None unless the
-    solution is regular.
+    ``P0`` is the eps = 0 entry of :func:`run_ladder`.  Returns
+    ``(regularity, blowup_time, eta_ok)``.  A finite-time blow-up counts as
+    not regular and gives its time; ``eta_ok`` is None unless the solution
+    is regular.
     """
-    try:
-        P0 = solve_gre(p, steps)
-        reg = check_regularity(P0, p)
-    except BlowUpError as exc:
+    if isinstance(P0, BlowUpError):
         reg = RegularityReport(
             positivity_ok=False, theta_hat_l2=float("inf"), range_ok=False, verdict="not-regular"
         )
-        return reg, exc.time, None
+        return reg, P0.time, None
+    reg = check_regularity(P0, p)
     eta_ok = None
     if reg.is_regular():
-        eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, steps), tol=1e-9)
+        eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, P0.steps), tol=1e-9)
     return reg, None, eta_ok
 
 
@@ -296,8 +294,8 @@ def diagnose(
     per halving; growth by >= 2x per rung over >= 4 rungs means not-solvable;
     anything else is inconclusive.
     """
-    reg, blowup_time, eta_ok = closed_loop_test(p, steps)
-    sols = run_ladder(p, ladder, steps)
+    P0, *sols = run_ladder(p, [0.0, *ladder], steps)
+    reg, blowup_time, eta_ok = closed_loop_test(p, P0)
     coupled = sim_mod.simulate_coupled(p, ip, [s.control for s in sols], mc)
 
     u_norms = [

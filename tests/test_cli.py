@@ -1,5 +1,6 @@
 import numpy as np
 
+from slq import riccati
 from slq.cli import main
 
 FAST_SOLVE = ["--steps", "200", "--eps-min", "0.125"]
@@ -119,6 +120,24 @@ def test_solve_and_diagnose_share_closed_loop_verdict(tmp_path):
     for lines in reports.values():
         assert "closed-loop: NOT solvable" in lines
         assert sum(line.startswith("  eta range condition fails") for line in lines) == 1
+
+
+def test_solve_and_diagnose_run_one_backward_pass(tmp_path, monkeypatch):
+    # the generalized flow rides as row 0 of the ladder's RK4 stack
+    stacks = []
+    solve_backward = riccati._solve_backward
+
+    def counted(p, eps, steps):
+        stacks.append(list(eps))
+        return solve_backward(p, eps, steps)
+
+    monkeypatch.setattr(riccati, "_solve_backward", counted)
+    assert run(["solve", "--builtin", "example-5.1", "--out", tmp_path / "solve"]) == 2
+    assert stacks == [[0.0] + [2.0**-k for k in range(11)]]
+    stacks.clear()
+    assert run(["diagnose", "--builtin", "example-1.1", "--out", tmp_path / "diagnose",
+                "--paths", "500", "--mc-steps", "32"]) == 0
+    assert stacks == [[0.0] + [2.0**-k for k in range(6)]]
 
 
 class TestSimulateCmd:

@@ -192,3 +192,18 @@ def test_rejects_value_and_table_together(text):
 def test_rejects_non_numeric_values_with_line(text, where):
     with pytest.raises(InvalidInputError, match=where):
         parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_MINIMAL + "[coef.a]\nconstant = 1, 2\n",
+         r"^line 9: value of size 2 does not fit shape \(1, 1\) in \[coef\.a\]$"),
+        (_B + "deterministic = table\n0 : 1, 2\n",
+         r"^line 10: value of size 2 does not fit shape 1 in \[input\.b\]$"),
+    ],
+    ids=["coef-constant", "input-table-row"],
+)
+def test_rejects_wrong_size_values_with_line(text, where):
+    with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slq.cli import _closed_loop_lines
 from slq.errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
@@ -12,6 +14,8 @@ from slq.riccati import (
     solve_ladder,
     solve_perturbed,
 )
+from slq.strategy import closed_loop_test
+from test_embedding import EMBEDDINGS, embed
 
 
 def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0):
@@ -219,3 +223,81 @@ def test_csv_dump_shape_and_precision():
     p_val = float(lines[33].split(",")[1])
     assert p_val == sol.P.values[32, 0, 0]  # 17 digits round-trips exactly
     assert s_val == sol.grid[32]
+
+
+def _merged_case(name):
+    if name.endswith("-2x2"):
+        return embed(builtin(name[:-4])[0], *EMBEDDINGS["similar"])
+    return builtin(name)[0]
+
+
+class TestMergedStack:
+    """The generalized flow as row 0 of the ladder's stack: every row is
+    bit-equal to its one-row solve."""
+
+    @pytest.mark.parametrize(
+        "name", ["example-1.1", "example-5.1", "standard-scalar", "standard-scalar-2x2"]
+    )
+    def test_rows_equal_single_solves(self, name):
+        p = _merged_case(name)
+        ladder = [1.0, 0.5, 0.25]
+        merged = solve_ladder(p, [0.0, *ladder], 256)
+        alone = [solve_gre(p, 256)] + [solve_perturbed(p, eps, 256) for eps in ladder]
+        assert len(merged) == len(alone)
+        for a, b in zip(merged, alone):
+            assert a.epsilon == b.epsilon
+            assert np.array_equal(a.P.values, b.P.values)
+            assert a.max_local_error_estimate == b.max_local_error_estimate
+            assert a.max_step_asymmetry == b.max_step_asymmetry
+
+    def test_generalized_blowup_is_returned_and_rungs_go_on(self):
+        # R + D'PD = 1/2 and P(1) = -1: the generalized flow blows up near
+        # s = 0.373 while every rung stays finite
+        p = scalar_problem(R=0.5, G=-1.0, Q=1.0)
+        ladder = [1.0, 0.5, 0.25]
+        P0, *rungs = solve_ladder(p, [0.0, *ladder], 512)
+        with pytest.raises(BlowUpError) as exc_info:
+            solve_gre(p, 512)
+        assert isinstance(P0, BlowUpError)
+        assert P0.time == exc_info.value.time == pytest.approx(0.373, abs=1e-3)
+        assert str(P0) == str(exc_info.value)
+        for eps, rung in zip(ladder, rungs):
+            alone = solve_perturbed(p, eps, 512)
+            assert np.all(np.isfinite(rung.P.values))
+            assert np.array_equal(rung.P.values, alone.P.values)
+            assert rung.max_local_error_estimate == alone.max_local_error_estimate
+            assert rung.max_step_asymmetry == alone.max_step_asymmetry
+        reg, blowup, eta_ok = closed_loop_test(p, P0)
+        assert (reg.verdict, blowup, eta_ok) == ("not-regular", P0.time, None)
+        assert _closed_loop_lines(p, P0) == [
+            "closed-loop: NOT solvable",
+            "  generalized Riccati flow blew up near s=0.373047",
+        ]
+
+    def test_rung_blowup_still_raises(self):
+        # at 16 steps both small rungs blow up; the generalized flow beside
+        # them changes neither the rung named nor the time
+        p, _ = builtin("example-5.1")
+        with pytest.raises(BlowUpError, match=r"eps=0\.015625\).* near s=0\.875"):
+            solve_ladder(p, [0.0, 1.0, 2.0**-5, 2.0**-6], 16)
+
+    def test_zero_only_leads(self):
+        p, _ = builtin("example-5.1")
+        with pytest.raises(InvalidInputError, match="eps must be positive, got 0.0"):
+            solve_ladder(p, [1.0, 0.0], 64)
+
+
+_coef = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(A=_coef, B=_coef, C=_coef, D=_coef, Q=st.floats(0.0, 1.0), G=st.floats(0.0, 1.0),
+       R=st.floats(0.1, 2.0))
+def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in(A, B, C, D, Q, G, R):
+    # R >= 0.1 with Q, G >= 0: the generalized solution is regular and
+    # P_eps decreases to it as eps decreases (the cost grows with eps)
+    p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, R=R, G=G)
+    P0, *rungs = solve_ladder(p, [0.0, 1.0, 0.5, 0.25, 0.125], 256)
+    assert check_regularity(P0, p).is_regular()
+    gaps = [float(np.max(np.abs(r.P.values - P0.P.values))) for r in rungs]
+    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
