@@ -3,8 +3,9 @@
 The package solves finite-horizon SLQ problems whose generalized Riccati
 equation has no regular solution: it perturbs the control weight by eps,
 solves the perturbed Riccati and adjoint equations, runs a decreasing eps
-ladder, extracts the weak closed-loop limit strategy, and verifies
-optimality by Euler-Maruyama Monte Carlo against analytic oracles.
+ladder, extracts the weak closed-loop limit strategy, judges open-loop
+solvability from exact second moments of the ladder's outcomes, and
+verifies optimality by Euler-Maruyama Monte Carlo against analytic oracles.
 """
 
 from .core import GridFn, l2_norm, pinv, range_included
@@ -45,6 +46,7 @@ from .strategy import (
     extract_limit,
     run_ladder,
 )
+from .moments import SecondMoments, second_moments
 from .simulate import (
     ControlSpec,
     MonteCarloConfig,
@@ -52,7 +54,6 @@ from .simulate import (
     PathEnsemble,
     control_norm,
     estimate_cost,
-    moment_oracle,
     simulate_coupled,
     simulate_ensemble,
     terminal_moment,

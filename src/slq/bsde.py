@@ -29,7 +29,7 @@ import numpy as np
 from .core import GridFn, rk4_step
 from .errors import WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
-from .riccati import RiccatiSolution, coef_tables, gain
+from .riccati import RiccatiSolution, gain_tables
 
 __all__ = [
     "AdjointProfile",
@@ -74,8 +74,7 @@ def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -
     T = p.T
     h = T / steps
     half_times = np.linspace(0.0, T, 2 * steps + 1)
-    Th = gain(P, p, half_times)
-    cf = coef_tables(p, half_times)
+    cf, Th = gain_tables(P, p, half_times)
     Pv = P.P(half_times)
     sig = p.sigma.deterministic(half_times)[..., None]
     rho = p.rho.deterministic(half_times)[..., None]
@@ -135,8 +134,7 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     lo, hi = grid[:-1], grid[1:]
 
     def a_of(s: np.ndarray) -> np.ndarray:
-        Th = gain(P, p, s)
-        cf = coef_tables(p, s)
+        cf, Th = gain_tables(P, p, s)
         return (cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)).reshape(-1)
 
     # propagator exponents int_{lo_k}^{hi_k} a

@@ -206,13 +206,12 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_diagnose(cfg: RunConfig) -> int:
     p, ip = _load(cfg)
-    # deep ladders push the pathwise distance test under the discretization
-    # noise floor, so diagnosis defaults to a shallower ladder than solve
+    # the verdicts read exact moments, so any ladder depth the Riccati grid
+    # resolves is usable (--eps-min); by default diagnose keeps the six
+    # rungs 2^0 .. 2^-5, one more than its shrink and growth tests need
     eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-5
     ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
-    paths = cfg.paths if cfg.paths > 0 else 20_000
-    mc = MonteCarloConfig(paths=paths, steps=cfg.mc_steps, master_seed=cfg.seed)
-    rep = diagnose(p, ip, ladder, cfg.steps, mc)
+    rep = diagnose(p, ip, ladder, cfg.steps)
 
     solvable = closed_loop_solvable(rep.closed_loop, rep.closed_loop_blowup, rep.eta_condition_ok)
     closed = "solvable (regular)" if solvable else "NOT solvable"
@@ -234,17 +233,24 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
     if rep.eta_condition_ok is False:
         lines.append(f"  {ETA_RANGE_FAILED}")
     lines.append(f"  last u-distance ratio: {rep.convergence_ratio:.4f}")
-    lines.append("  u-norms (eps, E int |u|^2, se): " + "; ".join(
-        f"{e:.6g}: {v:.6g} +- {se:.2g}" for e, v, se in rep.u_norms
+    lines.append("  u-norms (eps, E int |u|^2): " + "; ".join(
+        f"{e:.6g}: {v:.6g}" for e, v in rep.u_norms
     ))
+    if cfg.paths > 0:
+        # a cross-check only: the verdicts above never read it
+        mc = MonteCarloConfig(paths=cfg.paths, steps=cfg.mc_steps, master_seed=cfg.seed)
+        cpl = simulate_coupled(p, ip, rep.controls, mc)
+        lines.append("  monte carlo cross-check (eps, mean +- se vs exact): " + "; ".join(
+            f"{e:.6g}: {mean:.6g} +- {se:.2g} vs {v:.6g}"
+            for (e, v), mean, se in zip(rep.u_norms, cpl.control_norm_mean, cpl.control_norm_se)
+        ))
 
     csv_lines = ["eps,u_norm_sq,u_norm_se,u_l2_dist_to_next"]
-    dist_by_eps = {e: d for e, d in rep.u_distances}
-    for e, v, se in rep.u_norms:
+    dist_by_eps = dict(rep.u_distances)
+    for e, v in rep.u_norms:
         d = dist_by_eps.get(e)
-        csv_lines.append(
-            f"{e:.17g},{v:.17g},{se:.17g}," + (f"{d:.17g}" if d is not None else "nan")
-        )
+        # exact values carry no standard error
+        csv_lines.append(f"{e:.17g},{v:.17g},0," + (f"{d:.17g}" if d is not None else "nan"))
 
     _write_atomic(cfg.out, "solvability.csv", "\n".join(csv_lines) + "\n")
     _write_atomic(cfg.out, "report.txt", "\n".join(lines) + "\n")

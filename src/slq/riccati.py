@@ -34,6 +34,7 @@ __all__ = [
     "inner",
     "solve_inner",
     "gain",
+    "gain_tables",
     "check_regularity",
     "riccati_csv",
 ]
@@ -154,7 +155,10 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
         K, L, scale = inner(cf, P, rows, j)
         if g:
-            LKL[:g] = L[:g].mT @ (pinv(K[:g]) @ L[:g])
+            # L'(K^+ L); for m = 1 K^+ is 1/K, and 0 for K = 0, as in pinv,
+            # without pinv's argument checks on every stage
+            Kp = 1.0 / np.where(K[:g] != 0.0, K[:g], np.inf) if p.m == 1 else pinv(K[:g])
+            LKL[:g] = L[:g].mT @ (Kp @ L[:g])
         if g < eps.size:
             if p.m == 1:
                 # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
@@ -254,8 +258,14 @@ def gain(P: RiccatiSolution, p: SLQProblem, times) -> np.ndarray:
     pseudoinverse candidate gain -(R + D'PD)^+ (B'P + D'PC + S) of the
     generalized equation.
     """
-    K, L, scale = inner(coef_tables(p, times), P.P(times), P.epsilon)
-    return -solve_inner(K, L, P.epsilon, scale, times)
+    return gain_tables(P, p, times)[1]
+
+
+def gain_tables(P: RiccatiSolution, p: SLQProblem, times) -> tuple:
+    """``(coef_tables(p, times), gain(P, p, times))`` from one set of tables."""
+    cf = coef_tables(p, times)
+    K, L, scale = inner(cf, P.P(times), P.epsilon)
+    return cf, -solve_inner(K, L, P.epsilon, scale, times)
 
 
 @dataclass(frozen=True)

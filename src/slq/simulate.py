@@ -50,7 +50,6 @@ __all__ = [
     "estimate_cost",
     "control_norm",
     "terminal_moment",
-    "moment_oracle",
     "estimate_csv_row",
     "ESTIMATE_CSV_HEADER",
 ]
@@ -561,89 +560,3 @@ def terminal_moment(ens: PathEnsemble) -> MonteCarloEstimate:
     """Monte Carlo estimate of E |X(T)|^2."""
     vals = np.einsum("bi,bi->b", ens.X_T, ens.X_T)
     return _estimate(vals, "terminal-moment", ens.cfg)
-
-
-def _as_scalar_fn(f):
-    if f is None:
-        return lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    if isinstance(f, GridFn):
-        return lambda s: np.asarray(f(s), dtype=float).reshape(np.asarray(s).shape)
-    val = float(np.asarray(f).reshape(()))
-    return lambda s: np.full_like(np.asarray(s, dtype=float), val)
-
-
-def moment_oracle(p: SLQProblem, ip: InitialPair, theta=None, v=None, steps: int = 4096):
-    """Exact first/second moment ODEs for scalar deterministic problems.
-
-    Integrates (with mu = E[X], m2 = E[X^2], scalar feedback u = theta X + v)
-
-        mu' = (A + B theta) mu + B v + b,
-        m2' = 2 (A + B theta) m2 + 2 mu (B v + b)
-              + (C + D theta)^2 m2 + 2 mu (C + D theta)(D v + sigma)
-              + (D v + sigma)^2,
-
-    forward with RK4 and assembles the cost from mu, m2 and the weights.
-    Serves as the independent verification oracle for the Monte Carlo
-    engine; no sampling is involved.  Returns (E[X(T)^2], cost).
-    """
-    if p.n != 1 or p.m != 1:
-        raise WrongClassError("moment oracle requires a scalar problem")
-    if p.has_modulated_input():
-        raise WrongClassError("moment oracle requires deterministic inputs")
-    th = _as_scalar_fn(theta)
-    vf = _as_scalar_fn(v)
-
-    t, T = ip.t, p.T
-    h = (T - t) / steps
-    times = t + h * np.arange(2 * steps + 1) / 2.0
-
-    def at(c, s):
-        return float(np.asarray(c(s)).reshape(()))
-
-    def coef(s):
-        A, B = at(p.A, s), at(p.B, s)
-        C, D = at(p.C, s), at(p.D, s)
-        b = at(p.b.deterministic, s)
-        sig = at(p.sigma.deterministic, s)
-        thv = float(th(np.asarray(s)))
-        vv = float(vf(np.asarray(s)))
-        return A + B * thv, B * vv + b, C + D * thv, D * vv + sig
-
-    def rhs(s, y):
-        mu, m2 = y
-        a, bb, c, dd = coef(s)
-        dmu = a * mu + bb
-        dm2 = 2.0 * a * m2 + 2.0 * mu * bb + c * c * m2 + 2.0 * mu * c * dd + dd * dd
-        return np.array([dmu, dm2])
-
-    x0 = float(ip.x[0])
-    y = np.array([x0, x0 * x0])
-    mus = np.empty(steps + 1)
-    m2s = np.empty(steps + 1)
-    mus[0], m2s[0] = y
-    for k in range(steps):
-        s0 = t + k * h
-        k1 = rhs(s0, y)
-        k2 = rhs(s0 + h / 2, y + h / 2 * k1)
-        k3 = rhs(s0 + h / 2, y + h / 2 * k2)
-        k4 = rhs(s0 + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        mus[k + 1], m2s[k + 1] = y
-
-    grid = t + h * np.arange(steps + 1)
-    Q = np.array([at(p.Q, s) for s in grid])
-    S = np.array([at(p.S, s) for s in grid])
-    R = np.array([at(p.R, s) for s in grid])
-    qv = np.array([at(p.q.deterministic, s) for s in grid])
-    rv = np.array([at(p.rho.deterministic, s) for s in grid])
-    thv = th(grid)
-    vv = vf(grid)
-    eu = thv * mus + vv                      # E[u]
-    exu = thv * m2s + vv * mus               # E[X u]
-    eu2 = thv**2 * m2s + 2 * thv * vv * mus + vv**2  # E[u^2]
-    integrand = Q * m2s + 2 * S * exu + R * eu2 + 2 * qv * mus + 2 * rv * eu
-    run = float(np.trapezoid(integrand, grid))
-    G = float(p.G[0, 0])
-    g = float(p.g[0])
-    cost = G * m2s[-1] + 2 * g * mus[-1] + run
-    return float(m2s[-1]), float(cost)

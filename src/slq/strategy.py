@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import bsde as bsde_mod
-from . import simulate as sim_mod
+from .moments import second_moments
 from .bsde import AdjointProfile
 from .core import GridFn, range_included
 from .errors import BlowUpError, InvalidInputError
@@ -227,16 +227,18 @@ class SolvabilityReport:
 
     The raw ladder numbers are always carried so a user can re-judge the
     heuristic thresholds; any finite-ladder verdict is an inference about an
-    asymptotic statement.
+    asymptotic statement.  ``controls`` are the rungs' feedback pairs, for a
+    Monte Carlo cross-check of the exact norms.
     """
 
     closed_loop: RegularityReport
     closed_loop_blowup: Optional[float]
     eta_condition_ok: Optional[bool]
     open_loop_verdict: str  # solvable | not-solvable | inconclusive
-    u_norms: list  # (eps, E int |u_eps|^2, std error)
+    u_norms: list  # (eps, E int |u_eps|^2)
     u_distances: list  # (eps_k, sqrt E int |u_k - u_{k+1}|^2)
     convergence_ratio: float
+    controls: list
 
 
 # report line for a verdict decided by the adjoint range condition alone (K = R + D'PD)
@@ -277,43 +279,40 @@ def closed_loop_test(p: SLQProblem, P0) -> tuple:
     return reg, None, eta_ok
 
 
-def diagnose(
-    p: SLQProblem,
-    ip: InitialPair,
-    ladder,
-    steps: int,
-    mc,
-) -> SolvabilityReport:
+# relative round-off slack of the shrink test: example 1.1's exact distance
+# ratio at rungs (0.5 -> 0.25) / (0.25 -> 0.125) is 2 * 1.125 / 1.5 = 1.5
+SHRINK_SLACK = 1e-6
+
+
+def diagnose(p: SLQProblem, ip: InitialPair, ladder, steps: int) -> SolvabilityReport:
     """Diagnose closed-loop and open-loop solvability.
 
-    Closed-loop: :func:`closed_loop_test`.  Open-loop: simulate the
-    outcome u_eps = Theta_eps X_eps + v_eps for every ladder rung under
-    common random numbers, then judge boundedness of E int |u_eps|^2 and the
-    decay of consecutive pathwise L2 distances.  Thresholds: bounded means
-    max/min of the last three norms < 10 and distances shrinking by >= 1.5x
-    per halving; growth by >= 2x per rung over >= 4 rungs means not-solvable;
-    anything else is inconclusive.
+    Closed-loop: :func:`closed_loop_test`.  Open-loop: the exact second
+    moments (:func:`~slq.moments.second_moments`) of the outcomes
+    u_eps = Theta_eps X_eps + v_eps of every ladder rung on one Brownian
+    motion give E int |u_eps|^2 and the pathwise L2 distances between
+    consecutive rungs; the verdict judges their boundedness and decay.
+    Thresholds: bounded means max/min of the last three norms < 10 and
+    distances shrinking by >= 1.5x per halving; growth by >= 2x per rung
+    over >= 4 rungs means not-solvable; anything else is inconclusive.
     """
     P0, *sols = run_ladder(p, [0.0, *ladder], steps)
     reg, blowup_time, eta_ok = closed_loop_test(p, P0)
-    coupled = sim_mod.simulate_coupled(p, ip, [s.control for s in sols], mc)
+    controls = [s.control for s in sols]
+    mom = second_moments(p, ip, controls, steps)
 
-    u_norms = [
-        (sols[i].epsilon, coupled.control_norm_mean[i], coupled.control_norm_se[i])
-        for i in range(len(sols))
-    ]
+    u_norms = [(s.epsilon, float(v)) for s, v in zip(sols, mom.control_norm_sq)]
     u_distances = [
-        (sols[i].epsilon, math.sqrt(max(coupled.pair_dist_mean[i], 0.0)))
-        for i in range(len(sols) - 1)
+        (s.epsilon, math.sqrt(max(float(d), 0.0))) for s, d in zip(sols, mom.pair_dist_sq)
     ]
 
-    norms = np.array([n for _, n, _ in u_norms])
+    norms = mom.control_norm_sq
     dists = np.array([d for _, d in u_distances])
     last3 = norms[-3:]
     bounded = float(last3.max()) < 10.0 * max(float(last3.min()), 1e-300)
     ratios = dists[:-1] / np.maximum(dists[1:], 1e-300)
     n_check = min(3, ratios.size)
-    shrinking = bool(np.all(ratios[-n_check:] >= 1.5)) if n_check > 0 else False
+    shrinking = n_check > 0 and bool(np.all(ratios[-n_check:] >= 1.5 * (1.0 - SHRINK_SLACK)))
     growth_ratios = norms[1:] / np.maximum(norms[:-1], 1e-300)
     growing = growth_ratios.size >= 4 and bool(np.all(growth_ratios[-4:] >= 2.0))
 
@@ -332,6 +331,7 @@ def diagnose(
         u_norms=u_norms,
         u_distances=u_distances,
         convergence_ratio=float(ratios[-1]) if ratios.size else float("nan"),
+        controls=controls,
     )
 
 

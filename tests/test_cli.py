@@ -65,9 +65,16 @@ class TestSolve:
 
 
 class TestDiagnose:
+    # at the defaults: no --paths, so the verdicts read exact moments only
+
+    def test_example_11_verdict_lines(self, tmp_path):
+        assert run(["diagnose", "--builtin", "example-1.1", "--out", tmp_path]) == 0
+        report = read(tmp_path / "report.txt").split("\n")
+        assert report[:3] == ["closed-loop: NOT solvable", "open-loop: solvable",
+                              "weak-closed-loop: solvable"]
+
     def test_example_51_verdict_lines(self, tmp_path):
-        rc = run(["diagnose", "--builtin", "example-5.1", "--out", tmp_path,
-                  "--steps", "1000", "--paths", "8000", "--mc-steps", "512"])
+        rc = run(["diagnose", "--builtin", "example-5.1", "--out", tmp_path])
         assert rc == 0
         report = read(tmp_path / "report.txt").split("\n")
         assert report[0] == "closed-loop: NOT solvable"
@@ -78,8 +85,7 @@ class TestDiagnose:
         assert len(csv) == 7  # default diagnose ladder 1 .. 2^-5
 
     def test_standard_scalar_regular(self, tmp_path):
-        rc = run(["diagnose", "--builtin", "standard-scalar", "--out", tmp_path,
-                  "--steps", "400", "--paths", "4000", "--mc-steps", "256"])
+        rc = run(["diagnose", "--builtin", "standard-scalar", "--out", tmp_path])
         assert rc == 0
         report = read(tmp_path / "report.txt").split("\n")
         assert report[0] == "closed-loop: solvable (regular)"
@@ -94,13 +100,26 @@ class TestDiagnose:
             "[coef.B]\nconstant = 1\n[terminal]\nG = 0\ng = 1\n",
             encoding="utf-8",
         )
-        rc = run(["diagnose", "--problem", prob, "--out", tmp_path,
-                  "--steps", "200", "--paths", "2000", "--mc-steps", "64"])
+        rc = run(["diagnose", "--problem", prob, "--out", tmp_path])
         assert rc == 0
         report = read(tmp_path / "report.txt").split("\n")
         assert report[0] == "closed-loop: NOT solvable"
         assert report[1] == "open-loop: NOT solvable"
         assert report[2] == "weak-closed-loop: NOT solvable"
+
+    def test_monte_carlo_is_a_cross_check_only(self, tmp_path):
+        exact, mc = tmp_path / "exact", tmp_path / "mc"
+        assert run(["diagnose", "--builtin", "example-1.1", "--out", exact]) == 0
+        assert run(["diagnose", "--builtin", "example-1.1", "--out", mc,
+                    "--paths", "2000"]) == 0
+        assert read(exact / "solvability.csv") == read(mc / "solvability.csv")
+        rows = read(exact / "solvability.csv").strip().split("\n")[1:]
+        assert all(r.split(",")[2] == "0" for r in rows)  # exact values carry no se
+        plain, checked = read(exact / "report.txt"), read(mc / "report.txt").split("\n")
+        extra = [line for line in checked if line not in plain.split("\n")]
+        assert len(extra) == 1 and extra[0].startswith("  monte carlo cross-check")
+        checked.remove(extra[0])
+        assert "\n".join(checked) == plain
 
 
 def test_solve_and_diagnose_share_closed_loop_verdict(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from slq.errors import DegeneratePerturbationError
 from slq.core import GridFn
+from slq.moments import second_moments
 from slq.problem import InitialPair, RandomInput, SLQProblem, builtin
 from slq.riccati import check_regularity, solve_gre, solve_perturbed
 from slq.simulate import ControlSpec, MonteCarloConfig, simulate_coupled
@@ -81,6 +82,22 @@ def test_monte_carlo_doubles_scalar(name, kind):
     scalar = run(p, run_ladder(p, ladder, STEPS), ip.x)
     matrix = run(q, run_ladder(q, ladder, STEPS), U @ np.ones(2))
     for name_ in ("cost", "control_norm_sq", "pair_dist_sq"):
+        np.testing.assert_allclose(getattr(matrix, name_), 2.0 * getattr(scalar, name_),
+                                   rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(EMBEDDINGS))
+@pytest.mark.parametrize("name", ["example-1.1", "standard-scalar"])
+def test_exact_moments_double_scalar(name, kind):
+    # the exact-moment counterpart of test_monte_carlo_doubles_scalar
+    U, V = EMBEDDINGS[kind]
+    p, ip = builtin(name)
+    ladder = [1.0, 0.5, 0.25]
+    q = embed(p, U, V)
+    scalar = second_moments(p, ip, [s.control for s in run_ladder(p, ladder, STEPS)], STEPS)
+    matrix = second_moments(q, InitialPair(t=ip.t, x=U @ np.ones(2)),
+                            [s.control for s in run_ladder(q, ladder, STEPS)], STEPS)
+    for name_ in ("control_norm_sq", "pair_dist_sq", "cost", "terminal_moment"):
         np.testing.assert_allclose(getattr(matrix, name_), 2.0 * getattr(scalar, name_),
                                    rtol=1e-9, atol=0.0)
 

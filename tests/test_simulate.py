@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,13 @@ from numpy.random import Generator, Philox
 from slq import simulate
 from slq.core import GridFn
 from slq.errors import EnsembleError, InvalidInputError, WrongClassError
+from slq.moments import second_moments
 from slq.problem import InitialPair, Modulation, RandomInput, SLQProblem, builtin, named_profile
 from slq.simulate import (
     ControlSpec,
     MonteCarloConfig,
     control_norm,
     estimate_cost,
-    moment_oracle,
     simulate_coupled,
     simulate_ensemble,
     terminal_moment,
@@ -166,27 +167,28 @@ class TestBackgroundDraw:
 
 
 class TestAgainstMomentOracle:
+    """Monte Carlo against the exact second moments of :mod:`slq.moments`."""
+
     def test_example_11_zero_control_unit_moment(self):
         # moment flow: d/ds E X^2 = (2A + C^2) E X^2 = 0, so E X(1)^2 = x^2
         p, ip = builtin("example-1.1")
-        m2, cost = moment_oracle(p, ip)
-        assert m2 == pytest.approx(1.0, abs=1e-12)
-        assert cost == pytest.approx(1.0, abs=1e-12)
+        mom = second_moments(p, ip, [ControlSpec.zero()])
+        assert mom.terminal_moment[0] == pytest.approx(1.0, abs=1e-12)
+        assert mom.cost[0] == pytest.approx(1.0, abs=1e-12)
         cfg = MonteCarloConfig(paths=40_000, steps=512, master_seed=3)
         ens = simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
         est = estimate_cost(p, ip, ens)
         assert abs(est.mean - 1.0) <= 3.0 * est.std_error
 
     def test_example_51_homogeneous_unit_moment(self):
-        p, _ = builtin("example-5.1")
         hom = scalar_problem(A=-1.0, B=1.0, C=np.sqrt(2.0), G=1.0)
-        m2, _ = moment_oracle(hom, InitialPair(t=0.0, x=np.array([1.0])))
-        assert m2 == pytest.approx(1.0, abs=1e-12)
+        mom = second_moments(hom, InitialPair(t=0.0, x=np.array([1.0])), [ControlSpec.zero()])
+        assert mom.terminal_moment[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_initial_data(self):
         p = scalar_problem(A=0.5, B=1.0, C=0.4, G=1.0)
-        m2, cost = moment_oracle(p, InitialPair(t=0.0, x=np.array([0.0])))
-        assert m2 == 0.0 and cost == 0.0
+        mom = second_moments(p, InitialPair(t=0.0, x=np.array([0.0])), [ControlSpec.zero()])
+        assert mom.terminal_moment[0] == 0.0 and mom.cost[0] == 0.0
 
     def test_oracle_matches_mc_across_seeds(self):
         # scalar problem with noise, running cost and a constant feedback;
@@ -196,12 +198,12 @@ class TestAgainstMomentOracle:
         ip = InitialPair(t=0.0, x=np.array([0.8]))
         theta = np.array([[-0.4]])
         v = np.array([0.25])
-        m2_oracle, cost_oracle = moment_oracle(p, ip, theta=theta[0, 0], v=v[0], steps=4096)
         grid = np.linspace(0.0, 1.0, 3)
         ctrl = ControlSpec.feedback(
             theta=GridFn(grid, np.broadcast_to(theta, (3, 1, 1)).copy()),
             v_det=GridFn(grid, np.broadcast_to(v, (3, 1)).copy()),
         )
+        cost_oracle = second_moments(p, ip, [ctrl], steps=4096).cost[0]
         hits = 0
         for seed in range(20):
             cfg = MonteCarloConfig(paths=4000, steps=256, master_seed=seed)
@@ -212,9 +214,11 @@ class TestAgainstMomentOracle:
         assert hits >= 18
 
     def test_oracle_rejects_wrong_class(self):
+        # the simulator's class: only b may carry a modulated part
         p, ip = builtin("example-5.1")
+        sigma = RandomInput(deterministic=GridFn.const(np.zeros(1)), modulated=p.b.modulated)
         with pytest.raises(WrongClassError):
-            moment_oracle(p, ip)
+            second_moments(replace(p, sigma=sigma), ip, [ControlSpec.zero()])
 
 
 class TestControlsAndCost:

@@ -8,7 +8,6 @@ from slq.errors import BlowUpError, InvalidInputError
 from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
 from slq.riccati import gain, solve_perturbed
-from slq.simulate import MonteCarloConfig
 from slq.strategy import (
     extract_limit,
     default_ladder,
@@ -203,9 +202,8 @@ def test_diagnose_propagates_eta_check_failure(monkeypatch):
         return real(p, P, steps)
 
     monkeypatch.setattr(bsde, "solve_adjoint", failing)
-    mc = MonteCarloConfig(paths=200, steps=32, master_seed=1)
     with pytest.raises(InvalidInputError, match="no adjoint at eps = 0"):
-        diagnose(p, ip, [1.0, 0.5, 0.25], 64, mc)
+        diagnose(p, ip, [1.0, 0.5, 0.25], 64)
 
 
 def test_default_ladder():
