@@ -17,6 +17,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "pinv",
+    "pinv_1x1",
     "range_included",
     "symmetrize",
     "rk4_step",
@@ -38,6 +39,13 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
+
+
+def pinv_1x1(A: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of a float 1x1 matrix, or a stack of them: 1/a, and 0
+    for a = 0.  It checks nothing; :func:`pinv` validates its argument and
+    calls this for 1x1 input."""
+    return np.divide(1.0, A, out=np.zeros(A.shape), where=A != 0.0)
 
 
 def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
@@ -64,7 +72,7 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     if A.shape[-2:] == (1, 1):
         # the one singular value is |a|, so the relative cutoff keeps every
         # nonzero a
-        return np.divide(1.0, A, out=np.zeros(A.shape), where=A != 0.0)
+        return pinv_1x1(A)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.ndim == 1 and (s.size == 0 or s[0] == 0.0):
         return np.zeros((A.shape[1], A.shape[0]))

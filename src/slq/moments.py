@@ -14,10 +14,10 @@ ch. 1).  ``E int |u_i|^2``, ``E int |u_i - u_{i+1}|^2``, the cost and
 these are the reference values Monte Carlo is checked against.
 
 The ODE is integrated forward with classical RK4 over pairs of intervals of
-one node grid, so every stage time is a node.  When every control part is a
-table on one uniform grid fine enough (the eps ladder's case), that grid is
-the node grid and no control is interpolated.  Otherwise the grid is uniform
-and tables are read by their linear interpolation.  A drift
+one uniform node grid, so every stage time is a node.  Control tables are
+read by their linear interpolation.  For the eps ladder's controls from
+t = 0 with the ladder's (even) ``steps``, the node grid is the ladder's own
+grid, where that interpolation returns the node values exactly.  A drift
 profile ``smooth(s) / sqrt(T - s)`` is integrated in ``r = sqrt(T - s)``
 instead: with ``ds = -2 r dr`` its term becomes ``-2 smooth(s)``, and the
 flow is smooth in r.  Integrals are trapezoid sums on the step ends.
@@ -48,22 +48,6 @@ class SecondMoments:
     terminal_moment: np.ndarray  # (K,) E |X_i(T)|^2
 
 
-def _shared_grid(controls: list, t: float, T: float, steps: int):
-    """The nodes in [t, T] of the one uniform grid every control table
-    shares, or None if there is no such grid or it has an odd number of
-    intervals there, or fewer than ``steps``."""
-    grids = [f.grid for c in controls for f in (c.theta, c.v_det, c.v_mod_profile)
-             if f is not None]
-    if not grids or any(not np.array_equal(g, grids[0]) for g in grids[1:]):
-        return None
-    g = grids[0]
-    g = g[np.searchsorted(g, t):]
-    if g.size - 1 < max(steps, 2) or g[0] != t or g[-1] != T or (g.size - 1) % 2:
-        return None
-    d = np.diff(g)
-    return g if np.allclose(d, d[0], rtol=1e-9, atol=0.0) else None
-
-
 def _check(p: SLQProblem, ip: InitialPair, controls: list):
     if not controls:
         raise InvalidInputError("need at least one control")
@@ -89,13 +73,10 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
                    steps: int = 2000) -> SecondMoments:
     """Exact moments of ``controls`` (``ControlSpec`` values) from ``ip``.
 
-    ``steps`` is the least number of intervals of the node grid: a grid
-    that every control table shares is used as it is if it has at least
-    that many, an even count; otherwise the node grid is uniform with
-    ``steps`` intervals, rounded up to even.  Each RK4 step spans two
-    intervals.  Only b may carry a modulated part, as in the
-    simulator; a flow that leaves the finite regime raises
-    :class:`BlowUpError`.
+    ``steps`` is the number of intervals of the uniform node grid, rounded
+    up to even; each RK4 step spans two intervals.  Only b may carry a
+    modulated part, as in the simulator; a flow that leaves the finite
+    regime raises :class:`BlowUpError`.
     """
     _check(p, ip, controls)
     if steps < 1:
@@ -103,12 +84,8 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
     t, T, n, m, K = ip.t, p.T, p.n, p.m, len(controls)
     mod = p.b.modulated
     singular = mod is not None and isinstance(mod.profile, NamedProfile) and mod.profile.singular
-    grid = None if singular else _shared_grid(controls, t, T, steps)
     intervals = steps + steps % 2
-    if grid is not None:
-        tau = s = grid
-        c = np.ones(s.size)
-    elif singular:
+    if singular:
         # tau = r0 - r runs forward with s; ds = 2 r dtau
         r0 = np.sqrt(T - t)
         tau = np.linspace(0.0, r0, intervals + 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn, pinv, range_included, rk4_step, symmetrize
+from .core import GridFn, pinv, pinv_1x1, range_included, rk4_step, symmetrize
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import SLQProblem
 
@@ -155,9 +155,9 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
         K, L, scale = inner(cf, P, rows, j)
         if g:
-            # L'(K^+ L); for m = 1 K^+ is 1/K, and 0 for K = 0, as in pinv,
-            # without pinv's argument checks on every stage
-            Kp = 1.0 / np.where(K[:g] != 0.0, K[:g], np.inf) if p.m == 1 else pinv(K[:g])
+            # L'(K^+ L); for m = 1 without pinv's argument checks on every
+            # stage: a non-finite stage value reaches the blow-up test below
+            Kp = pinv_1x1(K[:g]) if p.m == 1 else pinv(K[:g])
             LKL[:g] = L[:g].mT @ (Kp @ L[:g])
         if g < eps.size:
             if p.m == 1:

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from slq.core import GridFn, l2_norm, pinv, range_included
+from slq.core import GridFn, l2_norm, pinv, pinv_1x1, range_included
 from slq.errors import InvalidInputError
 
 
 class TestPinv:
     def test_scalar_zero_maps_to_zero(self):
         assert pinv(np.array([[0.0]])) == pytest.approx(0.0, abs=0.0)
+
+    def test_1x1_stack_matches_svd(self):
+        # pinv's 1x1 branch and the SVD give the same bits away from 1e-300
+        a = np.array([0.0, 0.7, -3.0, 1e-12, 5e8]).reshape(-1, 1, 1)
+        got = pinv_1x1(a)
+        assert np.array_equal(got, pinv(a))
+        for x, y in zip(a, got):
+            assert np.array_equal(y, np.linalg.pinv(x))
 
     def test_identity(self):
         for tol in (1e-15, 1e-6, 0.5):
