@@ -1,9 +1,13 @@
 """Adjoint backward equation for the perturbed feedback construction.
 
-Two input classes admit exact reductions of the adjoint pair (eta, zeta):
+Every solver takes a whole eps ladder of Riccati solutions and returns one
+adjoint per rung from one pass; a single solution is a ladder of one.  Two
+input classes admit exact reductions of the adjoint pair (eta, zeta):
 
 * deterministic inputs: zeta vanishes and eta solves a linear backward ODE,
-  integrated with fixed-step RK4;
+  integrated with fixed-step RK4, all rungs as one ``(L, n)`` stack.  When
+  b, sigma, q and rho have no deterministic part and g = 0, eta is exactly
+  zero and neither the gain nor the loop is formed;
 * scalar martingale-modulated drift b(s) = M(s) f(s) with
   M(s) = exp(gamma*W(s) - gamma^2 s/2): the ansatz eta = M*h, zeta =
   gamma*M*h turns the backward SDE into a deterministic scalar ODE for h,
@@ -26,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, rk4_step
+from .core import GridFn, csv_text, rk4_step
 from .errors import WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
-from .riccati import RiccatiSolution, gain_tables
+from .riccati import coef_tables, gain
 
 __all__ = [
     "AdjointProfile",
@@ -58,7 +62,7 @@ class AdjointProfile:
     gamma: Optional[float] = None
 
 
-def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -> AdjointProfile:
+def solve_adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
     """Backward RK4 for the adjoint ODE under purely deterministic inputs.
 
     With zeta identically zero the adjoint reduces to
@@ -66,38 +70,46 @@ def solve_adjoint_deterministic(p: SLQProblem, P: RiccatiSolution, steps: int) -
         eta' = -[(A + B*Th)' eta + (C + D*Th)' P sigma + Th' rho + P b + q],
 
     with terminal value eta(T) = g, on a uniform grid of ``steps`` steps.
+    One :class:`AdjointProfile` per Riccati solution in ``sols``, from one
+    set of half-grid coefficient tables and one RK4 loop over an ``(L, n)``
+    stack.  Unforced (b, sigma, q, rho without deterministic part, g = 0),
+    eta is exactly +0.0 and no gain or loop is formed.
     """
     if p.has_modulated_input():
         raise WrongClassError(
             "problem has martingale-modulated inputs; use solve_adjoint_modulated"
         )
-    T = p.T
-    h = T / steps
-    half_times = np.linspace(0.0, T, 2 * steps + 1)
-    cf, Th = gain_tables(P, p, half_times)
-    Pv = P.P(half_times)
-    sig = p.sigma.deterministic(half_times)[..., None]
-    rho = p.rho.deterministic(half_times)[..., None]
-    qv = p.q.deterministic(half_times)
-    bv = p.b.deterministic(half_times)[..., None]
+    grid = np.linspace(0.0, p.T, steps + 1)
+    values = np.zeros((len(sols), steps + 1, p.n))
+    values[:, steps] = p.g
+    if p.g.any() or any(f.deterministic.values.any() for f in (p.b, p.sigma, p.q, p.rho)):
+        half_times = np.linspace(0.0, p.T, 2 * steps + 1)
+        cf = coef_tables(p, half_times)
+        sig = p.sigma.deterministic(half_times)[..., None]
+        rho = p.rho.deterministic(half_times)[..., None]
+        qv = p.q.deterministic(half_times)
+        bv = p.b.deterministic(half_times)[..., None]
+        cl, force = [], []
+        for P in sols:
+            Th = gain(P, p, half_times, cf)
+            Pv = P.P(half_times)
+            cl.append(cf["A"] + cf["B"] @ Th)
+            force.append(
+                ((cf["C"] + cf["D"] @ Th).mT @ (Pv @ sig) + Th.mT @ rho + Pv @ bv)[..., 0] + qv
+            )
+        # time-major stacks; each rung keeps its transposed (A + B Th)' view
+        # layout, so its matrix-vector products round as in a call of its own
+        M_cl = np.stack(cl, axis=1).mT
+        force = np.stack(force, axis=1)
 
-    # closed-loop matrix and forcing prepared once per evaluation time
-    M_cl = (cf["A"] + cf["B"] @ Th).mT
-    force = (
-        (cf["C"] + cf["D"] @ Th).mT @ (Pv @ sig) + Th.mT @ rho + Pv @ bv
-    )[..., 0] + qv
+        def rhs(j: int, eta: np.ndarray) -> np.ndarray:
+            return -((M_cl[j] @ eta[..., None])[..., 0] + force[j])
 
-    def rhs(j: int, eta: np.ndarray) -> np.ndarray:
-        return -(M_cl[j] @ eta + force[j])
-
-    grid = np.linspace(0.0, T, steps + 1)
-    values = np.empty((steps + 1, p.n))
-    values[steps] = p.g
-    eta = p.g.copy()
-    for k in range(steps, 0, -1):
-        eta = rk4_step(rhs, 2 * k, eta, h, 2)
-        values[k - 1] = eta
-    return AdjointProfile(epsilon=P.epsilon, deterministic_eta=GridFn(grid, values))
+        eta = values[:, steps].copy()
+        for k in range(steps, 0, -1):
+            eta = rk4_step(rhs, 2 * k, eta, p.T / steps, 2)
+            values[:, k - 1] = eta
+    return [AdjointProfile(P.epsilon, GridFn(grid, v)) for P, v in zip(sols, values)]
 
 
 def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
@@ -109,12 +121,15 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
     return nodes, weights
 
 
-def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> AdjointProfile:
+def solve_adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     """Exact per-path reduction for a scalar problem with modulated drift.
 
     Requires n = m = 1, a modulated b, zero sigma/q/rho and zero terminal
-    weight g.  Returns the deterministic profile h with eta = M*h and
-    zeta = gamma*M*h.
+    weight g.  Returns, per Riccati solution in ``sols``, the deterministic
+    profile h with eta = M*h and zeta = gamma*M*h, plus the eta of the
+    deterministic part of b from :func:`solve_adjoint_deterministic`.  Each
+    Gauss node's coefficient tables are built once for all solutions, and
+    one loop runs every rung's h recurrence.
     """
     if p.n != 1 or p.m != 1:
         raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
@@ -133,16 +148,10 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     grid = np.linspace(0.0, T, steps + 1)
     lo, hi = grid[:-1], grid[1:]
 
-    def a_of(s: np.ndarray) -> np.ndarray:
-        cf, Th = gain_tables(P, p, s)
-        return (cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)).reshape(-1)
-
     # propagator exponents int_{lo_k}^{hi_k} a
     tau_nodes, tau_w = _gauss_nodes(lo, hi)
-    Ia = np.sum(a_of(tau_nodes.reshape(-1)).reshape(tau_nodes.shape) * tau_w, axis=1)
 
-    singular = isinstance(profile, NamedProfile) and profile.singular
-    if singular:
+    if isinstance(profile, NamedProfile) and profile.singular:
         # substitute r = T - u^2: the forcing integrand becomes smooth in u
         u_lo = np.sqrt(np.maximum(T - hi, 0.0))
         u_hi = np.sqrt(np.maximum(T - lo, 0.0))
@@ -158,39 +167,47 @@ def solve_adjoint_modulated(p: SLQProblem, P: RiccatiSolution, steps: int) -> Ad
     # inner exponents int_{lo_k}^{r_{k,i}} a, one 4-point rule per (k, i)
     inner_lo = np.broadcast_to(lo[:, None], r_nodes.shape)
     in_nodes, in_w = _gauss_nodes(inner_lo, r_nodes)
-    inner = np.sum(a_of(in_nodes.reshape(-1)).reshape(in_nodes.shape) * in_w, axis=2)
 
-    g_vals = np.exp(inner) * P.P(r_nodes.reshape(-1)).reshape(r_nodes.shape) * f_smooth * dens
-    F = np.sum(g_vals * u_w, axis=1)
+    def integrals(nodes, w):
+        """int (A + B Th + gamma (C + D Th)) by 4-point rules, rung by rung."""
+        cf = coef_tables(p, nodes.reshape(-1))
+        for P in sols:
+            Th = gain(P, p, nodes.reshape(-1), cf)
+            a = cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)
+            yield np.sum(a.reshape(nodes.shape) * w, axis=-1)
 
-    prop = np.exp(Ia)
-    h = np.zeros(steps + 1)
+    prop = np.stack([np.exp(Ia) for Ia in integrals(tau_nodes, tau_w)], axis=1)
+    # the inner rules one forcing node per interval at a time: no rung's
+    # temporaries span all 16 inner nodes of an interval
+    inner = np.stack([list(integrals(in_nodes[:, i], in_w[:, i])) for i in range(4)], axis=-1)
+    F = np.empty((steps, len(sols)))
+    for i, (P, x) in enumerate(zip(sols, inner)):
+        g_vals = np.exp(x) * P.P(r_nodes.reshape(-1)).reshape(r_nodes.shape) * f_smooth * dens
+        F[:, i] = np.sum(g_vals * u_w, axis=1)
+
+    h = np.zeros((steps + 1, len(sols)))
     for k in range(steps - 1, -1, -1):
         h[k] = prop[k] * h[k + 1] + F[k]
 
-    if not p.b.deterministic.values.any() and np.all(p.g == 0.0):
-        det = GridFn(grid, np.zeros((steps + 1, 1)))
-    else:
-        # deterministic drift component superposes linearly with the
-        # modulated one (zeta = 0 on this component)
-        stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
-        det = solve_adjoint_deterministic(stripped, P, steps).deterministic_eta
-    return AdjointProfile(
-        epsilon=P.epsilon,
-        deterministic_eta=det,
-        modulated_h=GridFn(grid, h),
-        gamma=gamma,
-    )
+    # the deterministic drift component superposes linearly with the
+    # modulated one (zeta = 0 on this component)
+    stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
+    det = solve_adjoint_deterministic(stripped, sols, steps)
+    return [
+        AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
+        for P, d, hk in zip(sols, det, h.T)
+    ]
 
 
-def solve_adjoint(p: SLQProblem, P: RiccatiSolution, steps: int) -> AdjointProfile:
-    """Dispatch to the reduction matching the problem's input class."""
+def solve_adjoint(p: SLQProblem, sols, steps: int) -> list:
+    """Dispatch to the reduction matching the problem's input class: one
+    :class:`AdjointProfile` per Riccati solution in ``sols``."""
     if not p.has_modulated_input():
-        return solve_adjoint_deterministic(p, P, steps)
+        return solve_adjoint_deterministic(p, sols, steps)
     if p.b.modulated is not None and all(
         getattr(p, name).modulated is None for name in ("sigma", "q", "rho")
     ):
-        return solve_adjoint_modulated(p, P, steps)
+        return solve_adjoint_modulated(p, sols, steps)
     raise WrongClassError("only the b input may carry a modulated part")
 
 
@@ -198,12 +215,6 @@ def adjoint_csv(adj: AdjointProfile) -> str:
     """CSV dump: s,eta_det_1..eta_det_n,h per node (h empty when absent)."""
     grid = adj.deterministic_eta.grid
     eta = adj.deterministic_eta.values
-    n = eta.shape[1]
-    header = "s," + ",".join(f"eta_det_{i + 1}" for i in range(n)) + ",h"
-    lines = [header]
-    h = adj.modulated_h(grid) if adj.modulated_h is not None else None
-    for k, s in enumerate(grid):
-        row = [f"{s:.17g}"] + [f"{v:.17g}" for v in eta[k]]
-        row.append(f"{h[k]:.17g}" if h is not None else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = "s," + ",".join(f"eta_det_{i + 1}" for i in range(eta.shape[1])) + ",h"
+    h = [] if adj.modulated_h is None else [adj.modulated_h(grid)[:, None]]
+    return csv_text(header, [grid[:, None], eta, *h], blank=not h)

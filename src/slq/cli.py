@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import csv_text
 from .problem import InitialPair, builtin, builtin_names, validate
 from .problemfile import load_problem
 from .riccati import riccati_csv
@@ -298,15 +299,10 @@ def _paths_csv(ens) -> str:
     header = "path,k,s,W," + ",".join(f"X_{i+1}" for i in range(n)) + "," + ",".join(
         f"u_{i+1}" for i in range(m)
     )
-    lines = [header]
-    s = rec["s"]
-    for i in range(rec["W"].shape[0]):
-        for k in range(s.size):
-            row = [str(i), str(k), f"{s[k]:.17g}", f"{rec['W'][i, k]:.17g}"]
-            row += [f"{v:.17g}" for v in rec["X"][0, i, k]]
-            row += [f"{v:.17g}" for v in rec["u"][0, i, k]]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    paths, nodes = rec["W"].shape
+    i, k = np.divmod(np.arange(paths * nodes), nodes)  # one row per (path, node), path-major
+    cols = (i, k, rec["s"][k], rec["W"], rec["X"][0], rec["u"][0])
+    return csv_text(header, [c.reshape(i.size, -1) for c in cols])
 
 
 def _cmd_verify(args) -> int:

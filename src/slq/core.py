@@ -24,6 +24,7 @@ __all__ = [
     "is_symmetric",
     "GridFn",
     "l2_norm",
+    "csv_text",
 ]
 
 
@@ -196,3 +197,13 @@ def l2_norm(f: GridFn) -> float:
         raise InvalidInputError("l2_norm requires a grid with at least 2 points")
     sq = np.sum(f.values.reshape(f.grid.size, -1) ** 2, axis=1)
     return float(np.sqrt(np.trapezoid(sq, f.grid)))
+
+
+def csv_text(header: str, columns: list, blank: bool = False) -> str:
+    """CSV text: ``header``, then one line per row of the side-by-side 2-D
+    ``columns`` at 17 significant digits, ending in an empty field if
+    ``blank``.  One format string per row over Python floats gives the
+    bytes of formatting each value on its own."""
+    table = np.hstack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1] + [""] * blank)
+    return "\n".join([header, *(fmt % tuple(row) for row in table.tolist())]) + "\n"

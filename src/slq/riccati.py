@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFn, pinv, pinv_1x1, range_included, rk4_step, symmetrize
+from .core import GridFn, csv_text, pinv, pinv_1x1, range_included, rk4_step, symmetrize
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import SLQProblem
 
@@ -34,7 +34,6 @@ __all__ = [
     "inner",
     "solve_inner",
     "gain",
-    "gain_tables",
     "check_regularity",
     "riccati_csv",
 ]
@@ -251,21 +250,17 @@ def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
     return sol
 
 
-def gain(P: RiccatiSolution, p: SLQProblem, times) -> np.ndarray:
+def gain(P: RiccatiSolution, p: SLQProblem, times, cf=None) -> np.ndarray:
     """Feedback gain -K^{-1} L of a Riccati solution at an array of times, ``(N, m, n)``.
 
     K = R + eps I + D'PD uses ``P.epsilon``; for eps = 0 this is the
     pseudoinverse candidate gain -(R + D'PD)^+ (B'P + D'PC + S) of the
-    generalized equation.
+    generalized equation.  ``cf`` is ``coef_tables(p, times)`` when the
+    caller already holds it, as for a ladder of solutions on shared times.
     """
-    return gain_tables(P, p, times)[1]
-
-
-def gain_tables(P: RiccatiSolution, p: SLQProblem, times) -> tuple:
-    """``(coef_tables(p, times), gain(P, p, times))`` from one set of tables."""
-    cf = coef_tables(p, times)
+    cf = coef_tables(p, times) if cf is None else cf
     K, L, scale = inner(cf, P.P(times), P.epsilon)
-    return cf, -solve_inner(K, L, P.epsilon, scale, times)
+    return -solve_inner(K, L, P.epsilon, scale, times)
 
 
 @dataclass(frozen=True)
@@ -349,8 +344,4 @@ def riccati_csv(sol: RiccatiSolution) -> str:
     """CSV dump: header s,P_11,...,P_nn; one row per node; 17 digits."""
     n = sol.P.values.shape[1]
     header = "s," + ",".join(f"P_{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    lines = [header]
-    for s, P in zip(sol.grid, sol.P.values):
-        row = [f"{s:.17g}"] + [f"{v:.17g}" for v in P.reshape(-1)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, [sol.grid[:, None], sol.P.values.reshape(sol.grid.size, -1)])

@@ -24,7 +24,7 @@ import numpy as np
 from . import bsde as bsde_mod
 from .moments import second_moments
 from .bsde import AdjointProfile
-from .core import GridFn, range_included
+from .core import GridFn, csv_text, range_included
 from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import (
@@ -53,12 +53,12 @@ __all__ = [
 ]
 
 
-def _node_kernel(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile) -> tuple:
+def _node_kernel(p: SLQProblem, cf: dict, P: RiccatiSolution, adj: AdjointProfile) -> tuple:
     """K, L and the scale of K at the grid nodes of ``P``, plus the
     right-hand sides of v_eps as columns: B'eta + D'P sigma + rho, then
-    (B + gamma D) h when the adjoint is modulated."""
+    (B + gamma D) h when the adjoint is modulated.  ``cf`` is
+    ``coef_tables(p, P.grid)``, built once per ladder."""
     grid = P.grid
-    cf = coef_tables(p, grid)
     Ps = P.P.values
     K, L, scale = inner(cf, Ps, P.epsilon)
     B, D = cf["B"], cf["D"]
@@ -132,10 +132,11 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
         raise InvalidInputError("ladder must be strictly decreasing")
 
     out = solve_ladder(p, ladder, steps)
-    for k, P in enumerate(out[g:], start=g):
-        adj = bsde_mod.solve_adjoint(p, P, steps)
-        K, L, scale, rhs = _node_kernel(p, P, adj)
-        grid = P.grid
+    grid = out[-1].grid
+    cf = coef_tables(p, grid)
+    adjoints = bsde_mod.solve_adjoint(p, out[g:], steps)
+    for k, (P, adj) in enumerate(zip(out[g:], adjoints), start=g):
+        K, L, scale, rhs = _node_kernel(p, cf, P, adj)
         theta, *v = (-solve_inner(K, r, P.epsilon, scale, grid) for r in [L] + rhs)
         control = ControlSpec.feedback(
             GridFn(grid, theta),
@@ -252,12 +253,6 @@ def closed_loop_solvable(reg: RegularityReport, blowup_time: Optional[float],
     return blowup_time is None and reg.is_regular() and eta_ok is not False
 
 
-def _eta_range_ok(p: SLQProblem, P: RiccatiSolution, adj: AdjointProfile, tol: float) -> bool:
-    """Grid check of the adjoint range condition of the closed-loop test."""
-    K, _, _, rhs = _node_kernel(p, P, adj)
-    return all(range_included(r, K, tol) for r in rhs)
-
-
 def closed_loop_test(p: SLQProblem, P0) -> tuple:
     """The regularity tests of a generalized Riccati solution and, for a
     regular one, the adjoint range condition.
@@ -275,7 +270,9 @@ def closed_loop_test(p: SLQProblem, P0) -> tuple:
     reg = check_regularity(P0, p)
     eta_ok = None
     if reg.is_regular():
-        eta_ok = _eta_range_ok(p, P0, bsde_mod.solve_adjoint(p, P0, P0.steps), tol=1e-9)
+        (adj,) = bsde_mod.solve_adjoint(p, [P0], P0.steps)
+        K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)
+        eta_ok = all(range_included(r, K, 1e-9) for r in rhs)
     return reg, None, eta_ok
 
 
@@ -356,16 +353,7 @@ def strategy_csv(ws: WeakClosedLoopStrategy) -> str:
     th = c.theta.values
     vd = c.v_det.values
     m, n = th.shape[1], th.shape[2]
-    cols = ["s"]
-    cols += [f"theta_{i + 1}{j + 1}" for i in range(m) for j in range(n)]
-    cols += [f"v_det_{i + 1}" for i in range(m)]
-    cols.append("v_mod_profile")
-    lines = [",".join(cols)]
-    vm = c.v_mod_profile.values if c.v_mod_profile is not None else None
-    for k, s in enumerate(g):
-        row = [f"{s:.17g}"]
-        row += [f"{v:.17g}" for v in th[k].reshape(-1)]
-        row += [f"{v:.17g}" for v in vd[k]]
-        row.append(f"{vm[k][0]:.17g}" if vm is not None else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = ["s", *(f"theta_{i + 1}{j + 1}" for i in range(m) for j in range(n)),
+            *(f"v_det_{i + 1}" for i in range(m)), "v_mod_profile"]
+    vm = [] if c.v_mod_profile is None else [c.v_mod_profile.values[:, :1]]
+    return csv_text(",".join(cols), [g[:, None], th.reshape(g.size, -1), vd, *vm], blank=not vm)

@@ -179,10 +179,13 @@ def _c7_strategy_optimality() -> CriterionResult:
 
 
 def bar_control_example_11(t: float, x: float, nodes: int = 2049) -> ControlSpec:
-    """The terminal-zeroing open-loop control x/(t-1) e^{2W(s)-4s}.
+    """The open-loop control x/(t-1) e^{2W(s)-4s}, which zeroes X(1) from t = 0.
 
     Written as a modulated control: gamma = 2 gives M(s) = e^{2W(s)-2s}, so
-    the deterministic profile is x/(t-1) e^{-2s}.
+    the deterministic profile is x/(t-1) e^{-2s}.  For t > 0 it does not
+    zero X(1): the simulator draws W(t) ~ N(0, t), so X(1) = Phi(1) x
+    (1 - e^{2W(t)-4t}) and E X(1)^2 = x^2 (2 - 2 e^{-2t}).  Criterion 8
+    uses it at t = 0.
     """
     grid = np.linspace(t, 1.0, nodes)
     prof = (x / (t - 1.0)) * np.exp(-2.0 * grid)

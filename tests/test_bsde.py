@@ -12,7 +12,8 @@ from slq.bsde import (
 from slq.errors import WrongClassError
 from slq.core import GridFn
 from slq.problem import Modulation, RandomInput, SLQProblem, builtin
-from slq.riccati import gain, solve_perturbed
+from slq.riccati import gain, solve_ladder, solve_perturbed
+from test_riccati import random_problem
 
 
 def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None):
@@ -35,7 +36,7 @@ class TestDeterministic:
     def test_zero_inputs_zero_terminal(self):
         p, _ = builtin("standard-scalar")
         P = solve_perturbed(p, 1.0, 64)
-        adj = solve_adjoint_deterministic(p, P, 64)
+        adj = solve_adjoint_deterministic(p, [P], 64)[0]
         assert np.all(adj.deterministic_eta.values == 0.0)
         assert adj.modulated_h is None
 
@@ -50,14 +51,14 @@ class TestDeterministic:
             Q=p.Q, S=p.S, R=p.R, G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
         )
         P = solve_perturbed(p, 0.5, 64)
-        adj = solve_adjoint_deterministic(p, P, 64)
+        adj = solve_adjoint_deterministic(p, [P], 64)[0]
         assert np.allclose(adj.deterministic_eta.values, 2.5, atol=1e-13)
 
     def test_terminal_value_exact(self):
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0, g=0.7)
         P = solve_perturbed(p, 1.0, 128)
-        adj = solve_adjoint_deterministic(p, P, 128)
+        adj = solve_adjoint_deterministic(p, [P], 128)[0]
         assert adj.deterministic_eta(p.T)[0] == 0.7
 
     def test_richardson_self_convergence(self):
@@ -66,8 +67,8 @@ class TestDeterministic:
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0)
         P = solve_perturbed(p, 1.0, 4096)
-        coarse = solve_adjoint_deterministic(p, P, 512)
-        fine = solve_adjoint_deterministic(p, P, 1024)
+        coarse = solve_adjoint_deterministic(p, [P], 512)[0]
+        fine = solve_adjoint_deterministic(p, [P], 1024)[0]
         on = np.linspace(0.0, 1.0, 9)
         diff = np.max(np.abs(coarse.deterministic_eta(on) - fine.deterministic_eta(on)))
         assert diff <= 1e-8
@@ -77,8 +78,8 @@ class TestDeterministic:
         p1 = with_inputs(base, b=1.0)
         p2 = with_inputs(base, b=2.0)
         P = solve_perturbed(base, 1.0, 256)
-        a1 = solve_adjoint_deterministic(p1, P, 256)
-        a2 = solve_adjoint_deterministic(p2, P, 256)
+        a1 = solve_adjoint_deterministic(p1, [P], 256)[0]
+        a2 = solve_adjoint_deterministic(p2, [P], 256)[0]
         assert np.allclose(2.0 * a1.deterministic_eta.values, a2.deterministic_eta.values,
                            atol=1e-12)
 
@@ -86,14 +87,14 @@ class TestDeterministic:
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 1.0, 64)
         with pytest.raises(WrongClassError):
-            solve_adjoint_deterministic(p, P, 64)
+            solve_adjoint_deterministic(p, [P], 64)[0]
 
 
 class TestModulated:
     def test_terminal_condition_exact(self):
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 0.5, 128)
-        adj = solve_adjoint_modulated(p, P, 128)
+        adj = solve_adjoint_modulated(p, [P], 128)[0]
         assert adj.modulated_h(p.T) == 0.0
         assert adj.gamma == pytest.approx(math.sqrt(2.0))
 
@@ -101,7 +102,7 @@ class TestModulated:
         # h(0) = [eps/(eps+1)] * e^0 * int_0^1 dr/sqrt(1-r) = 0.5 * 2 = 1
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 1.0, 2000)
-        adj = solve_adjoint_modulated(p, P, 2000)
+        adj = solve_adjoint_modulated(p, [P], 2000)[0]
         assert adj.modulated_h(0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_closed_form_profile_relation(self):
@@ -109,7 +110,7 @@ class TestModulated:
         p, _ = builtin("example-5.1")
         eps = 0.5
         P = solve_perturbed(p, eps, 2000)
-        adj = solve_adjoint_modulated(p, P, 2000)
+        adj = solve_adjoint_modulated(p, [P], 2000)[0]
         g = adj.modulated_h.grid
         lhs = adj.modulated_h.values * (eps + 1.0 - g) / (eps * np.exp(-g))
         assert np.max(np.abs(lhs - 2.0 * np.sqrt(1.0 - g))) <= 1e-5
@@ -120,7 +121,7 @@ class TestModulated:
         p, _ = builtin("example-5.1")
         eps = 0.25
         P = solve_perturbed(p, eps, 1000)
-        adj = solve_adjoint_modulated(p, P, 1000)
+        adj = solve_adjoint_modulated(p, [P], 1000)[0]
         gamma = adj.gamma
         rng = np.random.default_rng(99)
         worst = 0.0
@@ -161,8 +162,8 @@ class TestModulated:
             sigma=p.sigma, q=p.q, rho=p.rho,
         )
         P1 = solve_perturbed(base, 0.5, 256)
-        a1 = solve_adjoint_modulated(base, P1, 256)
-        a2 = solve_adjoint_modulated(double, P1, 256)
+        a1 = solve_adjoint_modulated(base, [P1], 256)[0]
+        a2 = solve_adjoint_modulated(double, [P1], 256)[0]
         assert np.allclose(2.0 * a1.modulated_h.values, a2.modulated_h.values, atol=1e-12)
 
     def test_wrong_class_errors(self):
@@ -170,25 +171,65 @@ class TestModulated:
         P = solve_perturbed(p, 0.5, 64)
         with_sigma = with_inputs(p, b=p.b, sigma=1.0)
         with pytest.raises(WrongClassError):
-            solve_adjoint_modulated(with_sigma, solve_perturbed(with_sigma, 0.5, 64), 64)
+            solve_adjoint_modulated(with_sigma, [solve_perturbed(with_sigma, 0.5, 64)], 64)
         plain, _ = builtin("standard-scalar")
         with pytest.raises(WrongClassError):
-            solve_adjoint_modulated(plain, solve_perturbed(plain, 0.5, 64), 64)
+            solve_adjoint_modulated(plain, [solve_perturbed(plain, 0.5, 64)], 64)
+
+
+def forced_random_problem():
+    """The n = 2 random problem with nonzero b, sigma, q, rho and g."""
+    base = random_problem()
+    return with_inputs(base, b=0.4, sigma=-0.3, q=0.2, rho=0.5, g=-0.6)
+
+
+@pytest.mark.parametrize("case", ["example-5.1", "forced-scalar", "forced-random"])
+def test_stacked_rungs_equal_one_solution_calls(case):
+    if case == "forced-random":
+        p = forced_random_problem()
+    else:
+        p, _ = builtin("example-5.1" if case == "example-5.1" else "standard-scalar")
+        if case == "forced-scalar":
+            p = with_inputs(p, b=1.0, rho=0.3, g=0.7)
+    sols = solve_ladder(p, [1.0, 0.5, 0.25, 0.125], 128)
+    stacked = solve_adjoint(p, sols, 128)
+    assert len(stacked) == len(sols)
+    for P, adj in zip(sols, stacked):
+        (one,) = solve_adjoint(p, [P], 128)
+        assert adj.epsilon == P.epsilon
+        assert np.array_equal(adj.deterministic_eta.values, one.deterministic_eta.values)
+        assert (adj.modulated_h is None) == (one.modulated_h is None)
+        if one.modulated_h is not None:
+            assert np.array_equal(adj.modulated_h.values, one.modulated_h.values)
+            assert adj.gamma == one.gamma
+    if case != "example-5.1":
+        assert np.all(np.abs(stacked[-1].deterministic_eta.values[0]) > 0.0)
+
+
+@pytest.mark.parametrize("name", ["example-1.1", "example-5.1"])
+def test_unforced_eta_is_exact_positive_zero(name):
+    # b, sigma, q, rho without deterministic part and g = 0: eta is +0.0
+    p, _ = builtin(name)
+    sols = solve_ladder(p, [1.0, 0.5, 0.25], 64)
+    for adj in solve_adjoint(p, sols, 64):
+        eta = adj.deterministic_eta.values
+        assert eta.shape == (65, 1)
+        assert np.all(eta == 0.0) and not np.signbit(eta).any()
 
 
 def test_dispatch():
     p5, _ = builtin("example-5.1")
     P = solve_perturbed(p5, 0.5, 64)
-    assert solve_adjoint(p5, P, 64).modulated_h is not None
+    assert solve_adjoint(p5, [P], 64)[0].modulated_h is not None
     p0, _ = builtin("standard-scalar")
     P0 = solve_perturbed(p0, 0.5, 64)
-    assert solve_adjoint(p0, P0, 64).modulated_h is None
+    assert solve_adjoint(p0, [P0], 64)[0].modulated_h is None
 
 
 def test_csv_dump():
     p, _ = builtin("example-5.1")
     P = solve_perturbed(p, 0.5, 64)
-    adj = solve_adjoint_modulated(p, P, 64)
+    adj = solve_adjoint_modulated(p, [P], 64)[0]
     lines = adjoint_csv(adj).strip().split("\n")
     assert lines[0] == "s,eta_det_1,h"
     assert len(lines) == 66

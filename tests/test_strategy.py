@@ -196,10 +196,10 @@ def test_diagnose_propagates_eta_check_failure(monkeypatch):
     p, ip = builtin("standard-scalar")
     real = bsde.solve_adjoint
 
-    def failing(p, P, steps):
-        if P.epsilon == 0.0:
+    def failing(p, sols, steps):
+        if any(P.epsilon == 0.0 for P in sols):
             raise InvalidInputError("no adjoint at eps = 0")
-        return real(p, P, steps)
+        return real(p, sols, steps)
 
     monkeypatch.setattr(bsde, "solve_adjoint", failing)
     with pytest.raises(InvalidInputError, match="no adjoint at eps = 0"):
