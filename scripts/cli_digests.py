@@ -34,6 +34,8 @@ COMMANDS = [
     "simulate --builtin example-1.1 --control zero --paths 20000 --mc-steps 256",
     "simulate --builtin example-5.1 --control feedback --paths 4000 --mc-steps 256 "
     "--steps 400 --eps-min 0.0625",
+    "simulate --builtin example-5.1 --control feedback --delta 0.25 --paths 4000 "
+    "--mc-steps 256 --steps 400 --eps-min 0.0625",
     "simulate --builtin example-1.1 --control zero --paths 3 --mc-steps 16 --dump-paths",
     "diagnose --problem {linear_terminal}",
 ]

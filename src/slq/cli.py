@@ -9,7 +9,8 @@ when a run fails.
 
 Defaults can be placed in a config file of ``key = value`` lines (keys match
 the long flag names with dashes replaced by underscores); explicit flags
-override the file.
+override the file, and an unknown key or a malformed value is an error
+that names the file and line.
 """
 
 from __future__ import annotations
@@ -77,9 +78,23 @@ class RunConfig:
 
 _FLOAT_KEYS = {"t", "eps_max", "eps_min", "ladder_factor", "delta", "tol"}
 _INT_KEYS = {"steps", "paths", "mc_steps", "seed"}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+
+
+def _coerce(key: str, val: str):
+    if key in _FLOAT_KEYS:
+        return float(val)
+    if key in _INT_KEYS:
+        return int(val)
+    if key == "dump_paths":
+        return _BOOLS[val.lower()]
+    return val
 
 
 def _read_config_file(path: str) -> dict:
+    """The typed settings of a config file; an unknown key or a value of the
+    wrong type is an error that names ``path:line``."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -89,29 +104,20 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                out[key] = _coerce(key, val)
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     return out
 
 
-def _coerce(key: str, val):
-    if isinstance(val, str):
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key in _INT_KEYS:
-            return int(val)
-        if key == "dump_paths":
-            return val.lower() in ("1", "true", "yes")
-    return val
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
     file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    cfg = RunConfig(command=args.command, **file_vals)
     for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        if f.name in file_vals:
-            setattr(cfg, f.name, _coerce(f.name, file_vals[f.name]))
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
@@ -147,8 +153,9 @@ def _write_atomic(out_dir: str, name: str, text: str):
         raise
 
 
-def _closed_loop_lines(p, P0) -> list:
-    reg, blowup, eta_ok = closed_loop_test(p, P0)
+def _closed_loop_lines(reg, blowup, eta_ok) -> list:
+    """The closed-loop verdict line and its detail lines, from
+    :func:`closed_loop_test`'s results."""
     verdict = "solvable (regular)" if closed_loop_solvable(reg, blowup, eta_ok) else "NOT solvable"
     if blowup is not None:
         detail = f"generalized Riccati flow blew up near s={blowup:.6g}"
@@ -196,7 +203,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     ]
     for eps, dth, dv in ws.cauchy_evidence:
         lines.append(f"  {eps:.10g}, {dth:.6e}, {dv:.6e}")
-    lines += _closed_loop_lines(p, P0)
+    lines += _closed_loop_lines(*closed_loop_test(p, P0))
     files["report.txt"] = "\n".join(lines) + "\n"
 
     for name, text in files.items():
@@ -214,25 +221,13 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
     ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
     rep = diagnose(p, ip, ladder, cfg.steps)
 
-    solvable = closed_loop_solvable(rep.closed_loop, rep.closed_loop_blowup, rep.eta_condition_ok)
-    closed = "solvable (regular)" if solvable else "NOT solvable"
+    closed, *detail = _closed_loop_lines(
+        rep.closed_loop, rep.closed_loop_blowup, rep.eta_condition_ok
+    )
     open_v = {"solvable": "solvable", "not-solvable": "NOT solvable"}.get(
         rep.open_loop_verdict, "inconclusive"
     )
-    verdicts = [
-        f"closed-loop: {closed}",
-        f"open-loop: {open_v}",
-        f"weak-closed-loop: {open_v}",
-    ]
-    lines = list(verdicts)
-    if rep.closed_loop_blowup is not None:
-        lines.append(f"  Riccati blow-up near s={rep.closed_loop_blowup:.6g}")
-    lines.append(
-        f"  regularity: positivity_ok={rep.closed_loop.positivity_ok} "
-        f"range_ok={rep.closed_loop.range_ok} theta_hat_l2={rep.closed_loop.theta_hat_l2:.6g}"
-    )
-    if rep.eta_condition_ok is False:
-        lines.append(f"  {ETA_RANGE_FAILED}")
+    lines = [closed, f"open-loop: {open_v}", f"weak-closed-loop: {open_v}", *detail]
     lines.append(f"  last u-distance ratio: {rep.convergence_ratio:.4f}")
     lines.append("  u-norms (eps, E int |u|^2): " + "; ".join(
         f"{e:.6g}: {v:.6g}" for e, v in rep.u_norms
@@ -261,24 +256,19 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     p, ip = _load(cfg)
-    trunc = 0.0
     if cfg.control == "zero":
         ctrl = ControlSpec.zero()
     elif cfg.control == "feedback":
         eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-10
         ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
         sols = run_ladder(p, ladder, cfg.steps)
-        trunc = cfg.delta if cfg.delta is not None else 1e-2 * p.T
-        ws = extract_limit(sols, delta=trunc, tol=cfg.tol)
-        ctrl = ws.control
+        delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
+        ctrl = extract_limit(sols, delta=delta, tol=cfg.tol).control
     else:
         raise ValueError(f"unknown control {cfg.control!r} (use zero or feedback)")
 
     mc = MonteCarloConfig(
-        paths=cfg.paths if cfg.paths > 0 else 20_000,
-        steps=cfg.mc_steps,
-        master_seed=cfg.seed,
-        truncation_delta=trunc,
+        paths=cfg.paths if cfg.paths > 0 else 20_000, steps=cfg.mc_steps, master_seed=cfg.seed
     )
     ens = simulate_ensemble(p, ip, ctrl, mc, record_paths=cfg.dump_paths)
     rows = [ESTIMATE_CSV_HEADER]
@@ -332,7 +322,7 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--ladder-factor", dest="ladder_factor", type=float,
                     help="geometric ladder factor in (0,1) (default 0.5)")
     sp.add_argument("--steps", type=int, help="solver grid steps (default 2000)")
-    sp.add_argument("--delta", type=float, help="truncation gap (default 1e-2*T)")
+    sp.add_argument("--delta", type=float, help="extraction window gap (default 1e-2*T)")
     sp.add_argument("--tol", type=float, help="extraction tolerance (default 1e-3)")
     sp.add_argument("--paths", type=int, help="Monte Carlo paths")
     sp.add_argument("--mc-steps", dest="mc_steps", type=int, help="Monte Carlo time steps")

@@ -18,11 +18,12 @@ thread or its timing.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
-stacked Euler step advances all controls of a run at once.  Feedback
-controls (those with a Theta) are applied up to T - truncation_delta and
-held at their last value afterwards: a weak closed-loop strategy may be
-singular at T while its outcome stays square integrable, so the simulator
-sweeps the hold gap down instead of stepping into the singularity.
+stacked Euler step advances all controls of a run at once.  A feedback
+control (one with a Theta) is applied up to the end of its own grid and
+held at its last value afterwards: a weak closed-loop strategy may be
+singular at T while its outcome stays square integrable, so it is used on
+a window [t, T - delta] (see :func:`~slq.strategy.extract_limit`) and the
+window, not the simulator, decides where the hold starts.
 """
 
 from __future__ import annotations
@@ -61,20 +62,17 @@ _DRAW_CHUNK = 64  # paths per transposing copy into a draw-major block
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Simulation sizes, master seed and the feedback truncation gap."""
+    """Simulation sizes and master seed."""
 
     paths: int
     steps: int
     master_seed: int
-    truncation_delta: float = 0.0
 
     def __post_init__(self):
         if self.paths < 1:
             raise InvalidInputError("paths must be positive")
         if self.steps < 16:
             raise InvalidInputError("steps must be >= 16")
-        if self.truncation_delta < 0.0:
-            raise InvalidInputError("truncation_delta must be nonnegative")
         object.__setattr__(self, "master_seed", int(self.master_seed) & MASK64)
 
 
@@ -84,7 +82,8 @@ class ControlSpec:
 
     A missing part is zero; ``gamma`` is the exponent of M and is required
     with a modulated profile.  A control is feedback iff it has ``theta``:
-    only feedback is truncated at T - truncation_delta and held afterwards.
+    only feedback is held, from the last Monte Carlo node at or below the
+    end of ``theta``'s grid on, so :meth:`restrict` makes its window.
     """
 
     theta: Optional[GridFn] = None
@@ -97,6 +96,11 @@ class ControlSpec:
             raise InvalidInputError("a modulated control profile needs gamma")
         if self.gamma is not None:
             object.__setattr__(self, "gamma", float(self.gamma))
+
+    def restrict(self, t_max: float) -> "ControlSpec":
+        """Every part on its grid nodes at or below ``t_max``."""
+        parts = (self.theta, self.v_det, self.v_mod_profile)
+        return ControlSpec(*(f if f is None else f.restrict(t_max) for f in parts), self.gamma)
 
     @staticmethod
     def zero() -> "ControlSpec":
@@ -261,12 +265,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray, cutoff: float) -> dict:
+def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray) -> dict:
     """The K controls' node tables stacked as (N+1, K, ...) arrays.
 
     A part is None when no control has it; zero rows fill in for controls
     that lack a part others have.  ``hold[i]`` is the first node index at
-    which control i is held (N for open-loop controls, never held).
+    which control i is held: the last node at or below the end of its
+    theta grid (N for open-loop controls and for feedback whose grid
+    reaches T, never held).
     """
     N, K = s_nodes.size - 1, len(controls)
 
@@ -284,8 +290,7 @@ def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray, cutoff: 
         if c.theta is not None:
             if c.theta.grid[0] > s_nodes[0] + 1e-12:
                 raise InvalidInputError("feedback grid starts after the initial time")
-            cut = min(cutoff, c.theta.grid[-1])
-            hold[i] = max(int(np.searchsorted(s_nodes, cut + 1e-12) - 1), 0)
+            hold[i] = max(int(np.searchsorted(s_nodes, c.theta.grid[-1] + 1e-12) - 1), 0)
     return {
         "m": p.m,
         "theta": stack("theta", (p.m, p.n)),
@@ -388,7 +393,7 @@ def _run_blocks(
     s_nodes = t + dt * np.arange(N + 1)
     s_nodes[-1] = T
     tabs = _input_tables(p, s_nodes)
-    ct = _control_tables(controls, p, s_nodes, T - cfg.truncation_delta)
+    ct = _control_tables(controls, p, s_nodes)
     # M(s) = exp(gamma W - gamma^2 s / 2) is formed once per distinct gamma
     gammas = sorted(({c.gamma for c in controls if c.v_mod_profile is not None} | {tabs["b_gamma"]}) - {None})
     gam = np.array(gammas)

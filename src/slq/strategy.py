@@ -89,7 +89,8 @@ class PerturbedSolution:
 
 @dataclass(frozen=True)
 class WeakClosedLoopStrategy:
-    """Limit pair (Theta*, v*) as a feedback ``control`` on [0, T - delta].
+    """Limit pair (Theta*, v*) as a feedback ``control`` on [0, T - delta];
+    the window ends where the control's grid ends.
 
     cauchy_evidence rows are (eps_k, theta distance, v distance) between
     consecutive ladder members in L2(0, T - delta); ``converged`` records
@@ -97,8 +98,6 @@ class WeakClosedLoopStrategy:
     """
 
     control: ControlSpec
-    delta: float
-    epsilon: float
     cauchy_evidence: list
     converged: bool
 
@@ -201,25 +200,14 @@ def extract_limit(sols: list, delta: float, tol: float) -> WeakClosedLoopStrateg
             dvm = (b.v_mod_profile.values - a.v_mod_profile.values)[keep]
         evidence.append((sol.epsilon, *_l2_pair(g, dth, dvd, dvm, gamma)))
 
-    window = ControlSpec.feedback(
-        last.theta.restrict(cut),
-        last.v_det.restrict(cut),
-        last.v_mod_profile.restrict(cut) if last.v_mod_profile is not None else None,
-        last.gamma,
-    )
+    window = last.restrict(cut)
     vm_last = window.v_mod_profile.values if window.v_mod_profile is not None else None
     norm_theta, norm_v = _l2_pair(g, window.theta.values, window.v_det.values, vm_last, gamma)
     converged = evidence[-1][1] <= tol * max(1.0, norm_theta) and evidence[-1][2] <= tol * max(
         1.0, norm_v
     )
 
-    return WeakClosedLoopStrategy(
-        control=window,
-        delta=delta,
-        epsilon=sols[-1].epsilon,
-        cauchy_evidence=evidence,
-        converged=converged,
-    )
+    return WeakClosedLoopStrategy(control=window, cauchy_evidence=evidence, converged=converged)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,12 @@ def test_solve_and_diagnose_share_closed_loop_verdict(tmp_path):
     for lines in reports.values():
         assert "closed-loop: NOT solvable" in lines
         assert sum(line.startswith("  eta range condition fails") for line in lines) == 1
+    # one formatter: solve ends on the block, diagnose puts its verdict line
+    # first and its detail lines after the open-loop verdicts
+    solve = reports["solve"]
+    block = solve[solve.index("closed-loop: NOT solvable"):-1]
+    diag = reports["diagnose"]
+    assert [diag[0], *diag[3:2 + len(block)]] == block
 
 
 def test_solve_and_diagnose_run_one_backward_pass(tmp_path, monkeypatch):
@@ -206,3 +212,16 @@ class TestConfigFile:
                   "--eps-min", "0.25", "--out", out2])
         assert rc in (0, 2)
         assert sum(1 for f in out2.iterdir() if f.name.startswith("riccati_eps_")) == 3
+
+    def test_unknown_key_and_bad_boolean_are_rejected(self, tmp_path, capsys):
+        for text, line, message in (
+            ("steps = 150\nbogus = 1\n", 2, "unknown key 'bogus'"),
+            ("# typo\n\ndump_paths = ture\n", 3, "bad value 'ture' for dump_paths"),
+        ):
+            conf = tmp_path / "run.conf"
+            conf.write_text(text, encoding="utf-8")
+            out = tmp_path / "out"
+            assert run(["simulate", "--builtin", "example-1.1", "--control", "zero",
+                        "--config", conf, "--out", out]) == 1
+            assert f"{conf}:{line}: {message}" in capsys.readouterr().err
+            assert not out.exists()

@@ -269,7 +269,7 @@ class TestMergedStack:
             assert rung.max_step_asymmetry == alone.max_step_asymmetry
         reg, blowup, eta_ok = closed_loop_test(p, P0)
         assert (reg.verdict, blowup, eta_ok) == ("not-regular", P0.time, None)
-        assert _closed_loop_lines(p, P0) == [
+        assert _closed_loop_lines(reg, blowup, eta_ok) == [
             "closed-loop: NOT solvable",
             "  generalized Riccati flow blew up near s=0.373047",
         ]

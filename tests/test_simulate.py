@@ -60,9 +60,8 @@ class TestDeterminism:
         assert estimate_cost(p, ip, a).mean == estimate_cost(p, ip, b).mean
         sol = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1]
         grid = np.linspace(0.0, 1.0, 3)
-        controls = [ControlSpec.zero(), sol.control,
+        controls = [ControlSpec.zero(), sol.control.restrict(0.75),
                     ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=0.5)]
-        cfg = MonteCarloConfig(paths=3000, steps=64, master_seed=5, truncation_delta=0.25)
         a = simulate_coupled(p, ip, controls, cfg, block_size=4096)
         b = simulate_coupled(p, ip, controls, cfg, block_size=77)
         assert np.array_equal(a.cost, b.cost)
@@ -80,8 +79,9 @@ class TestDeterminism:
 
     def test_stacked_controls_share_only_noise(self):
         # every row of a coupled run equals a separate run of that control:
-        # stacking shares the Brownian increments and nothing else, and the
-        # open-loop rows are never held past the feedback cutoff
+        # stacking shares the Brownian increments and nothing else, the
+        # feedback row is held past its grid end and the open-loop rows are
+        # never held
         p = scalar_problem(A=-0.5, B=1.0, C=0.4, D=0.2, Q=1.0, S=0.1, R=1.0,
                            G=1.0, b=0.2, sigma=0.3, q=0.1, rho=0.05, g=0.1)
         ip = InitialPair(t=0.0, x=np.array([0.8]))
@@ -94,9 +94,9 @@ class TestDeterminism:
                                             det=GridFn(grid, 0.1 * col)),
             ControlSpec.feedback(GridFn(grid, (-0.4 - 0.2 * col).reshape(-1, 1, 1)),
                                  GridFn(grid, 0.25 + 0.0 * col),
-                                 GridFn(grid, -0.2 + 0.1 * col), gamma=0.8),
+                                 GridFn(grid, -0.2 + 0.1 * col), gamma=0.8).restrict(0.75),
         ]
-        cfg = MonteCarloConfig(paths=500, steps=64, master_seed=23, truncation_delta=0.25)
+        cfg = MonteCarloConfig(paths=500, steps=64, master_seed=23)
         cpl = simulate_coupled(p, ip, controls, cfg)
         for i, c in enumerate(controls):
             ens = simulate_ensemble(p, ip, c, cfg)
@@ -268,12 +268,17 @@ class TestControlsAndCost:
         grid = np.linspace(0.0, 1.0, 65)
         theta = GridFn(grid, np.full((65, 1, 1), -1.0))
         ctrl = ControlSpec.feedback(theta=theta, v_det=GridFn(grid, np.zeros((65, 1))))
-        cfg = MonteCarloConfig(paths=4, steps=64, master_seed=2, truncation_delta=0.25)
-        ens = simulate_ensemble(p, ip, ctrl, cfg, record_paths=True)
+        cfg = MonteCarloConfig(paths=4, steps=64, master_seed=2)
+        ens = simulate_ensemble(p, ip, ctrl.restrict(0.75), cfg, record_paths=True)
         u = ens.recorded["u"][0]  # (paths, N+1, m)
+        X = ens.recorded["X"][0]
         s = ens.recorded["s"]
-        held = u[:, s > 0.75, 0]
+        held = u[:, s >= 0.75, 0]
         assert np.all(held == held[:, :1])  # frozen at its last feedback value
+        assert np.array_equal(u[:, s <= 0.75], -X[:, s <= 0.75])
+        # a grid that reaches T is never held: u = Theta X up to T
+        ens = simulate_ensemble(p, ip, ctrl, cfg, record_paths=True)
+        assert np.array_equal(ens.recorded["u"][0], -ens.recorded["X"][0])
 
     def test_initial_time_brownian_offset(self):
         # starting at t > 0 the Brownian value W(t) is drawn, not zero
