@@ -16,12 +16,32 @@ import tempfile
 
 from slq.cli import main
 
-# diagnose on the linear terminal weight g = 1 of tests/test_cli.py: the
-# only command here whose adjoint eta is nonzero
-LINEAR_TERMINAL = (
-    "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
-    "[coef.B]\nconstant = 1\n[terminal]\nG = 0\ng = 1\n"
-)
+# problem files, written as <key with - for _>.slq into the working
+# directory; commands name them relative to it, as the report quotes the path
+PROBLEMS = {
+    # the linear terminal weight g = 1 of tests/test_cli.py: the only
+    # problem here whose adjoint eta is nonzero
+    "linear_terminal": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.B]\nconstant = 1\n[terminal]\nG = 0\ng = 1\n"
+    ),
+    # time tables for A and Q, nonzero D and S: a coefficient row per
+    # quarter-grid node of the Riccati stage
+    "time_table": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.A]\n0 : -0.5\n1 : 0.8\n[coef.B]\nconstant = 1\n"
+        "[coef.C]\nconstant = 0.4\n[coef.D]\nconstant = 0.7\n"
+        "[coef.Q]\n0 : 1\n0.5 : 0.2\n1 : 0.6\n[coef.S]\nconstant = 0.3\n"
+        "[coef.R]\nconstant = 1\n[terminal]\nG = 1\n"
+    ),
+    # R = 0.5, Q = 1, G = -1: the generalized flow blows up near s = 0.373
+    # and its row stays frozen while the rungs go on
+    "gre_blowup": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.B]\nconstant = 1\n[coef.Q]\nconstant = 1\n"
+        "[coef.R]\nconstant = 0.5\n[terminal]\nG = -1\n"
+    ),
+}
 
 COMMANDS = [
     "solve --builtin example-5.1",
@@ -38,6 +58,10 @@ COMMANDS = [
     "--mc-steps 256 --steps 400 --eps-min 0.0625",
     "simulate --builtin example-1.1 --control zero --paths 3 --mc-steps 16 --dump-paths",
     "diagnose --problem {linear_terminal}",
+    "solve --problem {time_table} --steps 400",
+    "diagnose --problem {time_table} --steps 400",
+    "solve --problem {gre_blowup} --steps 512 --eps-min 0.25",
+    "diagnose --problem {gre_blowup} --steps 512 --eps-min 0.25",
 ]
 
 
@@ -50,21 +74,28 @@ def digest(out_dir: str) -> str:
     return h.hexdigest()[:16]
 
 
+def _file(key: str) -> str:
+    return key.replace("_", "-") + ".slq"
+
+
+def shown(command: str) -> str:
+    return command.format(**{k: _file(k) for k in PROBLEMS})
+
+
 def run(command: str, work: str) -> str:
     out = tempfile.mkdtemp(dir=work)
-    argv = command.format(linear_terminal=os.path.join(work, "linear-terminal.slq")).split()
     with contextlib.redirect_stdout(io.StringIO()):
-        main([*argv, "--out", out])
+        main([*shown(command).split(), "--out", out])
     return digest(out)
 
 
 def _main() -> int:
-    with tempfile.TemporaryDirectory() as work:
-        with open(os.path.join(work, "linear-terminal.slq"), "w", encoding="utf-8") as fh:
-            fh.write(LINEAR_TERMINAL)
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        for key, text in PROBLEMS.items():
+            with open(_file(key), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for command in COMMANDS:
-            shown = command.format(linear_terminal="linear-terminal.slq")
-            print(f"{run(command, work)}  slq {shown}", flush=True)
+            print(f"{run(command, work)}  slq {shown(command)}", flush=True)
     return 0
 
 

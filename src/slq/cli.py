@@ -80,6 +80,7 @@ _FLOAT_KEYS = {"t", "eps_max", "eps_min", "ladder_factor", "delta", "tol"}
 _INT_KEYS = {"steps", "paths", "mc_steps", "seed"}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+_CHOICES = {"control": ("zero", "feedback"), "builtin": tuple(builtin_names())}
 
 
 def _coerce(key: str, val: str):
@@ -89,6 +90,8 @@ def _coerce(key: str, val: str):
         return int(val)
     if key == "dump_paths":
         return _BOOLS[val.lower()]
+    if val not in _CHOICES.get(key, (val,)):
+        raise ValueError(val)
     return val
 
 
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
     _add_common(sp)
     sp = sub.add_parser("simulate", help="Monte Carlo simulation of a control")
     _add_common(sp)
-    sp.add_argument("--control", choices=["zero", "feedback"], help="control to simulate")
+    sp.add_argument("--control", choices=_CHOICES["control"], help="control to simulate")
     sp.add_argument("--dump-paths", dest="dump_paths", action="store_true", default=None,
                     help="also write per-path trajectories (large)")
     sp = sub.add_parser("verify-example", help="run acceptance checks for a built-in")

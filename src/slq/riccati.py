@@ -9,9 +9,10 @@ K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
 classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
 step; uniform grids keep downstream L2 norms and eps-comparisons
 node-aligned.  One backward pass holds the generalized flow and a whole
-eps ladder as one stack of flows.  Blow-up is detected and reported, not
-papered over: an indefinite generalized equation may legitimately fail to
-have a global solution, so its blow-up is returned while the ladder goes on.
+eps ladder as one stack of flows, on Python floats for n = m = 1 (same
+bits).  Blow-up is detected and reported, not papered over: an indefinite
+generalized equation may legitimately fail to have a global solution, so
+its blow-up is returned while the ladder goes on.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ def inner(cf: dict, P: np.ndarray, eps, idx=slice(None)) -> tuple:
     return K, L, scale
 
 
+def _singular(eps: float, s: float) -> DegeneratePerturbationError:
+    return DegeneratePerturbationError(
+        f"R + {eps}*I + D'PD is numerically singular at s={s:.6g}; increase eps"
+    )
+
+
 def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray:
     """K^{-1} rhs for eps > 0, the pseudoinverse K^+ rhs for eps = 0.
 
@@ -120,13 +127,61 @@ def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray
     bad = lo <= np.maximum(hi, scale) / COND_LIMIT
     if bad.any():
         i = np.argmax(bad)
-        e, s = (float(np.broadcast_to(x, bad.shape)[i]) for x in (eps, times))
-        raise DegeneratePerturbationError(
-            f"R + {e}*I + D'PD is numerically singular at s={s:.6g}; increase eps"
-        )
+        raise _singular(*(float(np.broadcast_to(x, bad.shape)[i]) for x in (eps, times)))
     if m == 1:
         return rhs / K
     return np.linalg.solve(K, rhs)
+
+
+def _matrix_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
+    """The RK4 stage right-hand side ``dP(j, P)`` of a stack of flows whose
+    first ``g`` rows are generalized (see :func:`_eps_rows`)."""
+    cf = coef_tables(p, times)
+    A, At, Ct, C, Q = cf["A"], cf["A'"], cf["C'"], cf["C"], cf["Q"]
+    g, e, _ = rows
+    LKL = np.empty((g + e.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
+
+    def stage(j: int, P: np.ndarray) -> np.ndarray:
+        K, L, scale = inner(cf, P, rows, j)
+        if g:
+            # L'(K^+ L); pinv_1x1 skips pinv's checks: a non-finite value reaches the blow-up test
+            Kp = pinv_1x1(K[:g]) if p.m == 1 else pinv(K[:g])
+            LKL[:g] = L[:g].mT @ (Kp @ L[:g])
+        if e.size:
+            if p.m == 1:
+                # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
+                LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, times[j])
+            else:
+                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, times[j])
+        return -(P @ A[j] + At[j] @ P + Ct[j] @ P @ C[j] + Q[j] - LKL)
+
+    return stage
+
+
+def _scalar_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
+    """:func:`_matrix_stage` for n = m = 1, row by row on Python floats, in its
+    order of operations and so with its bits.  A numpy 1x1 product is 0.0 + a*b,
+    never -0.0; the table holds no -0.0, so q and s make a zero sum +0.0 as there."""
+    eps = [0.0] * rows[0] + rows[1].tolist()
+    tab = np.stack([getattr(p, k)(times)[:, 0, 0] + 0.0 for k in "ABCDQSR"], axis=1)
+
+    def stage(j: int, P: np.ndarray) -> np.ndarray:
+        a, b, c, d, q, s, r = tab[j].tolist()  # one row per stage, not the table
+        dP = []
+        for x, e in zip(P.ravel().tolist(), eps):
+            xd = x * d
+            K, L = r + d * xd, (b * x + xd * c) + s
+            if e == 0.0:  # a generalized row: L (K^+ L)
+                LKL = L * ((1.0 / K if K != 0.0 else 0.0) * L)
+            else:
+                K += e
+                if abs(K) <= max(abs(K), (abs(r) + abs(d * xd)) + e) / COND_LIMIT:
+                    raise _singular(e, float(times[j]))
+                LKL = (L * L) / K
+            dP.append(-((((x * a + a * x) + (c * x) * c) + q) - LKL))
+        return np.array(dP).reshape(P.shape)
+
+    return stage
 
 
 def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
@@ -145,26 +200,12 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     # stride 4 with its midpoint at 4k - 2, the step-doubling half steps
     # stride 2 with midpoints at 4k - 1 and 4k - 3.
     times = np.linspace(0.0, p.T, 4 * steps + 1)
-    cf = coef_tables(p, times)
-    A, At, Ct, C, Q = cf["A"], cf["A'"], cf["C'"], cf["C"], cf["Q"]
-    rows = g, e, _ = _eps_rows(eps, p.m)
-    LKL = np.empty((eps.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
+    rows = g, _, _ = _eps_rows(eps, p.m)
+    stage = (_scalar_stage if p.n == p.m == 1 else _matrix_stage)(p, rows, times)
     gre_blowup = None
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
-        K, L, scale = inner(cf, P, rows, j)
-        if g:
-            # L'(K^+ L); for m = 1 without pinv's argument checks on every
-            # stage: a non-finite stage value reaches the blow-up test below
-            Kp = pinv_1x1(K[:g]) if p.m == 1 else pinv(K[:g])
-            LKL[:g] = L[:g].mT @ (Kp @ L[:g])
-        if g < eps.size:
-            if p.m == 1:
-                # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
-                LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, times[j])
-            else:
-                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, times[j])
-        dP = -(P @ A[j] + At[j] @ P + Ct[j] @ P @ C[j] + Q[j] - LKL)
+        dP = stage(j, P)
         if gre_blowup is not None:
             dP[:g] = 0.0  # a blown generalized flow stays at its last finite value
         return dP

@@ -181,10 +181,6 @@ class CoupledEnsembles:
         M = self.control_norm_sq.shape[1]
         return self.control_norm_sq.std(axis=1, ddof=1) / np.sqrt(M)
 
-    @property
-    def pair_dist_mean(self):
-        return self.pair_dist_sq.mean(axis=1)
-
 
 def _path_block_normals(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
     """Normals of paths start .. start + count - 1, ``draws`` per path.

@@ -225,3 +225,18 @@ class TestConfigFile:
                         "--config", conf, "--out", out]) == 1
             assert f"{conf}:{line}: {message}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_value_outside_a_flags_choices_is_rejected(self, tmp_path, capsys):
+        # control must be one of --control's choices and builtin a built-in
+        # name, or solve would run and a later command fail without path:line
+        for text, flags, line, message in (
+            ("steps = 150\ncontrol = bogus\n", ["--builtin", "example-1.1"], 2,
+             "bad value 'bogus' for control"),
+            ("builtin = nope\n", [], 1, "bad value 'nope' for builtin"),
+        ):
+            conf = tmp_path / "run.conf"
+            conf.write_text(text, encoding="utf-8")
+            out = tmp_path / "out"
+            assert run(["solve", *flags, "--config", conf, "--out", out]) == 1
+            assert f"{conf}:{line}: {message}" in capsys.readouterr().err
+            assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from slq.cli import _closed_loop_lines
 from slq.errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from slq.core import GridFn
+from slq import riccati
 from slq.problem import RandomInput, SLQProblem, builtin
 from slq.riccati import (
     check_regularity,
@@ -43,6 +46,16 @@ def random_problem():
         R=GridFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
         b=RandomInput.zero(2), sigma=RandomInput.zero(2),
         q=RandomInput.zero(2), rho=RandomInput.zero(1),
+    )
+
+
+def time_table_problem():
+    """A scalar problem with time tables for A and Q, and nonzero D and S."""
+    p = scalar_problem(B=1.0, C=0.4, D=0.7, S=0.3, R=1.0, G=1.0)
+    return dataclasses.replace(
+        p,
+        A=GridFn([0.0, 1.0], np.array([[[-0.5]], [[0.8]]])),
+        Q=GridFn([0.0, 0.5, 1.0], np.array([[[1.0]], [[0.2]], [[0.6]]])),
     )
 
 
@@ -301,3 +314,82 @@ def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in(A, B, C, D, Q,
     assert check_regularity(P0, p).is_regular()
     gaps = [float(np.max(np.abs(r.P.values - P0.P.values))) for r in rungs]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+# (problem, ladder, steps): a leading 0.0 puts the generalized flow in the stack
+STAGE_CASES = {
+    "example-1.1": (lambda: builtin("example-1.1")[0], [0.0, 1.0, 0.5, 0.25, 0.125], 256),
+    "example-5.1": (lambda: builtin("example-5.1")[0], [0.0, 1.0, 0.5, 0.25, 0.125], 256),
+    "standard-scalar": (lambda: builtin("standard-scalar")[0], [1.0, 0.5, 0.25], 256),
+    "time-table": (time_table_problem, [0.0, 1.0, 0.5, 0.25], 400),
+    # the generalized row blows up near s = 0.373 and stays frozen
+    "generalized-blowup": (lambda: scalar_problem(R=0.5, Q=1.0, G=-1.0),
+                           [0.0, 1.0, 0.5, 0.25], 512),
+    "degenerate": (lambda: scalar_problem(R=-0.5, G=1.0), [0.5], 64),
+    "degenerate-behind-rows": (lambda: scalar_problem(R=-0.5, G=1.0), [0.0, 1.0, 0.5], 64),
+    # P stays -0.0; a -0.0 in q or s must not reach the scalar stage's sums
+    "negative-zeros": (lambda: scalar_problem(B=0.0, C=-0.0, D=1.0, Q=-0.0, S=-0.0, G=-0.0),
+                       [0.0, 1.0, 0.5], 64),
+}
+
+
+def _ladder_or_error(p, ladder, steps):
+    try:
+        return solve_ladder(p, ladder, steps)
+    except DegeneratePerturbationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_scalar_stage_equals_matrix_stage(case, monkeypatch):
+    make, ladder, steps = STAGE_CASES[case]
+    p = make()
+    with monkeypatch.context() as mp:
+        mp.delattr(riccati, "_matrix_stage")  # n = m = 1 must not reach it
+        scalar = _ladder_or_error(p, ladder, steps)
+    monkeypatch.setattr(riccati, "_scalar_stage", riccati._matrix_stage)
+    matrix = _ladder_or_error(p, ladder, steps)
+    assert type(scalar) is type(matrix)
+    if isinstance(matrix, str):
+        assert scalar == matrix
+        return
+    for a, b in zip(scalar, matrix, strict=True):
+        if isinstance(b, BlowUpError):
+            assert (str(a), a.time) == (str(b), b.time)
+            continue
+        assert np.array_equal(a.P.values, b.P.values)
+        assert np.array_equal(np.signbit(a.P.values), np.signbit(b.P.values))
+        assert a.max_local_error_estimate == b.max_local_error_estimate
+        assert a.max_step_asymmetry == b.max_step_asymmetry
+
+
+@pytest.mark.parametrize("name", ["time-table", "random-n2"])
+def test_rk4_flow_matches_a_radau_oracle(name):
+    # scipy's implicit Radau IIA integrator on the Riccati equation written
+    # out from the coefficients, against the scalar (n = m = 1) and the
+    # matrix (n = 2) stage at eps = 0.5
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    p = time_table_problem() if name == "time-table" else random_problem()
+    eps, n = 0.5, p.n
+
+    def f(s, y):
+        P = y.reshape(n, n)
+        A, B, C, D, Q, S, R = (getattr(p, k)(s) for k in "ABCDQSR")
+        K = R + eps * np.eye(p.m) + D.T @ P @ D
+        L = B.T @ P + D.T @ P @ C + S
+        return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ np.linalg.solve(K, L)).ravel()
+
+    coarse, fine = (solve_perturbed(p, eps, steps).P.values for steps in (50, 100))
+    ref = solve_ivp(f, (p.T, 0.0), p.G.ravel(), method="Radau", rtol=1e-10, atol=1e-12,
+                    t_eval=np.linspace(p.T, 0.0, 101))
+    assert ref.success
+    exact = ref.y.T[::-1].reshape(-1, n, n)
+    err_coarse = np.max(np.abs(coarse - exact[::2]))
+    err_fine = np.max(np.abs(fine - exact))
+    # RK4's global error is C h^4 + O(h^5): halving h divides it by about 16
+    # (>= 12 allowed), and Richardson's (P_h - P_{h/2}) * 16/15 estimates it,
+    # within a factor 2; Radau at rtol 1e-10 adds at most ~1e-10 |P|
+    radau = 1e-9 * max(1.0, np.max(np.abs(exact)))
+    assert err_coarse / err_fine >= 12.0, (err_coarse, err_fine)
+    richardson = np.max(np.abs(coarse - fine[::2])) * 16.0 / 15.0
+    assert err_coarse <= 2.0 * richardson + radau, (err_coarse, richardson)
