@@ -5,8 +5,13 @@ Each command writes into a fresh directory; its digest is the sha256 over
 the sorted file names, each followed by a NUL byte and the file's bytes,
 cut to 16 hex digits.  Equal digests before and after a change mean that
 change left the CLI's output bytes alone.
+
+``--compare FILE`` reads an earlier run's output from FILE and, after the
+digests, prints each command whose digest changed or that FILE lacks; the
+exit code is 1 if there is one.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -89,14 +94,38 @@ def run(command: str, work: str) -> str:
     return digest(out)
 
 
-def _main() -> int:
-    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
-        for key, text in PROBLEMS.items():
-            with open(_file(key), "w", encoding="utf-8") as fh:
-                fh.write(text)
-        for command in COMMANDS:
-            print(f"{run(command, work)}  slq {shown(command)}", flush=True)
-    return 0
+def read_digests(path: str) -> dict:
+    """``{command: digest}`` from the lines of an earlier run."""
+    with open(path, encoding="utf-8") as fh:
+        pairs = (line.rstrip("\n").split("  slq ", 1) for line in fh if "  slq " in line)
+        return {command: value for value, command in pairs}
+
+
+def _main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", metavar="FILE", help="an earlier run's output to compare with")
+    args = ap.parse_args(argv)
+    earlier = read_digests(args.compare) if args.compare else None
+    now = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for key, text in PROBLEMS.items():
+                with open(_file(key), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for command in COMMANDS:
+                now[shown(command)] = run(command, work)
+                print(f"{now[shown(command)]}  slq {shown(command)}", flush=True)
+        finally:
+            os.chdir(home)
+    if earlier is None:
+        return 0
+    changed = [(earlier.get(c, "absent"), d, c) for c, d in now.items() if earlier.get(c) != d]
+    for old, new, command in changed:
+        print(f"changed: {old} -> {new}  slq {command}")
+    print(f"{len(changed)} of {len(now)} digests differ from {args.compare}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ reductions run over full per-path arrays in fixed order, so results cannot
 depend on a worker or block count.  Two runs with the same master seed share
 Brownian increments exactly, which is what couples controls under common
 random numbers.  Paths are simulated in blocks, and the next block's normals
-are drawn on one background thread while the current block steps; since a
-stream depends only on (master_seed, i), results do not depend on that
-thread or its timing.
+are drawn on a background thread while the current block steps; that thread
+splits the block into contiguous ranges of paths, one per usable core, and
+fills them in parallel.  Since a stream depends only on (master_seed, i),
+results do not depend on those threads, the split or their timing.  The
+Euler loop writes into work arrays allocated once per block, with every
+floating-point operation in the same order as the written-out scheme.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
@@ -28,6 +31,7 @@ window, not the simulator, decides where the hold starts.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -57,7 +61,7 @@ __all__ = [
 
 MASK64 = (1 << 64) - 1
 DEFAULT_BLOCK = 8192
-_DRAW_CHUNK = 64  # paths per transposing copy into a draw-major block
+_DRAW_CHUNK = 64  # paths in the fill buffers of one block's draw, all threads together
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,7 @@ class CoupledEnsembles:
     cost: np.ndarray  # (K, M)
     control_norm_sq: np.ndarray  # (K, M)
     pair_dist_sq: np.ndarray  # (K-1, M) int |u_i - u_{i+1}|^2 per path
+    blown: np.ndarray  # (M,) bool, zeroed under every control
 
     @property
     def control_norm_mean(self):
@@ -182,31 +187,79 @@ class CoupledEnsembles:
         return self.control_norm_sq.std(axis=1, ddof=1) / np.sqrt(M)
 
 
-def _path_block_normals(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Normals of paths start .. start + count - 1, ``draws`` per path.
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_rows(master_seed: int, start: int, rows: np.ndarray, chunk: int):
+    """Fill row i of ``rows`` with the normals of path start + i.
 
     Row i is the stream of a fresh ``Philox(key=[master_seed, start + i])``.
     One bit generator is re-keyed per path instead, with its counter, buffer
     and cached half word reset: the same bits, without the OS entropy read
-    that constructing a bit generator costs.  The block is stored draw-major
-    (Fortran order), so the Euler loop reads each step's increments as one
-    contiguous column; rows are filled through a small buffer of paths.
+    that constructing a bit generator costs.  The state holds Python ints,
+    which the setter reads about three times faster than array entries;
+    the per-path work that holds the interpreter lock is what the stepping
+    thread waits on.  Rows are filled through a buffer of ``chunk`` paths,
+    as ``rows`` may be a draw-major view.
     """
-    out = np.empty((draws, count)).T
-    buf = np.empty((min(_DRAW_CHUNK, count), draws))
+    count, draws = rows.shape
+    buf = np.empty((min(chunk, count), draws))
     bits = Philox(0)
     gen = Generator(bits)
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    empty = np.zeros(4, dtype=np.uint64)
-    fresh = {"bit_generator": "Philox", "state": {"counter": empty, "key": key},
-             "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [master_seed, 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for c0 in range(0, count, len(buf)):
-        rows = buf[: count - c0]
-        for j, row in enumerate(rows):
+        part = buf[: count - c0]
+        for j, row in enumerate(part):
             key[1] = (start + c0 + j) & MASK64
             bits.state = fresh
             gen.standard_normal(out=row)
-        out[c0 : c0 + len(rows)] = rows
+        rows[c0 : c0 + len(part)] = part
+
+
+def _path_block_normals(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
+    """Normals of paths start .. start + count - 1, ``draws`` per path.
+
+    Row i is the stream of path start + i (see :func:`_fill_rows`).  The
+    rows are cut into one contiguous range per usable core, at most one per
+    ``_DRAW_CHUNK`` paths; the calling thread fills the first range and one
+    helper thread with its own bit generator and buffer fills each other
+    range, so the bits do not depend on the split.  The buffers together
+    hold ``_DRAW_CHUNK`` paths, as one thread's does, so the split adds
+    little to peak memory; each still holds at least one cache line per
+    draw.  Every helper is joined before this returns or raises.  The block
+    is stored draw-major (Fortran order), so the Euler loop reads each
+    step's increments as one contiguous column.
+    """
+    out = np.empty((draws, count)).T
+    parts = max(1, min(_usable_cores(), count // _DRAW_CHUNK))
+    cuts = [count * i // parts for i in range(parts + 1)]
+    chunk = max(_DRAW_CHUNK // parts, 8)
+    errors = []
+
+    def fill(lo: int, hi: int):
+        try:
+            _fill_rows(master_seed, start + lo, out[lo:hi], chunk)
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            helpers.append(threading.Thread(target=fill, args=(lo, hi), daemon=True))
+            helpers[-1].start()
+        _fill_rows(master_seed, start, out[: cuts[1]], chunk)
+    finally:
+        for th in helpers:
+            if th.ident is not None:
+                th.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -242,23 +295,45 @@ class _BackgroundDraw:
         return z
 
 
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _apply(M: np.ndarray, X: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """M x for every state of a stack: (..., i, j) with (..., B, j) -> (..., B, i).
 
     Written as a sum of broadcast products over j: on these small matrices
-    and long stacks it is several times faster than ``einsum``.
+    and long stacks it is several times faster than ``einsum``.  ``out``
+    receives the sum and ``tmp`` each further product; either is allocated
+    when not given.
     """
-    out = M[..., None, :, 0] * X[..., :1]
+    out = np.multiply(M[..., None, :, 0], X[..., :1], out=out)
     for j in range(1, X.shape[-1]):
-        out = out + M[..., None, :, j] * X[..., j : j + 1]
+        out += np.multiply(M[..., None, :, j], X[..., j : j + 1], out=tmp)
     return out
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a[..., 0] * b[..., 0]
+def _dot(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[-1]):
-        out = out + a[..., i] * b[..., i]
+        out += np.multiply(a[..., i], b[..., i], out=tmp)
     return out
+
+
+class _BlockWork:
+    """The arrays one block's Euler loop writes into, allocated once per block.
+
+    ``drift`` and ``diff`` hold the step's coefficients; ``x1``, ``x2``
+    (state-shaped), ``u1``, ``u2`` (control-shaped), ``s1``, ``s2`` (one
+    value per control and path) and ``b`` (one per path) are scratch
+    between two calls.  The second products exist only for sums over a
+    dimension above 1, and ``b`` only for a modulated b.
+    """
+
+    def __init__(self, K: int, B: int, n: int, m: int, b_mod: bool):
+        self.drift, self.diff, self.x1 = (np.empty((K, B, n)) for _ in range(3))
+        self.u1, self.s1 = np.empty((K, B, m)), np.empty((K, B))
+        wide = max(n, m) > 1
+        self.x2 = np.empty((K, B, n)) if wide else None
+        self.u2 = np.empty((K, B, m)) if wide else None
+        self.s2 = np.empty((K, B)) if wide else None
+        self.b = np.empty(B) if b_mod else None
 
 
 def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray) -> dict:
@@ -268,7 +343,7 @@ def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray) -> dict:
     that lack a part others have.  ``hold[i]`` is the first node index at
     which control i is held: the last node at or below the end of its
     theta grid (N for open-loop controls and for feedback whose grid
-    reaches T, never held).
+    reaches T, never held); ``first_hold`` is the smallest of them.
     """
     N, K = s_nodes.size - 1, len(controls)
 
@@ -288,29 +363,31 @@ def _control_tables(controls: list, p: SLQProblem, s_nodes: np.ndarray) -> dict:
                 raise InvalidInputError("feedback grid starts after the initial time")
             hold[i] = max(int(np.searchsorted(s_nodes, c.theta.grid[-1] + 1e-12) - 1), 0)
     return {
-        "m": p.m,
         "theta": stack("theta", (p.m, p.n)),
         "v_det": stack("v_det", (p.m,)),
         "v_mod": stack("v_mod_profile", (p.m,)),
         "hold": hold,
+        "first_hold": int(hold.min()),
     }
 
 
-def _control_at(ct: dict, k: int, X: np.ndarray, M: Optional[np.ndarray], held: Optional[np.ndarray]):
-    """u = Theta X + v_det + v_mod M(s_k) at node k for states X (K, B, n);
-    M is (K, B), and feedback rows past their hold index keep ``held``."""
+def _control_at(ct: dict, k: int, X: np.ndarray, M: Optional[np.ndarray], held: np.ndarray,
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """u = Theta X + v_det + v_mod M(s_k) at node k into ``out`` (K, B, m) for
+    states X (K, B, n); M is (K, B), and feedback rows past their hold index
+    keep ``held``, the previous node's controls; ``tmp`` is out-shaped scratch."""
     if ct["theta"] is None:
-        u = np.zeros(X.shape[:2] + (ct["m"],))
+        out.fill(0.0)
     else:
-        u = _apply(ct["theta"][k], X)
+        _apply(ct["theta"][k], X, out, tmp)
     if ct["v_det"] is not None:
-        u += ct["v_det"][k][:, None]
+        out += ct["v_det"][k][:, None]
     if ct["v_mod"] is not None:
-        u += ct["v_mod"][k][:, None] * M[..., None]
-    frozen = k > ct["hold"]
-    if frozen.any():
-        u[frozen] = held[frozen]
-    return u
+        out += np.multiply(ct["v_mod"][k][:, None], M[..., None], out=tmp)
+    if k > ct["first_hold"]:
+        frozen = k > ct["hold"]
+        out[frozen] = held[frozen]
+    return out
 
 
 def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
@@ -340,36 +417,44 @@ def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
     return tabs
 
 
-def _cost_integrand(tabs: dict, k: int, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-    val = np.zeros(X.shape[:2])
+def _cost_integrand(tabs: dict, k: int, X: np.ndarray, u: np.ndarray, out: np.ndarray,
+                    w: _BlockWork) -> np.ndarray:
+    """The running cost at node k into ``out`` (K, B)."""
+    out.fill(0.0)
     if tabs["Q"] is not None:
-        val += _dot(_apply(tabs["Q"][k], X), X)
+        out += _dot(_apply(tabs["Q"][k], X, w.x1, w.x2), X, w.s1, w.s2)
     if tabs["S"] is not None:
-        val += 2.0 * _dot(_apply(tabs["S"][k], X), u)
+        out += np.multiply(2.0, _dot(_apply(tabs["S"][k], X, w.u1, w.u2), u, w.s1, w.s2), out=w.s1)
     if tabs["R"] is not None:
-        val += _dot(_apply(tabs["R"][k], u), u)
+        out += _dot(_apply(tabs["R"][k], u, w.u1, w.u2), u, w.s1, w.s2)
     if tabs["q"] is not None:
-        val += 2.0 * _dot(X, tabs["q"][k])
+        out += np.multiply(2.0, _dot(X, tabs["q"][k], w.s1, w.s2), out=w.s1)
     if tabs["rho"] is not None:
-        val += 2.0 * _dot(u, tabs["rho"][k])
-    return val
+        out += np.multiply(2.0, _dot(u, tabs["rho"][k], w.s1, w.s2), out=w.s1)
+    return out
 
 
 def _euler_step(tabs: dict, k: int, X: np.ndarray, u: np.ndarray, M_b: Optional[np.ndarray],
-                dt: float, dw: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step of every control's states X (K, B, n) under
-    controls u (K, B, m); M_b (B,) modulates b, dw (B, 1) is the increment."""
-    drift = _apply(tabs["A"][k], X) + _apply(tabs["B"][k], u)
+                dt: float, dw: np.ndarray, w: _BlockWork) -> np.ndarray:
+    """One Euler-Maruyama step, in place, of every control's states X (K, B, n)
+    under controls u (K, B, m); M_b (B,) modulates b, dw (B, 1) is the
+    increment.  X becomes (X + drift dt) + diff dw, summed in that order."""
+    drift = _apply(tabs["A"][k], X, w.drift, w.x1)
+    drift += _apply(tabs["B"][k], u, w.x1, w.x2)
     if tabs["b"] is not None:
-        drift = drift + tabs["b"][k]
+        drift += tabs["b"][k]
     if M_b is not None:
-        drift = drift + (tabs["b_mod"][k] * M_b)[:, None]
-    diff = _apply(tabs["C"][k], X)
+        drift += np.multiply(tabs["b_mod"][k], M_b, out=w.b)[:, None]
+    diff = _apply(tabs["C"][k], X, w.diff, w.x1)
     if tabs["D_nonzero"][k]:
-        diff = diff + _apply(tabs["D"][k], u)
+        diff += _apply(tabs["D"][k], u, w.x1, w.x2)
     if tabs["sigma"] is not None:
-        diff = diff + tabs["sigma"][k]
-    return X + drift * dt + diff * dw
+        diff += tabs["sigma"][k]
+    drift *= dt
+    diff *= dw
+    X += drift
+    X += diff
+    return X
 
 
 def _run_blocks(
@@ -393,10 +478,15 @@ def _run_blocks(
     # M(s) = exp(gamma W - gamma^2 s / 2) is formed once per distinct gamma
     gammas = sorted(({c.gamma for c in controls if c.v_mod_profile is not None} | {tabs["b_gamma"]}) - {None})
     gam = np.array(gammas)
+    # gamma^2 s / 2 at every node, (N + 1, G)
+    half_g2s = (0.5 * gam * gam)[None, :] * s_nodes[:, None]
     g_ctrl = [gammas.index(c.gamma) if c.v_mod_profile is not None else 0 for c in controls]
     g_b = None if tabs["b_gamma"] is None else gammas.index(tabs["b_gamma"])
 
     K = len(controls)
+    # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
+    rows = {"unorm": K, "cost": K if tabs["running_cost"] else 0, "dist": K - 1}
+    rows = {key: r for key, r in rows.items() if r}
     M = cfg.paths
     cost = np.zeros((K, M))
     unorm = np.zeros((K, M))
@@ -434,39 +524,53 @@ def _run_blocks(
             nxt = start + Bn
             draw = draw_from(nxt) if nxt < M else None
             X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
-            u = None
+            w = _BlockWork(K, Bn, p.n, p.m, g_b is not None)
+            # u and the previous node's controls trade buffers every node
+            u, spare = np.empty((K, Bn, p.m)), np.empty((K, Bn, p.m))
+            Mg = np.empty((len(gammas), Bn))
+            Mc = None if ct["v_mod"] is None else np.empty((K, Bn))
             bad = np.zeros(Bn, dtype=bool)
-            acc, prev = {}, {}
+            any_bad = False
+            # each node's integrands and the previous node's trade buffers
+            acc = {key: np.zeros((r, Bn)) for key, r in rows.items()}
+            phi = {key: np.empty((r, Bn)) for key, r in rows.items()}
+            prev = {key: np.empty((r, Bn)) for key, r in rows.items()}
 
             for k in range(N + 1):
-                Mg = np.exp(gam[:, None] * W - (0.5 * gam * gam * s_nodes[k])[:, None]) if gammas else None
-                u = _control_at(ct, k, X, None if ct["v_mod"] is None else Mg[g_ctrl], u)
-                # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
-                phis = {"unorm": _dot(u, u)}
-                if tabs["running_cost"]:
-                    phis["cost"] = _cost_integrand(tabs, k, X, u)
-                if K > 1:
-                    d = u[:-1] - u[1:]
-                    phis["dist"] = _dot(d, d)
-                for key, phi in phis.items():
-                    if k == 0:
-                        acc[key] = np.zeros_like(phi)
-                    else:
-                        acc[key] += half_dt * (prev[key] + phi)
-                    prev[key] = phi
+                if gammas:
+                    np.multiply(gam[:, None], W, out=Mg)
+                    Mg -= half_g2s[k][:, None]
+                    np.exp(Mg, out=Mg)
+                if Mc is not None:
+                    np.take(Mg, g_ctrl, axis=0, out=Mc, mode="clip")
+                u, spare = _control_at(ct, k, X, Mc, u, spare, w.u1), u
+                _dot(u, u, phi["unorm"], w.s1)
+                if "cost" in phi:
+                    _cost_integrand(tabs, k, X, u, phi["cost"], w)
+                if "dist" in phi:
+                    d = np.subtract(u[:-1], u[1:], out=w.u1[:-1])
+                    _dot(d, d, phi["dist"], w.s1[:-1])
+                if k > 0:
+                    for key, r in rows.items():
+                        step = np.add(prev[key], phi[key], out=w.s1[:r])
+                        step *= half_dt
+                        acc[key] += step
+                prev, phi = phi, prev
                 if rec is not None:
                     rec["X"][:, sl, k] = X
                     rec["u"][:, sl, k] = u
                     rec["W"][sl, k] = W
 
                 if k < N:
-                    X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt, dW[:, k : k + 1])
+                    X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt,
+                                    dW[:, k : k + 1], w)
                     # one mask per path: leaving the finite regime under any
                     # control zeroes the path under all of them; the cheap
                     # whole-block test (NaN fails it too) usually passes
-                    if not np.abs(X).max() < 1e12:
-                        bad |= ~(np.abs(X) < 1e12).all(axis=(0, 2))
-                    if bad.any():
+                    if not np.abs(X, out=w.x1).max() < 1e12:
+                        bad |= ~(w.x1 < 1e12).all(axis=(0, 2))
+                        any_bad = True
+                    if any_bad:
                         X[:, bad] = 0.0
                     if need_W:
                         W += dW[:, k]
@@ -521,10 +625,10 @@ def simulate_coupled(
 
     Needed wherever pathwise differences between controls are meaningful
     only under common random numbers (the eps-ladder boundedness probe)."""
-    _, cost, unorm, pdist, _, _, _ = _run_blocks(p, ip, controls, cfg, block_size, False)
+    _, cost, unorm, pdist, _, blown, _ = _run_blocks(p, ip, controls, cfg, block_size, False)
     return CoupledEnsembles(
         problem=p, ip=ip, controls=list(controls), cfg=cfg,
-        cost=cost, control_norm_sq=unorm, pair_dist_sq=pdist,
+        cost=cost, control_norm_sq=unorm, pair_dist_sq=pdist, blown=blown,
     )
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridFn
+from .errors import EnsembleError
 from .problem import builtin
 from .riccati import check_regularity, riccati_csv, solve_gre, solve_ladder
 from .simulate import (
@@ -50,6 +51,19 @@ class CriterionResult:
         for label, ok, detail in self.checks:
             out.append(f"  - {'pass' if ok else 'FAIL'}: {label} ({detail})")
         return out
+
+
+def _coupled_without_blowup(p, ip, controls: list, cfg: MonteCarloConfig):
+    """One coupled run whose per-path rows equal those of each control run alone.
+
+    A path that leaves the finite regime under one control is zeroed under
+    all of them, which breaks that equality, so any blown path raises.
+    """
+    cpl = simulate_coupled(p, ip, controls, cfg)
+    blown = int(cpl.blown.sum())
+    if blown:
+        raise EnsembleError(f"{blown} of {cfg.paths} paths left the finite regime")
+    return cpl
 
 
 def _c1_perturbed_closed_form() -> CriterionResult:
@@ -116,10 +130,8 @@ def _c5_control_norm() -> CriterionResult:
     x = float(ip.x[0])
     checks = []
     sols = run_ladder(p, [1.0, 0.5, 0.25], 2000)
-    # one coupled run; no path blows up here, so each control's per-path
-    # rows equal those of a run of that control alone
     cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
-    cpl = simulate_coupled(p, ip, [sol.control for sol in sols], cfg)
+    cpl = _coupled_without_blowup(p, ip, [sol.control for sol in sols], cfg)
     for sol, mean, se in zip(sols, cpl.control_norm_mean, cpl.control_norm_se):
         exact = ((x + 2.0) / (sol.epsilon + 1.0)) ** 2
         ok3 = abs(mean - exact) <= 3.0 * se
@@ -159,11 +171,10 @@ def _c7_strategy_optimality() -> CriterionResult:
     p, ip = builtin("example-5.1")
     ladder = [2.0**-k for k in range(0, 11)]
     sols = run_ladder(p, ladder, 2000)
-    # one coupled run of the strategy on three windows; no path blows up
-    # here, so each window's per-path rows equal those of a run of it alone
+    # one coupled run of the strategy on three windows
     controls = [extract_limit(sols, delta=d, tol=1e-3).control for d in (0.1, 0.01, 0.001)]
     cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
-    means = simulate_coupled(p, ip, controls, cfg).cost.mean(axis=1)
+    means = _coupled_without_blowup(p, ip, controls, cfg).cost.mean(axis=1)
     checks = [
         ("cost at delta=1e-3 <= 0.02 (analytic value 0)", means[-1] <= 0.02,
          f"estimate {means[-1]:.5f}"),
@@ -191,9 +202,7 @@ def _c8_counterexample() -> CriterionResult:
     p, ip = builtin("example-1.1")
     x = float(ip.x[0])
     cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
-    # one coupled run; no path blows up here, so each control's per-path
-    # rows equal those of a run of that control alone
-    cpl = simulate_coupled(p, ip, [ControlSpec.zero(), bar_control_example_11(ip.t, x)], cfg)
+    cpl = _coupled_without_blowup(p, ip, [ControlSpec.zero(), bar_control_example_11(ip.t, x)], cfg)
     m0, mb = cpl.cost.mean(axis=1)
     se0, seb = cpl.cost.std(axis=1, ddof=1) / np.sqrt(cfg.paths)
     checks = [

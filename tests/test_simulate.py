@@ -1,3 +1,4 @@
+import sys
 import threading
 from dataclasses import replace
 
@@ -110,17 +111,102 @@ class TestDeterminism:
         (2**64 - 1, 0, 3, 17),
         (2**64 - 1, 2**64 - 2, 5, 1025),  # path indices wrap to 0, 1, 2
         (12345, 2**64 - 3, 70, 17),  # more paths than one fill buffer
+        (7, 5, 8193, 3),  # splits unevenly across two, three or four threads
+        (11, 0, 129, 33),  # just above two fill buffers: two ranges at most
+        (2**64 - 1, 2**64 - 100, 200, 9),  # a range starts at or spans the wrap
     ],
 )
-def test_path_block_normals_stream_contract(seed, start, count, draws):
-    # row i is the stream of a fresh Philox keyed by (seed, start + i mod 2^64)
-    z = simulate._path_block_normals(seed, start, count, draws)
+def test_path_block_normals_stream_contract(monkeypatch, seed, start, count, draws):
+    # row i is the stream of a fresh Philox keyed by (seed, start + i mod 2^64),
+    # whatever the number of threads the block is split across
     ref = np.stack([
         Generator(Philox(key=np.array([seed, (start + i) & simulate.MASK64], dtype=np.uint64)))
         .standard_normal(draws)
         for i in range(count)
     ])
-    assert np.array_equal(z, ref)
+    assert np.array_equal(simulate._path_block_normals(seed, start, count, draws), ref)
+    for cores in (1, 2, 3, 4):
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        z = simulate._path_block_normals(seed, start, count, draws)
+        assert z.flags.f_contiguous
+        assert np.array_equal(z, ref)
+
+
+class TestSplitDraw:
+    """A block is filled in contiguous ranges, one thread per usable core."""
+
+    def _fill_threads(self, monkeypatch, cores, count):
+        seen = []
+        orig = simulate._fill_rows
+
+        def recording(seed, start, rows, chunk):
+            seen.append((threading.current_thread(), start, len(rows)))
+            return orig(seed, start, rows, chunk)
+
+        monkeypatch.setattr(simulate, "_fill_rows", recording)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        simulate._path_block_normals(3, 10, count, 5)
+        assert threading.active_count() == before
+        return seen
+
+    def test_one_core_starts_no_helper(self, monkeypatch):
+        seen = self._fill_threads(monkeypatch, 1, 8192)
+        assert seen == [(threading.current_thread(), 10, 8192)]
+
+    def test_small_block_stays_on_the_calling_thread(self, monkeypatch):
+        seen = self._fill_threads(monkeypatch, 4, 127)
+        assert seen == [(threading.current_thread(), 10, 127)]
+
+    def test_ranges_cover_the_block_once(self, monkeypatch):
+        seen = self._fill_threads(monkeypatch, 3, 8193)
+        assert sorted((s, n) for _, s, n in seen) == [(10, 2731), (2741, 2731), (5472, 2731)]
+        assert [s for thread, s, _ in seen if thread is threading.current_thread()] == [10]
+        assert len({thread for thread, _, _ in seen}) == 3
+
+    def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch):
+        # eight threads write disjoint row ranges of one draw-major block
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
+        ref = simulate._path_block_normals(21, 2**64 - 4000, 8193, 4)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(simulate._path_block_normals(21, 2**64 - 4000, 8193, 4), ref)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_failure_reaches_caller(self, monkeypatch):
+        # a helper of the background draw fails; the caller of
+        # _path_block_normals joins its helpers and hands the error on
+        callers, failed = set(), []
+        orig_block, orig_fill = simulate._path_block_normals, simulate._fill_rows
+
+        def block(*args):
+            callers.add(threading.current_thread())
+            return orig_block(*args)
+
+        def fill(seed, start, rows, chunk):
+            if threading.current_thread() not in callers:
+                failed.append(start)
+                raise RuntimeError("injected in a helper")
+            return orig_fill(seed, start, rows, chunk)
+
+        monkeypatch.setattr(simulate, "_path_block_normals", block)
+        monkeypatch.setattr(simulate, "_fill_rows", fill)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected in a helper"):
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=200)
+        assert threading.active_count() == before
+        assert failed == [100]  # the second half of the first block
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected in a helper"):
+            simulate._path_block_normals(4, 0, 300, 17)
+        assert threading.active_count() == before
 
 
 class TestBackgroundDraw:
@@ -164,6 +250,113 @@ class TestBackgroundDraw:
         assert threading.active_count() == before
         if target == "_path_block_normals":
             assert [a[1] for a in calls] == [0, 100]  # nothing drawn after the failure
+
+
+def reference_euler(p, ip, controls, cfg):
+    """Euler-Maruyama for coupled controls, written out path-major in the
+    simulator's expression order: (cost, int |u|^2, int |u_i - u_i+1|^2)."""
+    N, P = cfg.steps, cfg.paths
+    dt = (p.T - ip.t) / N
+    s = ip.t + dt * np.arange(N + 1)
+    s[-1] = p.T
+    z = np.stack([Generator(Philox(key=np.array([cfg.master_seed, i], dtype=np.uint64)))
+                  .standard_normal(N + 1) for i in range(P)])
+    W, dW = np.sqrt(ip.t) * z[:, 0], z[:, 1:] * np.sqrt(dt)
+    A, B, C, D, Q, S, R = (getattr(p, c)(s) for c in "ABCDQSR")
+    b, sigma, q, rho = (getattr(p, c).deterministic(s) for c in ("b", "sigma", "q", "rho"))
+    mod = p.b.modulated
+    b_mod = np.append(mod.profile(s[:-1]).reshape(N), 0.0)
+
+    def apply(M, x):  # M (i, j), x (P, j) -> (P, i)
+        out = M[:, 0] * x[:, :1]
+        for j in range(1, x.shape[1]):
+            out = out + M[:, j] * x[:, j : j + 1]
+        return out
+
+    def dot(a, c):
+        out = a[:, 0] * c[..., 0]
+        for i in range(1, a.shape[1]):
+            out = out + a[:, i] * c[..., i]
+        return out
+
+    def control(c, k, X, held):
+        M = np.exp(c.gamma * W - 0.5 * c.gamma * c.gamma * s[k]) if c.gamma else None
+        u = np.zeros((P, p.m)) if c.theta is None else apply(c.theta(s[k]), X)
+        if c.v_det is not None:
+            u += c.v_det(s[k])
+        if c.v_mod_profile is not None:
+            u += c.v_mod_profile(s[k]) * M[:, None]
+        hold = N if c.theta is None else max(np.nonzero(s <= c.theta.grid[-1] + 1e-12)[0])
+        return held if k > hold else u
+
+    def running(k, X, u):
+        val = np.zeros(P)
+        val += dot(apply(Q[k], X), X)
+        val += 2.0 * dot(apply(S[k], X), u)
+        val += dot(apply(R[k], u), u)
+        val += 2.0 * dot(X, q[k])
+        val += 2.0 * dot(u, rho[k])
+        return val
+
+    K = len(controls)
+    X = [np.broadcast_to(ip.x, (P, p.n)).copy() for _ in controls]
+    u = [None] * K
+    acc = np.zeros((3, K, P))
+    prev = None
+    for k in range(N + 1):
+        u = [control(c, k, X[i], u[i]) for i, c in enumerate(controls)]
+        phi = np.array([[dot(v, v) for v in u], [running(k, X[i], u[i]) for i in range(K)],
+                        [dot(u[i] - u[i + 1], u[i] - u[i + 1]) for i in range(K - 1)] + [np.zeros(P)]])
+        if k > 0:
+            acc += 0.5 * dt * (prev + phi)
+        prev = phi
+        if k < N:
+            M_b = np.exp(mod.gamma * W - 0.5 * mod.gamma * mod.gamma * s[k])
+            for i in range(K):
+                drift = apply(A[k], X[i]) + apply(B[k], u[i])
+                drift = drift + b[k]
+                drift = drift + (b_mod[k] * M_b)[:, None]
+                diff = apply(C[k], X[i]) + apply(D[k], u[i]) + sigma[k]
+                X[i] = X[i] + drift * dt + diff * dW[:, k : k + 1]
+            W += dW[:, k]
+    cost = np.array([acc[1, i] + (dot(apply(p.G, X[i]), X[i]) + 2.0 * dot(X[i], p.g))
+                     for i in range(K)])
+    return cost, acc[0], acc[2, : K - 1]
+
+
+def test_coupled_run_matches_a_reference_euler_loop():
+    # n = 2, m = 2 with every coefficient and input, a modulated b and a
+    # held feedback: the stacked, in-place loop gives the reference's bits
+    rng = np.random.default_rng(6)
+    grid = np.linspace(0.0, 1.0, 5)
+
+    def table(*shape, scale=0.4):
+        return GridFn(grid, scale * rng.standard_normal((5,) + shape))
+
+    def inp(dim, mod=None):
+        return RandomInput(deterministic=table(dim, scale=0.2), modulated=mod)
+
+    p = SLQProblem(
+        n=2, m=2, T=1.0, A=table(2, 2), B=table(2, 2), C=table(2, 2),
+        D=GridFn(grid, 0.3 + 0.1 * rng.random((5, 2, 2))),
+        Q=GridFn.const(np.eye(2) + 0.2), S=table(2, 2, scale=0.1), R=GridFn.const(np.eye(2)),
+        G=np.array([[1.0, 0.3], [0.3, 2.0]]), g=np.array([0.2, -0.1]),
+        b=inp(2, Modulation(gamma=0.6, profile=table(1))), sigma=inp(2), q=inp(2), rho=inp(2),
+        name="n2",
+    )
+    ip = InitialPair(t=0.125, x=np.array([0.5, -0.4]))
+    controls = [
+        ControlSpec.feedback(table(2, 2), table(2), table(2), gamma=1.1).restrict(0.6),
+        ControlSpec.open_loop_modulated(table(2), gamma=0.6, det=table(2)),
+        ControlSpec.zero(),
+    ]
+    cfg = MonteCarloConfig(paths=150, steps=32, master_seed=2**63 + 5)
+    cpl = simulate_coupled(p, ip, controls, cfg, block_size=64)
+    cost, unorm, dist = reference_euler(p, ip, controls, cfg)
+    assert not cpl.blown.any()
+    assert np.array_equal(cpl.cost, cost)
+    assert np.array_equal(cpl.control_norm_sq, unorm)
+    assert np.array_equal(cpl.pair_dist_sq, dist)
 
 
 class TestAgainstMomentOracle:
@@ -297,6 +490,21 @@ class TestErrors:
         cfg = MonteCarloConfig(paths=100, steps=64, master_seed=1)
         with pytest.raises(EnsembleError):
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
+
+    def test_coupled_run_reports_blown_paths(self):
+        # a few paths leave the finite regime: the coupled run reports the
+        # same mask as a run alone, and the Monte Carlo criteria refuse it
+        from slq import verify
+
+        p = scalar_problem(A=1.0, C=22.0, Q=1.0, G=1.0)
+        ip = InitialPair(t=0.0, x=np.array([1.0]))
+        cfg = MonteCarloConfig(paths=4000, steps=16, master_seed=1)
+        cpl = simulate_coupled(p, ip, [ControlSpec.zero(), ControlSpec.zero()], cfg)
+        alone = simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
+        assert 0 < cpl.blown.sum() <= 40
+        assert np.array_equal(cpl.blown, alone.blown)
+        with pytest.raises(EnsembleError, match="left the finite regime"):
+            verify._coupled_without_blowup(p, ip, [ControlSpec.zero()], cfg)
 
     def test_modulated_sigma_rejected(self):
         mod = Modulation(gamma=1.0, profile=named_profile("inv-sqrt-gap"))
