@@ -8,7 +8,9 @@ change left the CLI's output bytes alone.
 
 ``--compare FILE`` reads an earlier run's output from FILE and, after the
 digests, prints each command whose digest changed or that FILE lacks; the
-exit code is 1 if there is one.
+exit code is 1 if there is one.  ``scripts/cli_digests.txt`` is such an
+output, the reference the test suite compares the commands without Monte
+Carlo with; regenerate it only for a change that means to alter the bytes.
 """
 
 import argparse
@@ -101,12 +103,9 @@ def read_digests(path: str) -> dict:
         return {command: value for value, command in pairs}
 
 
-def _main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--compare", metavar="FILE", help="an earlier run's output to compare with")
-    args = ap.parse_args(argv)
-    earlier = read_digests(args.compare) if args.compare else None
-    now = {}
+def digests(commands):
+    """Yield ``(shown command, digest)`` for each of ``commands``, run in a
+    scratch working directory that holds the problem files."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -114,11 +113,21 @@ def _main(argv=None) -> int:
             for key, text in PROBLEMS.items():
                 with open(_file(key), "w", encoding="utf-8") as fh:
                     fh.write(text)
-            for command in COMMANDS:
-                now[shown(command)] = run(command, work)
-                print(f"{now[shown(command)]}  slq {shown(command)}", flush=True)
+            for command in commands:
+                yield shown(command), run(command, work)
         finally:
             os.chdir(home)
+
+
+def _main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", metavar="FILE", help="an earlier run's output to compare with")
+    args = ap.parse_args(argv)
+    earlier = read_digests(args.compare) if args.compare else None
+    now = {}
+    for command, value in digests(COMMANDS):
+        now[command] = value
+        print(f"{value}  slq {command}", flush=True)
     if earlier is None:
         return 0
     changed = [(earlier.get(c, "absent"), d, c) for c, d in now.items() if earlier.get(c) != d]

@@ -173,6 +173,17 @@ def _closed_loop_lines(reg, blowup, eta_ok) -> list:
     return lines
 
 
+def _monte_carlo(cfg: RunConfig, simulate, *args, **kwargs):
+    """``simulate(*args, mc, **kwargs)``, naming on stderr the paths it zeroed."""
+    paths = cfg.paths if cfg.paths > 0 else 20_000
+    mc = MonteCarloConfig(paths=paths, steps=cfg.mc_steps, master_seed=cfg.seed)
+    res = simulate(*args, mc, **kwargs)
+    if res.blown.any():
+        print(f"warning: {int(res.blown.sum())} of {paths} paths left the finite regime "
+              "and were zeroed", file=sys.stderr)
+    return res
+
+
 def _cmd_solve(cfg: RunConfig) -> int:
     p, ip = _load(cfg)
     delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
@@ -183,8 +194,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
     u_norms = None
     if cfg.paths > 0:
-        mc = MonteCarloConfig(paths=cfg.paths, steps=cfg.mc_steps, master_seed=cfg.seed)
-        cpl = simulate_coupled(p, ip, [s.control for s in sols], mc)
+        cpl = _monte_carlo(cfg, simulate_coupled, p, ip, [s.control for s in sols])
         u_norms = [
             (sols[i].epsilon, float(cpl.control_norm_mean[i]), float(cpl.control_norm_se[i]))
             for i in range(len(sols))
@@ -237,8 +247,7 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
     ))
     if cfg.paths > 0:
         # a cross-check only: the verdicts above never read it
-        mc = MonteCarloConfig(paths=cfg.paths, steps=cfg.mc_steps, master_seed=cfg.seed)
-        cpl = simulate_coupled(p, ip, rep.controls, mc)
+        cpl = _monte_carlo(cfg, simulate_coupled, p, ip, rep.controls)
         lines.append("  monte carlo cross-check (eps, mean +- se vs exact): " + "; ".join(
             f"{e:.6g}: {mean:.6g} +- {se:.2g} vs {v:.6g}"
             for (e, v), mean, se in zip(rep.u_norms, cpl.control_norm_mean, cpl.control_norm_se)
@@ -270,10 +279,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     else:
         raise ValueError(f"unknown control {cfg.control!r} (use zero or feedback)")
 
-    mc = MonteCarloConfig(
-        paths=cfg.paths if cfg.paths > 0 else 20_000, steps=cfg.mc_steps, master_seed=cfg.seed
-    )
-    ens = simulate_ensemble(p, ip, ctrl, mc, record_paths=cfg.dump_paths)
+    ens = _monte_carlo(cfg, simulate_ensemble, p, ip, ctrl, record_paths=cfg.dump_paths)
     rows = [ESTIMATE_CSV_HEADER]
     rows.append(estimate_csv_row(estimate_cost(p, ip, ens)))
     rows.append(estimate_csv_row(control_norm(ens)))

@@ -9,14 +9,18 @@ K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
 classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
 step; uniform grids keep downstream L2 norms and eps-comparisons
 node-aligned.  One backward pass holds the generalized flow and a whole
-eps ladder as one stack of flows, on Python floats for n = m = 1 (same
-bits).  Blow-up is detected and reported, not papered over: an indefinite
-generalized equation may legitimately fail to have a global solution, so
-its blow-up is returned while the ladder goes on.
+eps ladder as one stack of flows.  For n = m = 1 the whole pass (stages,
+RK4 combination, blow-up test, step doubling, symmetrization) runs on a
+list of Python floats with the numpy pass's bits, since numpy's per-call
+cost on 1x1 matrices was most of a scalar solve.  Blow-up is detected and
+reported, not papered over: an indefinite generalized equation may
+legitimately fail to have a global solution, so its blow-up is returned
+while the ladder goes on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,17 +162,35 @@ def _matrix_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
     return stage
 
 
-def _scalar_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
-    """:func:`_matrix_stage` for n = m = 1, row by row on Python floats, in its
-    order of operations and so with its bits.  A numpy 1x1 product is 0.0 + a*b,
-    never -0.0; the table holds no -0.0, so q and s make a zero sum +0.0 as there."""
-    eps = [0.0] * rows[0] + rows[1].tolist()
+def _grids(p: SLQProblem, steps: int) -> tuple:
+    """The step h, the node grid and the quarter grid: index j = 4k is node k,
+    a step's midpoint is 4k - 2 and the half steps' are 4k - 1 and 4k - 3."""
+    return p.T / steps, np.linspace(0.0, p.T, steps + 1), np.linspace(0.0, p.T, 4 * steps + 1)
+
+
+def _blowup(eps: float, s: float) -> BlowUpError:
+    return BlowUpError(f"Riccati flow (eps={eps}) left the finite regime near s={s:.6g}", time=s)
+
+
+def _solutions(eps, grid, values, steps, errs, asyms, gre_blowup) -> list:
+    sols = [RiccatiSolution(float(e), GridFn(grid, v), steps, float(err), float(asym))
+            for e, v, err, asym in zip(eps, values, errs, asyms)]
+    return [gre_blowup, *sols[1:]] if gre_blowup else sols
+
+
+def _scalar_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
+    """:func:`_matrix_backward` for n = m = 1, all rows in lockstep on a list of
+    Python floats, in its order of operations and so with its bits and errors.
+    A numpy 1x1 product is 0.0 + a*b, never -0.0, and the table holds no -0.0, so
+    q and s make a zero sum +0.0 as there; a finite 1x1 step's asymmetry is 0.0."""
+    h, grid, times = _grids(p, steps)
+    g, rates = int(np.count_nonzero(eps == 0.0)), eps.tolist()
     tab = np.stack([getattr(p, k)(times)[:, 0, 0] + 0.0 for k in "ABCDQSR"], axis=1)
 
-    def stage(j: int, P: np.ndarray) -> np.ndarray:
+    def stage(j: int, P: list) -> list:
         a, b, c, d, q, s, r = tab[j].tolist()  # one row per stage, not the table
         dP = []
-        for x, e in zip(P.ravel().tolist(), eps):
+        for x, e in zip(P, rates):
             xd = x * d
             K, L = r + d * xd, (b * x + xd * c) + s
             if e == 0.0:  # a generalized row: L (K^+ L)
@@ -179,29 +201,45 @@ def _scalar_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
                     raise _singular(e, float(times[j]))
                 LKL = (L * L) / K
             dP.append(-((((x * a + a * x) + (c * x) * c) + q) - LKL))
-        return np.array(dP).reshape(P.shape)
+        dP[:frozen] = [0.0] * frozen
+        return dP
 
-    return stage
+    def rk4(j: int, y: list, step: float, stride: int) -> list:  # core.rk4_step
+        k1 = stage(j, y)
+        k2 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k1)])
+        k3 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k2)])
+        k4 = stage(j - stride, [v - step * k for v, k in zip(y, k3)])
+        return [v - (step / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+                for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+    P = symmetrize(np.asarray(p.G, dtype=float)).ravel().tolist() * eps.size
+    max_err, values = [0.0] * eps.size, np.empty((eps.size, steps + 1, 1, 1))
+    values[:, steps, 0, 0] = P
+    gre_blowup, frozen = None, 0  # frozen: leading generalized rows held at their last value
+    err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
+    for k in range(steps, 0, -1):
+        P_new = rk4(4 * k, P, h, 4)
+        blown = [i for i, x in enumerate(P_new) if not math.sqrt(x * x) <= BLOWUP_NORM]
+        if blown:
+            i = next((i for i in blown if i >= g), 0)  # else the generalized flow
+            if i >= g:
+                raise _blowup(rates[i], grid[k - 1])
+            gre_blowup, frozen = _blowup(rates[i], grid[k - 1]), g
+            P_new[:g] = P[:g]
+        if k % err_stride == 0:
+            P_half = rk4(4 * k - 2, rk4(4 * k, P, 0.5 * h, 2), 0.5 * h, 2)
+            errs = [math.sqrt((x - y) * (x - y)) for x, y in zip(P_new, P_half)]
+            max_err = [m if m != m or m >= e else e for m, e in zip(max_err, errs)]  # a NaN stays
+        P = [0.5 * (x + x) for x in P_new]
+        values[:, k - 1, 0, 0] = P
+    return _solutions(eps, grid, values, steps, max_err, [0.0] * eps.size, gre_blowup)
 
 
-def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
-    """One RK4 loop over the stack of flows for the values in ``eps``.
-
-    A leading eps = 0 is the generalized flow.  Its blow-up never raises:
-    the row freezes at its last finite value, the other rows go on, and its
-    entry is the :class:`BlowUpError`.  A positive row that leaves the
-    finite regime raises, naming the first such eps in stack order.
-    """
-    if steps < 16:
-        raise InvalidInputError(f"steps must be >= 16, got {steps}")
-    h = p.T / steps
-    grid = np.linspace(0.0, p.T, steps + 1)
-    # index j on the quarter grid is 4k for node k: a full RK4 step spans
-    # stride 4 with its midpoint at 4k - 2, the step-doubling half steps
-    # stride 2 with midpoints at 4k - 1 and 4k - 3.
-    times = np.linspace(0.0, p.T, 4 * steps + 1)
+def _matrix_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
+    """The backward pass on numpy stacks ``(N, n, n)``, for any n and m."""
+    h, grid, times = _grids(p, steps)
     rows = g, _, _ = _eps_rows(eps, p.m)
-    stage = (_scalar_stage if p.n == p.m == 1 else _matrix_stage)(p, rows, times)
+    stage = _matrix_stage(p, rows, times)
     gre_blowup = None
 
     def rhs(j: int, P: np.ndarray) -> np.ndarray:
@@ -223,11 +261,7 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
         blown = ~(norm <= BLOWUP_NORM)  # also true for NaN
         if blown.any():
             i = g + np.argmax(blown[g:]) if blown[g:].any() else 0  # else the generalized flow
-            exc = BlowUpError(
-                f"Riccati flow (eps={float(eps[i])}) left the finite regime "
-                f"near s={grid[k - 1]:.6g}",
-                time=grid[k - 1],
-            )
+            exc = _blowup(float(eps[i]), grid[k - 1])
             if i >= g:
                 raise exc
             gre_blowup = exc
@@ -241,11 +275,20 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
         max_asym = np.maximum(max_asym, asym)
         P = symmetrize(P_new)
         values[:, k - 1] = P
-    sols = [
-        RiccatiSolution(float(e), GridFn(grid, v), steps, float(err), float(asym))
-        for e, v, err, asym in zip(eps, values, max_local_err, max_asym)
-    ]
-    return [gre_blowup, *sols[1:]] if gre_blowup else sols
+    return _solutions(eps, grid, values, steps, max_local_err, max_asym, gre_blowup)
+
+
+def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
+    """One RK4 loop over the stack of flows for the values in ``eps``.
+
+    A leading eps = 0 is the generalized flow.  Its blow-up never raises:
+    the row freezes at its last finite value, the other rows go on, and its
+    entry is the :class:`BlowUpError`.  A positive row that leaves the
+    finite regime raises, naming the first such eps in stack order.
+    """
+    if steps < 16:
+        raise InvalidInputError(f"steps must be >= 16, got {steps}")
+    return (_scalar_backward if p.n == p.m == 1 else _matrix_backward)(p, eps, steps)
 
 
 def solve_ladder(p: SLQProblem, ladder, steps: int) -> list:

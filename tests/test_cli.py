@@ -185,6 +185,36 @@ class TestSimulateCmd:
         assert len(rows) == 1 + 3 * 17
 
 
+class TestBlownPaths:
+    # dX = 32 X ds + X dW with 64 Euler steps: about 0.2% of paths pass 1e12
+    # (8 of 4000 at the default seed); B = 0 and G = Q = 0 make every
+    # feedback zero, so all commands see the zero control's paths
+    PROBLEM = ("[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[coef.A]\nconstant = 32\n"
+               "[coef.C]\nconstant = 1\n[coef.R]\nconstant = 1\n[terminal]\nG = 0\n")
+    MC = ["--paths", "4000", "--mc-steps", "64"]
+
+    def test_each_monte_carlo_command_names_the_zeroed_paths(self, tmp_path, capsys):
+        path = tmp_path / "blows.slq"
+        path.write_text(self.PROBLEM, encoding="utf-8")
+        outs = []
+        for k, cmd in enumerate((["simulate", "--control", "zero"], ["solve", *FAST_SOLVE],
+                                 ["diagnose", "--steps", "200"])):
+            assert run([*cmd, "--problem", path, *self.MC, "--out", tmp_path / str(k)]) == 0
+            out, err = capsys.readouterr()
+            count, rest = err.removeprefix("warning: ").split(" of 4000 ", 1)
+            assert 0 < int(count) <= 40, err  # more than none, at most 1%
+            assert rest == "paths left the finite regime and were zeroed\n"
+            outs.append(out)
+        # the warning goes to stderr only: stdout and files are as before
+        assert read(tmp_path / "0" / "ensemble.csv") == outs[0]
+        assert read(tmp_path / "2" / "report.txt") == outs[2]
+
+    def test_no_warning_without_blown_paths(self, tmp_path, capsys):
+        assert run(["simulate", "--builtin", "example-1.1", "--control", "zero",
+                    *self.MC, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestVerifyExample:
     def test_unknown_example(self, capsys):
         assert run(["verify-example", "unknown-name"]) == 1

@@ -316,6 +316,28 @@ def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in(A, B, C, D, Q,
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
 
 
+_mat = st.lists(_coef, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(A=_mat, B=_mat, C=_mat, D=_mat, M=_mat, N=_mat, V=_mat)
+def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in_2x2(A, B, C, D, M, N, V):
+    # n = m = 2, through the matrix pass: Q = MM' and G = NN' are >= 0 and
+    # R = VV' + 0.1 I >= 0.1 I.  P_eps - P_0 is >= 0 and decreases with
+    # eps, so its largest entry, a diagonal one, does not grow
+    p = SLQProblem(
+        n=2, m=2, T=1.0, A=GridFn.const(A), B=GridFn.const(B), C=GridFn.const(C),
+        D=GridFn.const(D), Q=GridFn.const(M @ M.T), S=GridFn.const(np.zeros((2, 2))),
+        R=GridFn.const(V @ V.T + 0.1 * np.eye(2)), G=N @ N.T, g=np.zeros(2),
+        b=RandomInput.zero(2), sigma=RandomInput.zero(2), q=RandomInput.zero(2),
+        rho=RandomInput.zero(2),
+    )
+    P0, *rungs = solve_ladder(p, [0.0, 1.0, 0.5, 0.25, 0.125], 256)
+    assert check_regularity(P0, p).is_regular()
+    gaps = [float(np.max(np.abs(r.P.values - P0.P.values))) for r in rungs]
+    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
+
+
 # (problem, ladder, steps): a leading 0.0 puts the generalized flow in the stack
 STAGE_CASES = {
     "example-1.1": (lambda: builtin("example-1.1")[0], [0.0, 1.0, 0.5, 0.25, 0.125], 256),
@@ -330,28 +352,29 @@ STAGE_CASES = {
     # P stays -0.0; a -0.0 in q or s must not reach the scalar stage's sums
     "negative-zeros": (lambda: scalar_problem(B=0.0, C=-0.0, D=1.0, Q=-0.0, S=-0.0, G=-0.0),
                        [0.0, 1.0, 0.5], 64),
+    # at 16 steps the rung 2^-6 blows up near s = 0.875 and raises
+    "rung-blowup": (lambda: builtin("example-5.1")[0], [0.0, 1.0, 2.0**-5, 2.0**-6], 16),
+    # two rungs blow up in the same step: the first in stack order is named
+    "rung-blowup-tie": (lambda: builtin("example-5.1")[0],
+                        [0.0, 1.0, 2.0**-6 * (1.0 + 1e-6), 2.0**-6], 16),
+    # solve's default ladder 2^0 .. 2^-10 behind the generalized row
+    "example-5.1-default": (lambda: builtin("example-5.1")[0],
+                            [0.0, *(2.0**-k for k in range(11))], 2000),
 }
 
 
-def _ladder_or_error(p, ladder, steps):
+def _pass_or_error(backward, p, ladder, steps):
     try:
-        return solve_ladder(p, ladder, steps)
-    except DegeneratePerturbationError as exc:
-        return str(exc)
+        return backward(p, np.asarray(ladder, dtype=float), steps)
+    except (BlowUpError, DegeneratePerturbationError) as exc:
+        return exc
 
 
-@pytest.mark.parametrize("case", list(STAGE_CASES))
-def test_scalar_stage_equals_matrix_stage(case, monkeypatch):
-    make, ladder, steps = STAGE_CASES[case]
-    p = make()
-    with monkeypatch.context() as mp:
-        mp.delattr(riccati, "_matrix_stage")  # n = m = 1 must not reach it
-        scalar = _ladder_or_error(p, ladder, steps)
-    monkeypatch.setattr(riccati, "_scalar_stage", riccati._matrix_stage)
-    matrix = _ladder_or_error(p, ladder, steps)
+def _assert_same_pass(scalar, matrix):
     assert type(scalar) is type(matrix)
-    if isinstance(matrix, str):
-        assert scalar == matrix
+    if isinstance(matrix, Exception):
+        assert (str(scalar), getattr(scalar, "time", None)) == (
+            str(matrix), getattr(matrix, "time", None))
         return
     for a, b in zip(scalar, matrix, strict=True):
         if isinstance(b, BlowUpError):
@@ -361,6 +384,33 @@ def test_scalar_stage_equals_matrix_stage(case, monkeypatch):
         assert np.array_equal(np.signbit(a.P.values), np.signbit(b.P.values))
         assert a.max_local_error_estimate == b.max_local_error_estimate
         assert a.max_step_asymmetry == b.max_step_asymmetry
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_scalar_stage_equals_matrix_stage(case, monkeypatch):
+    # the Python-float pass against the numpy pass, bit for bit, errors included
+    make, ladder, steps = STAGE_CASES[case]
+    p = make()
+    scalar = _pass_or_error(riccati._scalar_backward, p, ladder, steps)
+    _assert_same_pass(scalar, _pass_or_error(riccati._matrix_backward, p, ladder, steps))
+    monkeypatch.delattr(riccati, "_matrix_backward")  # n = m = 1 must not reach it
+    _assert_same_pass(_pass_or_error(riccati._solve_backward, p, ladder, steps), scalar)
+
+
+_nonzero = st.floats(-1.0, 1.0).filter(lambda v: v != 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=_coef, B=_coef, C=_coef, D=_nonzero, Q=_coef, S=_nonzero,
+       G=st.one_of(st.just(0.0), _coef), R=st.one_of(st.floats(-0.5, 2.0), st.just(-0.5)))
+def test_scalar_pass_equals_matrix_pass_on_drawn_problems(A, B, C, D, Q, S, G, R):
+    # R < 0 makes K singular (R = -0.5 with G = 0 at eps = 0.5) or a flow
+    # blow up on some draws: the error type, message and time must match too
+    p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, S=S, R=R, G=G)
+    ladder = [0.0, 1.0, 0.5, 0.25]
+    with np.errstate(all="ignore"):
+        matrix = _pass_or_error(riccati._matrix_backward, p, ladder, 64)
+    _assert_same_pass(_pass_or_error(riccati._scalar_backward, p, ladder, 64), matrix)
 
 
 @pytest.mark.parametrize("name", ["time-table", "random-n2"])
