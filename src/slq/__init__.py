@@ -8,7 +8,7 @@ solvability from exact second moments of the ladder's outcomes, and
 verifies optimality by Euler-Maruyama Monte Carlo against analytic oracles.
 """
 
-from .core import GridFn, l2_norm, pinv, range_included
+from .core import GridFn, pinv, range_included
 from .errors import (
     BlowUpError,
     DegeneratePerturbationError,
@@ -36,7 +36,7 @@ from .riccati import (
     solve_ladder,
     solve_perturbed,
 )
-from .bsde import AdjointProfile, solve_adjoint, solve_adjoint_deterministic, solve_adjoint_modulated
+from .bsde import AdjointProfile, solve_adjoint
 from .strategy import (
     PerturbedSolution,
     SolvabilityReport,
@@ -49,9 +49,9 @@ from .strategy import (
 from .moments import SecondMoments, second_moments
 from .simulate import (
     ControlSpec,
+    CoupledEnsembles,
     MonteCarloConfig,
     MonteCarloEstimate,
-    PathEnsemble,
     control_norm,
     estimate_cost,
     simulate_coupled,

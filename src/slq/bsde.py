@@ -30,18 +30,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, csv_text, rk4_step
+from .core import GridFn, rk4_step
 from .errors import WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
 from .riccati import coef_tables, gain
 
-__all__ = [
-    "AdjointProfile",
-    "solve_adjoint",
-    "solve_adjoint_deterministic",
-    "solve_adjoint_modulated",
-    "adjoint_csv",
-]
+__all__ = ["AdjointProfile", "solve_adjoint"]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 
@@ -62,7 +56,7 @@ class AdjointProfile:
     gamma: Optional[float] = None
 
 
-def solve_adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
+def _adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
     """Backward RK4 for the adjoint ODE under purely deterministic inputs.
 
     With zeta identically zero the adjoint reduces to
@@ -75,10 +69,6 @@ def solve_adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
     stack.  Unforced (b, sigma, q, rho without deterministic part, g = 0),
     eta is exactly +0.0 and no gain or loop is formed.
     """
-    if p.has_modulated_input():
-        raise WrongClassError(
-            "problem has martingale-modulated inputs; use solve_adjoint_modulated"
-        )
     grid = np.linspace(0.0, p.T, steps + 1)
     values = np.zeros((len(sols), steps + 1, p.n))
     values[:, steps] = p.g
@@ -121,20 +111,18 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
     return nodes, weights
 
 
-def solve_adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
+def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     """Exact per-path reduction for a scalar problem with modulated drift.
 
     Requires n = m = 1, a modulated b, zero sigma/q/rho and zero terminal
     weight g.  Returns, per Riccati solution in ``sols``, the deterministic
     profile h with eta = M*h and zeta = gamma*M*h, plus the eta of the
-    deterministic part of b from :func:`solve_adjoint_deterministic`.  Each
+    deterministic part of b from :func:`_adjoint_deterministic`.  Each
     Gauss node's coefficient tables are built once for all solutions, and
     one loop runs every rung's h recurrence.
     """
     if p.n != 1 or p.m != 1:
         raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
-    if p.b.modulated is None:
-        raise WrongClassError("b carries no modulated part; use solve_adjoint_deterministic")
     for name in ("sigma", "q", "rho"):
         inp: RandomInput = getattr(p, name)
         if not inp.is_zero():
@@ -192,7 +180,7 @@ def solve_adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     # the deterministic drift component superposes linearly with the
     # modulated one (zeta = 0 on this component)
     stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
-    det = solve_adjoint_deterministic(stripped, sols, steps)
+    det = _adjoint_deterministic(stripped, sols, steps)
     return [
         AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
         for P, d, hk in zip(sols, det, h.T)
@@ -203,18 +191,9 @@ def solve_adjoint(p: SLQProblem, sols, steps: int) -> list:
     """Dispatch to the reduction matching the problem's input class: one
     :class:`AdjointProfile` per Riccati solution in ``sols``."""
     if not p.has_modulated_input():
-        return solve_adjoint_deterministic(p, sols, steps)
+        return _adjoint_deterministic(p, sols, steps)
     if p.b.modulated is not None and all(
         getattr(p, name).modulated is None for name in ("sigma", "q", "rho")
     ):
-        return solve_adjoint_modulated(p, sols, steps)
+        return _adjoint_modulated(p, sols, steps)
     raise WrongClassError("only the b input may carry a modulated part")
-
-
-def adjoint_csv(adj: AdjointProfile) -> str:
-    """CSV dump: s,eta_det_1..eta_det_n,h per node (h empty when absent)."""
-    grid = adj.deterministic_eta.grid
-    eta = adj.deterministic_eta.values
-    header = "s," + ",".join(f"eta_det_{i + 1}" for i in range(eta.shape[1])) + ",h"
-    h = [] if adj.modulated_h is None else [adj.modulated_h(grid)[:, None]]
-    return csv_text(header, [grid[:, None], eta, *h], blank=not h)

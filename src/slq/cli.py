@@ -293,7 +293,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _paths_csv(ens) -> str:
     rec = ens.recorded
-    n = ens.X_T.shape[1]
+    n = ens.X_T.shape[2]
     m = rec["u"].shape[3]
     header = "path,k,s,W," + ",".join(f"X_{i+1}" for i in range(n)) + "," + ",".join(
         f"u_{i+1}" for i in range(m)

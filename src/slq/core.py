@@ -23,7 +23,6 @@ __all__ = [
     "rk4_step",
     "is_symmetric",
     "GridFn",
-    "l2_norm",
     "csv_text",
 ]
 
@@ -185,18 +184,6 @@ class GridFn:
         if not np.any(keep):
             raise InvalidInputError(f"no grid nodes at or below {t_max}")
         return GridFn(self.grid[keep], self.values[keep])
-
-
-def l2_norm(f: GridFn) -> float:
-    """Trapezoid approximation of the L2 norm sqrt(int |f(s)|_F^2 ds).
-
-    The integrand is the squared Frobenius norm at each node, integrated over
-    the grid span.  Requires at least two nodes.
-    """
-    if f.grid.size < 2:
-        raise InvalidInputError("l2_norm requires a grid with at least 2 points")
-    sq = np.sum(f.values.reshape(f.grid.size, -1) ** 2, axis=1)
-    return float(np.sqrt(np.trapezoid(sq, f.grid)))
 
 
 def csv_text(header: str, columns: list, blank: bool = False) -> str:

@@ -11,9 +11,7 @@ VECTOR`` lines) plus, for modulated inputs, ``gamma = REAL`` and ``profile =
 named:<id>`` or ``profile = table`` followed by ``t : REAL`` lines.
 Missing coefficient and input sections default to zero; unknown sections
 and keys, repeated keys and a value given both inline and as a table are
-rejected.  Constants are one-node tables, so a coefficient or
-deterministic input is written as ``constant =`` / ``deterministic =`` iff
-its table has one node.
+rejected.  Constants are one-node tables.
 
 Reference files for the built-in problems ship under ``docs/problems/``.
 """
@@ -28,13 +26,12 @@ from .problem import (
     COEF_SHAPES,
     INPUT_LENGTHS,
     Modulation,
-    NamedProfile,
     RandomInput,
     SLQProblem,
     named_profile,
 )
 
-__all__ = ["parse_problem", "load_problem", "problem_text", "save_problem"]
+__all__ = ["parse_problem", "load_problem"]
 
 _COEF_SECTIONS = {f"coef.{c.lower()}": c for c in COEF_SHAPES}
 _INPUT_SECTIONS = {f"input.{c}": c for c in INPUT_LENGTHS}
@@ -244,61 +241,3 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
 def load_problem(path) -> SLQProblem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read(), name=str(path))
-
-
-def _fmt_matrix(M: np.ndarray) -> str:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return "; ".join(", ".join(f"{v:.17g}" for v in row) for row in M)
-
-
-def _table_lines(f: GridFn) -> list:
-    return [f"{t:.17g} : {_fmt_matrix(v)}" for t, v in zip(f.grid, f.values)]
-
-
-def _coef_lines(c: GridFn) -> list:
-    if c.grid.size == 1:
-        return [f"constant = {_fmt_matrix(c.values[0])}"]
-    return _table_lines(c)
-
-
-def _input_lines(inp: RandomInput) -> list:
-    det = inp.deterministic
-    if det.grid.size == 1:
-        out = [f"deterministic = {_fmt_matrix(det.values[0])}"]
-    else:
-        out = ["deterministic = table"] + _table_lines(det)
-    if inp.modulated is not None:
-        out.append(f"gamma = {inp.modulated.gamma:.17g}")
-        prof = inp.modulated.profile
-        if isinstance(prof, NamedProfile):
-            out.append(f"profile = named:{prof.name}")
-        else:
-            out += ["profile = table"] + _table_lines(prof)
-    return out
-
-
-def problem_text(p: SLQProblem) -> str:
-    """Serialize a problem in the definition-file format (17 digits)."""
-    lines = ["[dims]", f"n = {p.n}", f"m = {p.m}", "", "[horizon]", f"T = {p.T:.17g}", ""]
-    for cname in COEF_SHAPES:
-        lines.append(f"[coef.{cname}]")
-        lines += _coef_lines(getattr(p, cname))
-        lines.append("")
-    lines.append("[terminal]")
-    lines.append(f"G = {_fmt_matrix(p.G)}")
-    if np.any(p.g != 0.0):
-        lines.append(f"g = {_fmt_matrix(p.g.reshape(1, -1))}")
-    lines.append("")
-    for iname in INPUT_LENGTHS:
-        inp = getattr(p, iname)
-        if inp.is_zero():
-            continue
-        lines.append(f"[input.{iname}]")
-        lines += _input_lines(inp)
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def save_problem(p: SLQProblem, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(problem_text(p))

@@ -48,7 +48,6 @@ __all__ = [
     "MonteCarloConfig",
     "ControlSpec",
     "MonteCarloEstimate",
-    "PathEnsemble",
     "CoupledEnsembles",
     "simulate_ensemble",
     "simulate_coupled",
@@ -110,19 +109,6 @@ class ControlSpec:
     def zero() -> "ControlSpec":
         return ControlSpec()
 
-    @staticmethod
-    def open_loop(u: GridFn) -> "ControlSpec":
-        return ControlSpec(v_det=u)
-
-    @staticmethod
-    def open_loop_modulated(profile: GridFn, gamma: float, det: Optional[GridFn] = None) -> "ControlSpec":
-        return ControlSpec(v_det=det, v_mod_profile=profile, gamma=gamma)
-
-    @staticmethod
-    def feedback(theta: GridFn, v_det: GridFn, v_mod_profile: Optional[GridFn] = None,
-                 gamma: Optional[float] = None) -> "ControlSpec":
-        return ControlSpec(theta=theta, v_det=v_det, v_mod_profile=v_mod_profile, gamma=gamma)
-
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -145,37 +131,25 @@ def estimate_csv_row(est: MonteCarloEstimate) -> str:
 
 
 @dataclass(eq=False)
-class PathEnsemble:
-    """Per-path reductions of one simulated ensemble.
-
-    Full paths are not kept unless ``record_paths`` was requested; the cost
-    integral, control norm and terminal state per path are all downstream
-    consumers need.
-    """
-
-    problem: SLQProblem
-    ip: InitialPair
-    ctrl: ControlSpec
-    cfg: MonteCarloConfig
-    cost: np.ndarray  # (M,) terminal + running cost per path
-    control_norm_sq: np.ndarray  # (M,) int |u|^2 per path
-    X_T: np.ndarray  # (M, n)
-    blown: np.ndarray  # (M,) bool
-    recorded: Optional[dict] = None
-
-
-@dataclass(eq=False)
 class CoupledEnsembles:
-    """K controls simulated on shared noise (common random numbers)."""
+    """Per-path reductions of K controls simulated on shared noise (common
+    random numbers); :func:`simulate_ensemble` gives the K = 1 form.
+
+    Full paths are kept in ``recorded`` only when ``record_paths`` was
+    requested; the reductions are all downstream consumers need.  The
+    fields after ``cfg`` are in the order :func:`_run_blocks` returns them.
+    """
 
     problem: SLQProblem
     ip: InitialPair
     controls: list
     cfg: MonteCarloConfig
-    cost: np.ndarray  # (K, M)
-    control_norm_sq: np.ndarray  # (K, M)
+    cost: np.ndarray  # (K, M) terminal + running cost per path
+    control_norm_sq: np.ndarray  # (K, M) int |u|^2 per path
     pair_dist_sq: np.ndarray  # (K-1, M) int |u_i - u_{i+1}|^2 per path
+    X_T: np.ndarray  # (K, M, n)
     blown: np.ndarray  # (M,) bool, zeroed under every control
+    recorded: Optional[dict] = None
 
     @property
     def control_norm_mean(self):
@@ -598,20 +572,15 @@ def simulate_ensemble(
     cfg: MonteCarloConfig,
     block_size: int = DEFAULT_BLOCK,
     record_paths: bool = False,
-) -> PathEnsemble:
-    """Simulate one control; returns per-path reductions.
+) -> CoupledEnsembles:
+    """Simulate one control: the K = 1 form of :func:`simulate_coupled`.
 
     ``block_size`` only batches the work; results are bit-identical for any
     value because every path owns its RNG stream and reductions run over
     full per-path arrays.
     """
-    _, cost, unorm, _, X_T, blown, rec = _run_blocks(
-        p, ip, [ctrl], cfg, block_size, record_paths
-    )
-    return PathEnsemble(
-        problem=p, ip=ip, ctrl=ctrl, cfg=cfg,
-        cost=cost[0], control_norm_sq=unorm[0], X_T=X_T[0], blown=blown, recorded=rec,
-    )
+    _, *rows = _run_blocks(p, ip, [ctrl], cfg, block_size, record_paths)
+    return CoupledEnsembles(p, ip, [ctrl], cfg, *rows)
 
 
 def simulate_coupled(
@@ -625,14 +594,18 @@ def simulate_coupled(
 
     Needed wherever pathwise differences between controls are meaningful
     only under common random numbers (the eps-ladder boundedness probe)."""
-    _, cost, unorm, pdist, _, blown, _ = _run_blocks(p, ip, controls, cfg, block_size, False)
-    return CoupledEnsembles(
-        problem=p, ip=ip, controls=list(controls), cfg=cfg,
-        cost=cost, control_norm_sq=unorm, pair_dist_sq=pdist, blown=blown,
-    )
+    _, *rows = _run_blocks(p, ip, controls, cfg, block_size, False)
+    return CoupledEnsembles(p, ip, list(controls), cfg, *rows)
 
 
-def _check_match(ens, p: SLQProblem, ip: InitialPair):
+def _only_control(ens: CoupledEnsembles, rows: np.ndarray) -> np.ndarray:
+    """The rows of the one control of ``ens``; an estimate needs K = 1."""
+    if len(ens.controls) != 1:
+        raise InvalidInputError(f"estimate needs a one-control ensemble, got {len(ens.controls)}")
+    return rows[0]
+
+
+def _check_match(ens: CoupledEnsembles, p: SLQProblem, ip: InitialPair):
     same = (
         ens.problem is p
         or (ens.problem.name == p.name and ens.problem.T == p.T and ens.problem.n == p.n)
@@ -650,18 +623,18 @@ def _estimate(values: np.ndarray, quantity: str, cfg: MonteCarloConfig) -> Monte
     )
 
 
-def estimate_cost(p: SLQProblem, ip: InitialPair, ens: PathEnsemble) -> MonteCarloEstimate:
+def estimate_cost(p: SLQProblem, ip: InitialPair, ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Mean and standard error of the quadratic cost over the ensemble."""
     _check_match(ens, p, ip)
-    return _estimate(ens.cost, "cost", ens.cfg)
+    return _estimate(_only_control(ens, ens.cost), "cost", ens.cfg)
 
 
-def control_norm(ens: PathEnsemble) -> MonteCarloEstimate:
+def control_norm(ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Monte Carlo estimate of E int |u(s)|^2 ds for the simulated control."""
-    return _estimate(ens.control_norm_sq, "control-norm-squared", ens.cfg)
+    return _estimate(_only_control(ens, ens.control_norm_sq), "control-norm-squared", ens.cfg)
 
 
-def terminal_moment(ens: PathEnsemble) -> MonteCarloEstimate:
+def terminal_moment(ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Monte Carlo estimate of E |X(T)|^2."""
-    vals = np.einsum("bi,bi->b", ens.X_T, ens.X_T)
-    return _estimate(vals, "terminal-moment", ens.cfg)
+    X_T = _only_control(ens, ens.X_T)
+    return _estimate(np.einsum("bi,bi->b", X_T, X_T), "terminal-moment", ens.cfg)

@@ -137,7 +137,7 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
     for k, (P, adj) in enumerate(zip(out[g:], adjoints), start=g):
         K, L, scale, rhs = _node_kernel(p, cf, P, adj)
         theta, *v = (-solve_inner(K, r, P.epsilon, scale, grid) for r in [L] + rhs)
-        control = ControlSpec.feedback(
+        control = ControlSpec(
             GridFn(grid, theta),
             GridFn(grid, v[0][..., 0]),
             GridFn(grid, v[1][..., 0]) if len(v) > 1 else None,

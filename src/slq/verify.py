@@ -195,7 +195,7 @@ def bar_control_example_11(t: float, x: float, nodes: int = 2049) -> ControlSpec
     """
     grid = np.linspace(t, 1.0, nodes)
     prof = (x / (t - 1.0)) * np.exp(-2.0 * grid)
-    return ControlSpec.open_loop_modulated(GridFn(grid, prof.reshape(-1, 1)), gamma=2.0)
+    return ControlSpec(v_mod_profile=GridFn(grid, prof.reshape(-1, 1)), gamma=2.0)
 
 
 def _c8_counterexample() -> CriterionResult:
@@ -223,7 +223,7 @@ def _c9_value_monotonicity() -> CriterionResult:
         p, ip = builtin(name)
         sols = run_ladder(p, ladder, 1024)
         cfg = MonteCarloConfig(paths=20_000, steps=512, master_seed=MASTER_SEED)
-        cpl = simulate_coupled(p, ip, [s.control for s in sols], cfg)
+        cpl = _coupled_without_blowup(p, ip, [s.control for s in sols], cfg)
         ok = True
         worst = math.inf
         for i in range(len(ladder) - 1):

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slq.bsde import (
-    adjoint_csv,
-    solve_adjoint,
-    solve_adjoint_deterministic,
-    solve_adjoint_modulated,
-)
+from slq.bsde import solve_adjoint
 from slq.errors import WrongClassError
 from slq.core import GridFn
 from slq.problem import Modulation, RandomInput, SLQProblem, builtin
@@ -36,7 +31,7 @@ class TestDeterministic:
     def test_zero_inputs_zero_terminal(self):
         p, _ = builtin("standard-scalar")
         P = solve_perturbed(p, 1.0, 64)
-        adj = solve_adjoint_deterministic(p, [P], 64)[0]
+        adj = solve_adjoint(p, [P], 64)[0]
         assert np.all(adj.deterministic_eta.values == 0.0)
         assert adj.modulated_h is None
 
@@ -51,14 +46,14 @@ class TestDeterministic:
             Q=p.Q, S=p.S, R=p.R, G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
         )
         P = solve_perturbed(p, 0.5, 64)
-        adj = solve_adjoint_deterministic(p, [P], 64)[0]
+        adj = solve_adjoint(p, [P], 64)[0]
         assert np.allclose(adj.deterministic_eta.values, 2.5, atol=1e-13)
 
     def test_terminal_value_exact(self):
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0, g=0.7)
         P = solve_perturbed(p, 1.0, 128)
-        adj = solve_adjoint_deterministic(p, [P], 128)[0]
+        adj = solve_adjoint(p, [P], 128)[0]
         assert adj.deterministic_eta(p.T)[0] == 0.7
 
     def test_richardson_self_convergence(self):
@@ -67,8 +62,8 @@ class TestDeterministic:
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0)
         P = solve_perturbed(p, 1.0, 4096)
-        coarse = solve_adjoint_deterministic(p, [P], 512)[0]
-        fine = solve_adjoint_deterministic(p, [P], 1024)[0]
+        coarse = solve_adjoint(p, [P], 512)[0]
+        fine = solve_adjoint(p, [P], 1024)[0]
         on = np.linspace(0.0, 1.0, 9)
         diff = np.max(np.abs(coarse.deterministic_eta(on) - fine.deterministic_eta(on)))
         assert diff <= 1e-8
@@ -78,23 +73,27 @@ class TestDeterministic:
         p1 = with_inputs(base, b=1.0)
         p2 = with_inputs(base, b=2.0)
         P = solve_perturbed(base, 1.0, 256)
-        a1 = solve_adjoint_deterministic(p1, [P], 256)[0]
-        a2 = solve_adjoint_deterministic(p2, [P], 256)[0]
+        a1 = solve_adjoint(p1, [P], 256)[0]
+        a2 = solve_adjoint(p2, [P], 256)[0]
         assert np.allclose(2.0 * a1.deterministic_eta.values, a2.deterministic_eta.values,
                            atol=1e-12)
 
     def test_rejects_modulated(self):
-        p, _ = builtin("example-5.1")
+        # no reduction covers a modulated q: the dispatcher refuses it
+        # rather than solving for the deterministic part alone
+        base, _ = builtin("standard-scalar")
+        p = with_inputs(base, q=RandomInput(deterministic=GridFn.const(np.zeros(1)),
+                                            modulated=builtin("example-5.1")[0].b.modulated))
         P = solve_perturbed(p, 1.0, 64)
-        with pytest.raises(WrongClassError):
-            solve_adjoint_deterministic(p, [P], 64)[0]
+        with pytest.raises(WrongClassError, match="only the b input"):
+            solve_adjoint(p, [P], 64)
 
 
 class TestModulated:
     def test_terminal_condition_exact(self):
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 0.5, 128)
-        adj = solve_adjoint_modulated(p, [P], 128)[0]
+        adj = solve_adjoint(p, [P], 128)[0]
         assert adj.modulated_h(p.T) == 0.0
         assert adj.gamma == pytest.approx(math.sqrt(2.0))
 
@@ -102,7 +101,7 @@ class TestModulated:
         # h(0) = [eps/(eps+1)] * e^0 * int_0^1 dr/sqrt(1-r) = 0.5 * 2 = 1
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 1.0, 2000)
-        adj = solve_adjoint_modulated(p, [P], 2000)[0]
+        adj = solve_adjoint(p, [P], 2000)[0]
         assert adj.modulated_h(0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_closed_form_profile_relation(self):
@@ -110,7 +109,7 @@ class TestModulated:
         p, _ = builtin("example-5.1")
         eps = 0.5
         P = solve_perturbed(p, eps, 2000)
-        adj = solve_adjoint_modulated(p, [P], 2000)[0]
+        adj = solve_adjoint(p, [P], 2000)[0]
         g = adj.modulated_h.grid
         lhs = adj.modulated_h.values * (eps + 1.0 - g) / (eps * np.exp(-g))
         assert np.max(np.abs(lhs - 2.0 * np.sqrt(1.0 - g))) <= 1e-5
@@ -121,7 +120,7 @@ class TestModulated:
         p, _ = builtin("example-5.1")
         eps = 0.25
         P = solve_perturbed(p, eps, 1000)
-        adj = solve_adjoint_modulated(p, [P], 1000)[0]
+        adj = solve_adjoint(p, [P], 1000)[0]
         gamma = adj.gamma
         rng = np.random.default_rng(99)
         worst = 0.0
@@ -162,19 +161,16 @@ class TestModulated:
             sigma=p.sigma, q=p.q, rho=p.rho,
         )
         P1 = solve_perturbed(base, 0.5, 256)
-        a1 = solve_adjoint_modulated(base, [P1], 256)[0]
-        a2 = solve_adjoint_modulated(double, [P1], 256)[0]
+        a1 = solve_adjoint(base, [P1], 256)[0]
+        a2 = solve_adjoint(double, [P1], 256)[0]
         assert np.allclose(2.0 * a1.modulated_h.values, a2.modulated_h.values, atol=1e-12)
 
     def test_wrong_class_errors(self):
         p, _ = builtin("example-5.1")
         P = solve_perturbed(p, 0.5, 64)
         with_sigma = with_inputs(p, b=p.b, sigma=1.0)
-        with pytest.raises(WrongClassError):
-            solve_adjoint_modulated(with_sigma, [solve_perturbed(with_sigma, 0.5, 64)], 64)
-        plain, _ = builtin("standard-scalar")
-        with pytest.raises(WrongClassError):
-            solve_adjoint_modulated(plain, [solve_perturbed(plain, 0.5, 64)], 64)
+        with pytest.raises(WrongClassError, match="sigma = 0"):
+            solve_adjoint(with_sigma, [solve_perturbed(with_sigma, 0.5, 64)], 64)
 
 
 def forced_random_problem():
@@ -225,12 +221,3 @@ def test_dispatch():
     P0 = solve_perturbed(p0, 0.5, 64)
     assert solve_adjoint(p0, [P0], 64)[0].modulated_h is None
 
-
-def test_csv_dump():
-    p, _ = builtin("example-5.1")
-    P = solve_perturbed(p, 0.5, 64)
-    adj = solve_adjoint_modulated(p, [P], 64)[0]
-    lines = adjoint_csv(adj).strip().split("\n")
-    assert lines[0] == "s,eta_det_1,h"
-    assert len(lines) == 66
-    assert lines[-1].endswith(",0")  # h(T) = 0

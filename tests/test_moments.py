@@ -75,7 +75,7 @@ def test_modulated_zeroing_control(t):
 def test_rejects_held_feedback_and_bad_steps():
     p, ip = builtin("example-1.1")
     ctrl = run_ladder(p, [1.0, 0.5, 0.25], 64)[0].control
-    held = ControlSpec.feedback(ctrl.theta.restrict(0.9), ctrl.v_det.restrict(0.9))
+    held = ControlSpec(theta=ctrl.theta.restrict(0.9), v_det=ctrl.v_det.restrict(0.9))
     with pytest.raises(InvalidInputError, match="held feedback"):
         second_moments(p, ip, [held])
     with pytest.raises(InvalidInputError, match="steps"):

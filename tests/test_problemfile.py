@@ -5,7 +5,7 @@ import pytest
 
 from slq.errors import InvalidInputError
 from slq.problem import builtin, builtin_names, validate
-from slq.problemfile import load_problem, parse_problem, problem_text
+from slq.problemfile import load_problem, parse_problem
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "problems"
 
@@ -45,29 +45,6 @@ deterministic = table
 0 : 1, 1
 2 : 3, 3
 """
-
-
-def _problem(name):
-    return parse_problem(TABLE_PROBLEM) if name == "tables" else builtin(name)[0]
-
-
-@pytest.mark.parametrize("name", builtin_names() + ["tables"])
-def test_round_trip(name):
-    p = _problem(name)
-    text = problem_text(p)
-    q = parse_problem(text)
-    assert problem_text(q) == text
-    s = np.linspace(0.0, p.T, 9)
-    for c in ("A", "B", "C", "D", "Q", "S", "R"):
-        assert np.array_equal(getattr(q, c)(s), getattr(p, c)(s)), c
-    assert np.array_equal(q.b.deterministic(s), p.b.deterministic(s))
-
-
-def test_one_node_tables_serialize_as_constants():
-    text = problem_text(_problem("tables"))
-    assert "[coef.A]\n0 : 1, 0; 0, 1\n2 : 0, 1; 1, 0\n" in text
-    assert "[coef.B]\nconstant = 1; 0\n" in text
-    assert "[input.b]\ndeterministic = table\n0 : 1, 1\n2 : 3, 3\n" in text
 
 
 def test_tables_and_terminal_vector():

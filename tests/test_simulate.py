@@ -62,7 +62,7 @@ class TestDeterminism:
         sol = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1]
         grid = np.linspace(0.0, 1.0, 3)
         controls = [ControlSpec.zero(), sol.control.restrict(0.75),
-                    ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=0.5)]
+                    ControlSpec(v_mod_profile=GridFn(grid, np.ones((3, 1))), gamma=0.5)]
         a = simulate_coupled(p, ip, controls, cfg, block_size=4096)
         b = simulate_coupled(p, ip, controls, cfg, block_size=77)
         assert np.array_equal(a.cost, b.cost)
@@ -90,19 +90,52 @@ class TestDeterminism:
         col = grid.reshape(-1, 1)
         controls = [
             ControlSpec.zero(),
-            ControlSpec.open_loop(GridFn(grid, 0.5 - col)),
-            ControlSpec.open_loop_modulated(GridFn(grid, 0.3 + 0.0 * col), gamma=1.2,
-                                            det=GridFn(grid, 0.1 * col)),
-            ControlSpec.feedback(GridFn(grid, (-0.4 - 0.2 * col).reshape(-1, 1, 1)),
-                                 GridFn(grid, 0.25 + 0.0 * col),
-                                 GridFn(grid, -0.2 + 0.1 * col), gamma=0.8).restrict(0.75),
+            ControlSpec(v_det=GridFn(grid, 0.5 - col)),
+            ControlSpec(v_det=GridFn(grid, 0.1 * col), v_mod_profile=GridFn(grid, 0.3 + 0.0 * col),
+                        gamma=1.2),
+            ControlSpec(GridFn(grid, (-0.4 - 0.2 * col).reshape(-1, 1, 1)),
+                        GridFn(grid, 0.25 + 0.0 * col),
+                        GridFn(grid, -0.2 + 0.1 * col), gamma=0.8).restrict(0.75),
         ]
         cfg = MonteCarloConfig(paths=500, steps=64, master_seed=23)
         cpl = simulate_coupled(p, ip, controls, cfg)
         for i, c in enumerate(controls):
             ens = simulate_ensemble(p, ip, c, cfg)
-            assert np.array_equal(cpl.cost[i], ens.cost)
-            assert np.array_equal(cpl.control_norm_sq[i], ens.control_norm_sq)
+            assert np.array_equal(cpl.cost[i], ens.cost[0])
+            assert np.array_equal(cpl.control_norm_sq[i], ens.control_norm_sq[0])
+
+
+class TestOneResultType:
+    """A one-control run is the K = 1 row of a coupled run."""
+
+    def test_ensemble_is_a_one_control_coupled_run(self):
+        p, ip = builtin("example-5.1")
+        ctrl = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1].control.restrict(0.75)
+        cfg = MonteCarloConfig(paths=700, steps=64, master_seed=19)
+        ens = simulate_ensemble(p, ip, ctrl, cfg)
+        cpl = simulate_coupled(p, ip, [ctrl], cfg)
+        assert ens.controls == [ctrl] and ens.cost.shape == (1, 700)
+        assert ens.X_T.shape == (1, 700, 1) and ens.pair_dist_sq.shape == (0, 700)
+        for field in ("cost", "control_norm_sq", "X_T", "blown"):
+            assert np.array_equal(getattr(ens, field), getattr(cpl, field)), field
+        assert ens.recorded is None and cpl.recorded is None
+
+    def test_record_paths_fills_recorded(self):
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=5, steps=16, master_seed=3)
+        ens = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, record_paths=True)
+        rec = ens.recorded
+        assert rec["s"].shape == (17,) and rec["W"].shape == (5, 17)
+        assert rec["X"].shape == (1, 5, 17, 1) and rec["u"].shape == (1, 5, 17, 1)
+        assert np.array_equal(rec["X"][:, :, -1], ens.X_T)
+
+    def test_estimators_refuse_several_controls(self):
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=16, steps=16, master_seed=1)
+        cpl = simulate_coupled(p, ip, [ControlSpec.zero(), ControlSpec.zero()], cfg)
+        for estimate in (lambda e: estimate_cost(p, ip, e), control_norm, terminal_moment):
+            with pytest.raises(InvalidInputError, match="one-control ensemble"):
+                estimate(cpl)
 
 
 @pytest.mark.parametrize(
@@ -346,8 +379,8 @@ def test_coupled_run_matches_a_reference_euler_loop():
     )
     ip = InitialPair(t=0.125, x=np.array([0.5, -0.4]))
     controls = [
-        ControlSpec.feedback(table(2, 2), table(2), table(2), gamma=1.1).restrict(0.6),
-        ControlSpec.open_loop_modulated(table(2), gamma=0.6, det=table(2)),
+        ControlSpec(table(2, 2), table(2), table(2), gamma=1.1).restrict(0.6),
+        ControlSpec(v_det=table(2), v_mod_profile=table(2), gamma=0.6),
         ControlSpec.zero(),
     ]
     cfg = MonteCarloConfig(paths=150, steps=32, master_seed=2**63 + 5)
@@ -392,7 +425,7 @@ class TestAgainstMomentOracle:
         theta = np.array([[-0.4]])
         v = np.array([0.25])
         grid = np.linspace(0.0, 1.0, 3)
-        ctrl = ControlSpec.feedback(
+        ctrl = ControlSpec(
             theta=GridFn(grid, np.broadcast_to(theta, (3, 1, 1)).copy()),
             v_det=GridFn(grid, np.broadcast_to(v, (3, 1)).copy()),
         )
@@ -426,7 +459,7 @@ class TestControlsAndCost:
         p = scalar_problem(A=0.2, B=1.0, C=0.3, G=0.0)
         ip = InitialPair(t=0.0, x=np.array([1.0]))
         grid = np.linspace(0.0, 1.0, 5)
-        ctrl = ControlSpec.open_loop(GridFn(grid, np.ones((5, 1))))
+        ctrl = ControlSpec(v_det=GridFn(grid, np.ones((5, 1))))
         cfg = MonteCarloConfig(paths=300, steps=32, master_seed=9)
         ens = simulate_ensemble(p, ip, ctrl, cfg)
         assert np.all(ens.cost == 0.0)
@@ -435,7 +468,7 @@ class TestControlsAndCost:
         p = scalar_problem(G=0.0)
         ip = InitialPair(t=0.0, x=np.array([0.0]))
         grid = np.linspace(0.0, 1.0, 101)
-        ctrl = ControlSpec.open_loop(GridFn(grid, (2.0 * grid).reshape(-1, 1)))
+        ctrl = ControlSpec(v_det=GridFn(grid, (2.0 * grid).reshape(-1, 1)))
         cfg = MonteCarloConfig(paths=100, steps=100, master_seed=9)
         ens = simulate_ensemble(p, ip, ctrl, cfg)
         est = control_norm(ens)
@@ -449,7 +482,7 @@ class TestControlsAndCost:
         p = scalar_problem(G=0.0)
         ip = InitialPair(t=0.0, x=np.array([0.0]))
         grid = np.linspace(0.0, 1.0, 3)
-        ctrl = ControlSpec.open_loop_modulated(GridFn(grid, np.ones((3, 1))), gamma=gamma)
+        ctrl = ControlSpec(v_mod_profile=GridFn(grid, np.ones((3, 1))), gamma=gamma)
         cfg = MonteCarloConfig(paths=50_000, steps=256, master_seed=21)
         ens = simulate_ensemble(p, ip, ctrl, cfg)
         est = control_norm(ens)
@@ -460,7 +493,7 @@ class TestControlsAndCost:
         p, ip = builtin("example-1.1")
         grid = np.linspace(0.0, 1.0, 65)
         theta = GridFn(grid, np.full((65, 1, 1), -1.0))
-        ctrl = ControlSpec.feedback(theta=theta, v_det=GridFn(grid, np.zeros((65, 1))))
+        ctrl = ControlSpec(theta=theta, v_det=GridFn(grid, np.zeros((65, 1))))
         cfg = MonteCarloConfig(paths=4, steps=64, master_seed=2)
         ens = simulate_ensemble(p, ip, ctrl.restrict(0.75), cfg, record_paths=True)
         u = ens.recorded["u"][0]  # (paths, N+1, m)
@@ -530,7 +563,7 @@ class TestErrors:
         theta = GridFn(grid, np.zeros((3, 1, 1)))
         prof = GridFn(grid, np.ones((3, 1)))
         with pytest.raises(InvalidInputError, match="gamma"):
-            ControlSpec.feedback(theta, GridFn(grid, np.zeros((3, 1))), v_mod_profile=prof)
+            ControlSpec(theta, GridFn(grid, np.zeros((3, 1))), v_mod_profile=prof)
         with pytest.raises(InvalidInputError, match="gamma"):
             ControlSpec(v_mod_profile=prof)
 
