@@ -139,7 +139,7 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     # propagator exponents int_{lo_k}^{hi_k} a
     tau_nodes, tau_w = _gauss_nodes(lo, hi)
 
-    if isinstance(profile, NamedProfile) and profile.singular:
+    if isinstance(profile, NamedProfile):
         # substitute r = T - u^2: the forcing integrand becomes smooth in u
         u_lo = np.sqrt(np.maximum(T - hi, 0.0))
         u_hi = np.sqrt(np.maximum(T - lo, 0.0))

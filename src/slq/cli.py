@@ -35,6 +35,7 @@ from .simulate import (
     estimate_cost,
     estimate_csv_row,
     ESTIMATE_CSV_HEADER,
+    mean_se,
     simulate_coupled,
     simulate_ensemble,
     terminal_moment,
@@ -195,10 +196,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
     u_norms = None
     if cfg.paths > 0:
         cpl = _monte_carlo(cfg, simulate_coupled, p, ip, [s.control for s in sols])
-        u_norms = [
-            (sols[i].epsilon, float(cpl.control_norm_mean[i]), float(cpl.control_norm_se[i]))
-            for i in range(len(sols))
-        ]
+        means, ses = mean_se(cpl.control_norm_sq)
+        u_norms = [(s.epsilon, float(v), float(se)) for s, v, se in zip(sols, means, ses)]
 
     files = {}
     for k, sol in enumerate(sols):
@@ -250,7 +249,7 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
         cpl = _monte_carlo(cfg, simulate_coupled, p, ip, rep.controls)
         lines.append("  monte carlo cross-check (eps, mean +- se vs exact): " + "; ".join(
             f"{e:.6g}: {mean:.6g} +- {se:.2g} vs {v:.6g}"
-            for (e, v), mean, se in zip(rep.u_norms, cpl.control_norm_mean, cpl.control_norm_se)
+            for (e, v), mean, se in zip(rep.u_norms, *mean_se(cpl.control_norm_sq))
         ))
 
     csv_lines = ["eps,u_norm_sq,u_norm_se,u_l2_dist_to_next"]
@@ -268,16 +267,15 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     p, ip = _load(cfg)
+    # argparse and the config file admit only zero and feedback
     if cfg.control == "zero":
         ctrl = ControlSpec.zero()
-    elif cfg.control == "feedback":
+    else:
         eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-10
         ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
         sols = run_ladder(p, ladder, cfg.steps)
         delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
         ctrl = extract_limit(sols, delta=delta, tol=cfg.tol).control
-    else:
-        raise ValueError(f"unknown control {cfg.control!r} (use zero or feedback)")
 
     ens = _monte_carlo(cfg, simulate_ensemble, p, ip, ctrl, record_paths=cfg.dump_paths)
     rows = [ESTIMATE_CSV_HEADER]
@@ -367,9 +365,7 @@ def main(argv=None) -> int:
             return _cmd_solve(cfg)
         if args.command == "diagnose":
             return _cmd_diagnose(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        raise ValueError(f"unknown command {args.command}")
+        return _cmd_simulate(cfg)
     except Exception as exc:  # uniform error contract: message to stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

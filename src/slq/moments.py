@@ -83,7 +83,7 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
         raise InvalidInputError(f"steps must be positive, got {steps}")
     t, T, n, m, K = ip.t, p.T, p.n, p.m, len(controls)
     mod = p.b.modulated
-    singular = mod is not None and isinstance(mod.profile, NamedProfile) and mod.profile.singular
+    singular = mod is not None and isinstance(mod.profile, NamedProfile)
     intervals = steps + steps % 2
     if singular:
         # tau = r0 - r runs forward with s; ds = 2 r dtau

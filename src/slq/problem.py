@@ -39,41 +39,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NamedProfile:
-    """Closed-form scalar profile, possibly with an inverse-square-root
-    singularity at the horizon.
+    """Closed-form scalar profile ``smooth(s) / sqrt(T - s)``, with an
+    inverse-square-root singularity at the horizon.
 
-    The profile value is ``smooth(s) / sqrt(T - s)`` when ``singular`` and
-    plain ``smooth(s)`` otherwise.  Singular profiles must be closed-form so
-    the adjoint solver can integrate across the endpoint layer exactly;
-    tables cannot represent the singularity.
+    Singular profiles must be closed-form so the adjoint solver can
+    integrate across the endpoint layer exactly; tables cannot represent the
+    singularity.  A smooth profile is a :class:`GridFn`.
     """
 
     name: str
     smooth: Callable[[np.ndarray], np.ndarray]
-    singular: bool = True
 
     def smooth_at(self, s):
         return self.smooth(np.asarray(s, dtype=float))
 
     def __call__(self, s, T: float):
         s_arr = np.asarray(s, dtype=float)
-        val = self.smooth(s_arr)
-        if self.singular:
-            gap = T - s_arr
-            with np.errstate(divide="ignore"):
-                val = val / np.sqrt(np.maximum(gap, 0.0))
-        return val
+        with np.errstate(divide="ignore"):
+            return self.smooth(s_arr) / np.sqrt(np.maximum(T - s_arr, 0.0))
 
 
 NAMED_PROFILES = {
     # e^{-s} / sqrt(T - s): exponential decay against an inverse-square-root
     # endpoint layer.  With gamma = sqrt(2) this is the modulated drift of the
     # built-in "example-5.1" problem.
-    "exp-inv-sqrt-gap": NamedProfile(
-        "exp-inv-sqrt-gap", smooth=lambda s: np.exp(-s), singular=True
-    ),
+    "exp-inv-sqrt-gap": NamedProfile("exp-inv-sqrt-gap", smooth=lambda s: np.exp(-s)),
     # 1 / sqrt(T - s)
-    "inv-sqrt-gap": NamedProfile("inv-sqrt-gap", smooth=lambda s: np.ones_like(s), singular=True),
+    "inv-sqrt-gap": NamedProfile("inv-sqrt-gap", smooth=lambda s: np.ones_like(s)),
 }
 
 

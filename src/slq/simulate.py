@@ -12,12 +12,15 @@ reductions run over full per-path arrays in fixed order, so results cannot
 depend on a worker or block count.  Two runs with the same master seed share
 Brownian increments exactly, which is what couples controls under common
 random numbers.  Paths are simulated in blocks, and the next block's normals
-are drawn on a background thread while the current block steps; that thread
-splits the block into contiguous ranges of paths, one per usable core, and
-fills them in parallel.  Since a stream depends only on (master_seed, i),
-results do not depend on those threads, the split or their timing.  The
-Euler loop writes into work arrays allocated once per block, with every
-floating-point operation in the same order as the written-out scheme.
+are drawn while the current block steps, on one drawer thread per run.  A
+draw splits its block into contiguous ranges of paths, one per usable core:
+it fills the first itself and hands the others to a pool of helper threads,
+one pool per block.  Both are ``ThreadPoolExecutor``s left only when every
+thread is joined, so no thread outlives a run that returns or raises.
+Since a stream depends only on (master_seed, i), results do not depend on
+those threads, the split or their timing.  The Euler loop writes into work
+arrays allocated once per block, with every floating-point operation in the
+same order as the written-out scheme.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
@@ -32,7 +35,7 @@ window, not the simulator, decides where the hold starts.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +59,7 @@ __all__ = [
     "terminal_moment",
     "estimate_csv_row",
     "ESTIMATE_CSV_HEADER",
+    "mean_se",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -123,6 +127,15 @@ class MonteCarloEstimate:
 ESTIMATE_CSV_HEADER = "quantity,mean,std_error,paths,steps,seed"
 
 
+def mean_se(values: np.ndarray):
+    """Mean and standard error over the last (path) axis; nan for one path."""
+    M = values.shape[-1]
+    mean = values.mean(axis=-1)
+    if M < 2:
+        return mean, np.full(np.shape(mean), np.nan)
+    return mean, values.std(axis=-1, ddof=1) / np.sqrt(M)
+
+
 def estimate_csv_row(est: MonteCarloEstimate) -> str:
     return (
         f"{est.quantity},{est.mean:.17g},{est.std_error:.17g},"
@@ -137,7 +150,8 @@ class CoupledEnsembles:
 
     Full paths are kept in ``recorded`` only when ``record_paths`` was
     requested; the reductions are all downstream consumers need.  The
-    fields after ``cfg`` are in the order :func:`_run_blocks` returns them.
+    fields after ``cfg`` are in the order :func:`_run_blocks` returns them;
+    :func:`mean_se` of a per-path field gives its estimates.
     """
 
     problem: SLQProblem
@@ -150,15 +164,6 @@ class CoupledEnsembles:
     X_T: np.ndarray  # (K, M, n)
     blown: np.ndarray  # (M,) bool, zeroed under every control
     recorded: Optional[dict] = None
-
-    @property
-    def control_norm_mean(self):
-        return self.control_norm_sq.mean(axis=1)
-
-    @property
-    def control_norm_se(self):
-        M = self.control_norm_sq.shape[1]
-        return self.control_norm_sq.std(axis=1, ddof=1) / np.sqrt(M)
 
 
 def _usable_cores() -> int:
@@ -201,12 +206,14 @@ def _path_block_normals(master_seed: int, start: int, count: int, draws: int) ->
 
     Row i is the stream of path start + i (see :func:`_fill_rows`).  The
     rows are cut into one contiguous range per usable core, at most one per
-    ``_DRAW_CHUNK`` paths; the calling thread fills the first range and one
-    helper thread with its own bit generator and buffer fills each other
-    range, so the bits do not depend on the split.  The buffers together
-    hold ``_DRAW_CHUNK`` paths, as one thread's does, so the split adds
-    little to peak memory; each still holds at least one cache line per
-    draw.  Every helper is joined before this returns or raises.  The block
+    ``_DRAW_CHUNK`` paths; the calling thread fills the first range and a
+    pool of helper threads, each with its own bit generator and buffer,
+    fills the others, so the bits do not depend on the split.  The buffers
+    together hold ``_DRAW_CHUNK`` paths, as one thread's does, so the split
+    adds little to peak memory; each still holds at least one cache line per
+    draw.  The pool starts a thread only for a range it is given, and every
+    helper has finished before this returns or raises: a helper's error is
+    raised here unless the calling thread's own range failed first.  The block
     is stored draw-major (Fortran order), so the Euler loop reads each
     step's increments as one contiguous column.
     """
@@ -214,59 +221,13 @@ def _path_block_normals(master_seed: int, start: int, count: int, draws: int) ->
     parts = max(1, min(_usable_cores(), count // _DRAW_CHUNK))
     cuts = [count * i // parts for i in range(parts + 1)]
     chunk = max(_DRAW_CHUNK // parts, 8)
-    errors = []
-
-    def fill(lo: int, hi: int):
-        try:
-            _fill_rows(master_seed, start + lo, out[lo:hi], chunk)
-        except BaseException as exc:  # handed to the calling thread
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            helpers.append(threading.Thread(target=fill, args=(lo, hi), daemon=True))
-            helpers[-1].start()
+    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        helpers = [pool.submit(_fill_rows, master_seed, start + lo, out[lo:hi], chunk)
+                   for lo, hi in zip(cuts[1:-1], cuts[2:])]
         _fill_rows(master_seed, start, out[: cuts[1]], chunk)
-    finally:
-        for th in helpers:
-            if th.ident is not None:
-                th.join()
-    if errors:
-        raise errors[0]
+    for f in helpers:
+        f.result()
     return out
-
-
-class _BackgroundDraw:
-    """One block of normals drawn on its own thread.
-
-    ``result`` joins the thread and re-raises whatever the draw raised.  The
-    draw looks ``_path_block_normals`` up when it runs, so a wrapper
-    installed on the module attribute sees every block.
-    """
-
-    def __init__(self, master_seed: int, start: int, count: int, draws: int):
-        self._z = self._exc = None
-        self._thread = threading.Thread(
-            target=self._run, args=(master_seed, start, count, draws), daemon=True
-        )
-        self._thread.start()
-
-    def _run(self, *args):
-        try:
-            self._z = _path_block_normals(*args)
-        except BaseException as exc:  # handed to the thread that joins
-            self._exc = exc
-
-    def join(self):
-        self._thread.join()
-
-    def result(self) -> np.ndarray:
-        self.join()
-        if self._exc is not None:
-            raise self._exc
-        z, self._z = self._z, None
-        return z
 
 
 def _apply(M: np.ndarray, X: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -480,12 +441,14 @@ def _run_blocks(
     # W is read only to form M(s) or to record paths
     need_W = bool(gammas) or rec is not None
 
-    def draw_from(start: int) -> _BackgroundDraw:
-        return _BackgroundDraw(cfg.master_seed, start, min(block_size, M - start), N + 1)
+    # block b + 1 is drawn while block b steps; leaving the pool waits for
+    # a draw still running when a step raises
+    with ThreadPoolExecutor(1) as drawer:
+        def draw_from(start: int):
+            return drawer.submit(_path_block_normals, cfg.master_seed, start,
+                                 min(block_size, M - start), N + 1)
 
-    # block b + 1 is drawn while block b steps
-    draw = draw_from(0)
-    try:
+        draw = draw_from(0)
         for start in range(0, M, block_size):
             z = draw.result()
             Bn = z.shape[0]
@@ -555,9 +518,6 @@ def _run_blocks(
             pdist[:, sl] = acc.get("dist", 0.0)
             X_T[:, sl] = X
             blown[sl] = bad
-    finally:
-        if draw is not None:
-            draw.join()
 
     frac = float(blown.mean())
     if frac > 0.01:
@@ -615,10 +575,9 @@ def _check_match(ens: CoupledEnsembles, p: SLQProblem, ip: InitialPair):
 
 
 def _estimate(values: np.ndarray, quantity: str, cfg: MonteCarloConfig) -> MonteCarloEstimate:
-    M = values.size
-    se = float(values.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+    mean, se = mean_se(values)
     return MonteCarloEstimate(
-        mean=float(values.mean()), std_error=se, paths=M, quantity=quantity,
+        mean=float(mean), std_error=float(se), paths=values.size, quantity=quantity,
         steps=cfg.steps, seed=cfg.master_seed,
     )
 

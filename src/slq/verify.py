@@ -26,6 +26,7 @@ from .simulate import (
     MonteCarloConfig,
     estimate_cost,
     estimate_csv_row,
+    mean_se,
     simulate_coupled,
     simulate_ensemble,
 )
@@ -132,7 +133,7 @@ def _c5_control_norm() -> CriterionResult:
     sols = run_ladder(p, [1.0, 0.5, 0.25], 2000)
     cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
     cpl = _coupled_without_blowup(p, ip, [sol.control for sol in sols], cfg)
-    for sol, mean, se in zip(sols, cpl.control_norm_mean, cpl.control_norm_se):
+    for sol, mean, se in zip(sols, *mean_se(cpl.control_norm_sq)):
         exact = ((x + 2.0) / (sol.epsilon + 1.0)) ** 2
         ok3 = abs(mean - exact) <= 3.0 * se
         checks.append((f"E int |u|^2 vs ((x+2)/(eps+1))^2, eps={sol.epsilon}", ok3,
@@ -203,8 +204,7 @@ def _c8_counterexample() -> CriterionResult:
     x = float(ip.x[0])
     cfg = MonteCarloConfig(paths=100_000, steps=1024, master_seed=MASTER_SEED)
     cpl = _coupled_without_blowup(p, ip, [ControlSpec.zero(), bar_control_example_11(ip.t, x)], cfg)
-    m0, mb = cpl.cost.mean(axis=1)
-    se0, seb = cpl.cost.std(axis=1, ddof=1) / np.sqrt(cfg.paths)
+    (m0, mb), (se0, seb) = mean_se(cpl.cost)
     checks = [
         ("zero feedback cost within 3 se of x^2 = 1", abs(m0 - 1.0) <= 3 * se0,
          f"{m0:.4f} +- {se0:.4f}"),
@@ -229,10 +229,9 @@ def _c9_value_monotonicity() -> CriterionResult:
         for i in range(len(ladder) - 1):
             v_hi = cpl.cost[i] + ladder[i] * cpl.control_norm_sq[i]
             v_lo = cpl.cost[i + 1] + ladder[i + 1] * cpl.control_norm_sq[i + 1]
-            d = v_hi - v_lo
-            se = float(d.std(ddof=1) / np.sqrt(d.size))
-            ok &= float(d.mean()) >= -se
-            worst = min(worst, float(d.mean()) / se if se > 0 else math.inf)
+            mean, se = map(float, mean_se(v_hi - v_lo))
+            ok &= mean >= -se
+            worst = min(worst, mean / se if se > 0 else math.inf)
         checks.append((f"{name}: V_eps nonincreasing along the ladder (CRN)", ok,
                        f"min step drop {worst:.2f} se"))
     return CriterionResult(9, "value monotonicity in eps", checks)

@@ -185,6 +185,21 @@ class TestSimulateCmd:
         assert len(rows) == 1 + 3 * 17
 
 
+def test_one_path_standard_error_is_nan_and_silent(tmp_path, capsys):
+    # one path gives no spread: every Monte Carlo report writes nan for its
+    # standard error, and nothing is printed to stderr
+    assert run(["simulate", "--builtin", "example-1.1", "--control", "zero",
+                "--paths", "1", "--mc-steps", "16", "--out", tmp_path / "sim"]) == 0
+    rows = read(tmp_path / "sim" / "ensemble.csv").strip().split("\n")[1:]
+    assert [r.split(",")[2] for r in rows] == ["nan"] * 3
+    assert run(["diagnose", "--builtin", "example-1.1", "--paths", "1", "--mc-steps", "16",
+                "--out", tmp_path / "diag"]) == 0
+    report = read(tmp_path / "diag" / "report.txt")
+    cross = [line for line in report.split("\n") if "monte carlo cross-check" in line]
+    assert len(cross) == 1 and cross[0].count("+- nan vs") == 6
+    assert capsys.readouterr().err == ""
+
+
 class TestBlownPaths:
     # dX = 32 X ds + X dW with 64 Euler steps: about 0.2% of paths pass 1e12
     # (8 of 4000 at the default seed); B = 0 and G = Q = 0 make every

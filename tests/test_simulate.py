@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +241,29 @@ class TestSplitDraw:
         with pytest.raises(RuntimeError, match="injected in a helper"):
             simulate._path_block_normals(4, 0, 300, 17)
         assert threading.active_count() == before
+
+    def test_calling_thread_failure_waits_for_helpers(self, monkeypatch):
+        # the calling thread's own range fails while a helper fills the
+        # other: the helper has returned before the error reaches the caller
+        caller, events, started = threading.current_thread(), [], threading.Event()
+        orig = simulate._fill_rows
+
+        def fill(seed, start, rows, chunk):
+            if threading.current_thread() is caller:
+                started.wait(5.0)
+                raise RuntimeError("injected on the calling thread")
+            started.set()
+            time.sleep(0.05)  # still running when the calling thread raises
+            orig(seed, start, rows, chunk)
+            events.append(start)
+
+        monkeypatch.setattr(simulate, "_fill_rows", fill)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected on the calling thread"):
+            simulate._path_block_normals(4, 0, 300, 17)
+        assert threading.active_count() == before
+        assert events == [150]
 
 
 class TestBackgroundDraw:
