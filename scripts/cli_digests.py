@@ -48,6 +48,15 @@ PROBLEMS = {
         "[coef.B]\nconstant = 1\n[coef.Q]\nconstant = 1\n"
         "[coef.R]\nconstant = 0.5\n[terminal]\nG = -1\n"
     ),
+    # example 5.1 with the drift profile 1/sqrt(T - s) in place of
+    # e^{-s}/sqrt(T - s): the other named profile
+    "inv_sqrt_gap": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.A]\nconstant = -1\n[coef.B]\nconstant = 1\n"
+        "[coef.C]\nconstant = 1.4142135623730951\n[terminal]\nG = 1\n"
+        "[input.b]\ndeterministic = 0\ngamma = 1.4142135623730951\n"
+        "profile = named:inv-sqrt-gap\n"
+    ),
 }
 
 COMMANDS = [
@@ -69,6 +78,7 @@ COMMANDS = [
     "diagnose --problem {time_table} --steps 400",
     "solve --problem {gre_blowup} --steps 512 --eps-min 0.25",
     "diagnose --problem {gre_blowup} --steps 512 --eps-min 0.25",
+    "diagnose --problem {inv_sqrt_gap} --steps 400",
 ]
 
 

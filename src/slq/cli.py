@@ -41,8 +41,6 @@ from .simulate import (
     terminal_moment,
 )
 from .strategy import (
-    ETA_RANGE_FAILED,
-    closed_loop_solvable,
     closed_loop_test,
     default_ladder,
     diagnose,
@@ -125,6 +123,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
             setattr(cfg, f.name, flag_val)
+    if cfg.paths < 0:
+        raise ValueError(f"paths must be >= 0, got {cfg.paths}")
     return cfg
 
 
@@ -155,23 +155,6 @@ def _write_atomic(out_dir: str, name: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _closed_loop_lines(reg, blowup, eta_ok) -> list:
-    """The closed-loop verdict line and its detail lines, from
-    :func:`closed_loop_test`'s results."""
-    verdict = "solvable (regular)" if closed_loop_solvable(reg, blowup, eta_ok) else "NOT solvable"
-    if blowup is not None:
-        detail = f"generalized Riccati flow blew up near s={blowup:.6g}"
-    else:
-        detail = (
-            f"positivity_ok={reg.positivity_ok} range_ok={reg.range_ok} "
-            f"theta_hat_l2={reg.theta_hat_l2:.6g}"
-        )
-    lines = [f"closed-loop: {verdict}", f"  {detail}"]
-    if eta_ok is False:
-        lines.append(f"  {ETA_RANGE_FAILED}")
-    return lines
 
 
 def _monte_carlo(cfg: RunConfig, simulate, *args, **kwargs):
@@ -215,7 +198,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     ]
     for eps, dth, dv in ws.cauchy_evidence:
         lines.append(f"  {eps:.10g}, {dth:.6e}, {dv:.6e}")
-    lines += _closed_loop_lines(*closed_loop_test(p, P0))
+    lines += closed_loop_test(p, P0).lines()
     files["report.txt"] = "\n".join(lines) + "\n"
 
     for name, text in files.items():
@@ -233,9 +216,7 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
     ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
     rep = diagnose(p, ip, ladder, cfg.steps)
 
-    closed, *detail = _closed_loop_lines(
-        rep.closed_loop, rep.closed_loop_blowup, rep.eta_condition_ok
-    )
+    closed, *detail = rep.closed_loop.lines()
     open_v = {"solvable": "solvable", "not-solvable": "NOT solvable"}.get(
         rep.open_loop_verdict, "inconclusive"
     )
@@ -318,22 +299,23 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _add_common(sp: argparse.ArgumentParser):
+def _add_common(sp: argparse.ArgumentParser, eps_min: str, no_paths: str):
     sp.add_argument("--builtin", help="built-in problem name")
     sp.add_argument("--problem", help="problem definition file")
     sp.add_argument("--config", help="config file of key = value defaults")
     sp.add_argument("--t", type=float, help="initial time (default 0)")
     sp.add_argument("--x", help="initial state, comma-separated")
     sp.add_argument("--eps-max", dest="eps_max", type=float, help="ladder start (default 1)")
-    sp.add_argument("--eps-min", dest="eps_min", type=float, help="ladder end (default 2^-10)")
+    sp.add_argument("--eps-min", dest="eps_min", type=float, help=f"ladder end (default {eps_min})")
     sp.add_argument("--ladder-factor", dest="ladder_factor", type=float,
                     help="geometric ladder factor in (0,1) (default 0.5)")
     sp.add_argument("--steps", type=int, help="solver grid steps (default 2000)")
     sp.add_argument("--delta", type=float, help="extraction window gap (default 1e-2*T)")
     sp.add_argument("--tol", type=float, help="extraction tolerance (default 1e-3)")
-    sp.add_argument("--paths", type=int, help="Monte Carlo paths")
-    sp.add_argument("--mc-steps", dest="mc_steps", type=int, help="Monte Carlo time steps")
-    sp.add_argument("--seed", type=int, help="64-bit master seed")
+    sp.add_argument("--paths", type=int, help=f"Monte Carlo paths, 0 for {no_paths} (default 0)")
+    sp.add_argument("--mc-steps", dest="mc_steps", type=int,
+                    help="Monte Carlo time steps (default 1024)")
+    sp.add_argument("--seed", type=int, help=f"64-bit master seed (default {verify_mod.MASTER_SEED})")
     sp.add_argument("--out", help="output directory (default .)")
 
 
@@ -345,11 +327,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="run the eps ladder and extract the weak limit")
-    _add_common(sp)
+    _add_common(sp, "2^-10", "none")
     sp = sub.add_parser("diagnose", help="closed-loop/open-loop solvability verdicts")
-    _add_common(sp)
+    _add_common(sp, "2^-5", "none")
     sp = sub.add_parser("simulate", help="Monte Carlo simulation of a control")
-    _add_common(sp)
+    _add_common(sp, "2^-10", "20000")
     sp.add_argument("--control", choices=_CHOICES["control"], help="control to simulate")
     sp.add_argument("--dump-paths", dest="dump_paths", action="store_true", default=None,
                     help="also write per-path trajectories (large)")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -347,21 +348,51 @@ def gain(P: RiccatiSolution, p: SLQProblem, times, cf=None) -> np.ndarray:
     return -solve_inner(K, L, P.epsilon, scale, times)
 
 
+# tolerance of the positivity and range tests of the closed-loop conditions
+REGULARITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class RegularityReport:
-    """Outcome of the three closed-loop regularity conditions.
+    """The closed-loop test of a generalized Riccati solution.
 
     verdict is "regular" iff positivity, finite feedback L2 norm and the
-    range-inclusion condition all hold on the solution grid.
+    range-inclusion condition all hold on the solution grid.  A flow that
+    blew up carries its ``blowup_time`` and none of the three.  ``eta_ok``
+    is the adjoint range condition, None unless the solution is regular.
     """
 
-    positivity_ok: bool
-    theta_hat_l2: float  # math.inf when the halving probe diverges
-    range_ok: bool
-    verdict: str
+    positivity_ok: bool = False
+    theta_hat_l2: float = math.inf  # also when the halving probe diverges
+    range_ok: bool = False
+    blowup_time: Optional[float] = None
+    eta_ok: Optional[bool] = None
+
+    @property
+    def verdict(self) -> str:
+        ok = self.positivity_ok and self.range_ok and math.isfinite(self.theta_hat_l2)
+        return "regular" if ok else "not-regular"
 
     def is_regular(self) -> bool:
         return self.verdict == "regular"
+
+    @property
+    def solvable(self) -> bool:
+        """Closed-loop solvable: regular and no failed eta range check."""
+        return self.is_regular() and self.eta_ok is not False
+
+    def lines(self) -> list:
+        """The closed-loop verdict line and its detail lines."""
+        if self.blowup_time is not None:
+            detail = f"generalized Riccati flow blew up near s={self.blowup_time:.6g}"
+        else:
+            detail = (f"positivity_ok={self.positivity_ok} range_ok={self.range_ok} "
+                      f"theta_hat_l2={self.theta_hat_l2:.6g}")
+        out = [f"closed-loop: {'solvable (regular)' if self.solvable else 'NOT solvable'}",
+               f"  {detail}"]
+        if self.eta_ok is False:
+            out.append("  eta range condition fails: B'eta + D'zeta + D'P sigma + rho not in range(K)")
+        return out
 
 
 def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem) -> float:
@@ -397,30 +428,23 @@ def _theta_hat_l2_probe(P: RiccatiSolution, p: SLQProblem) -> float:
     return norms[-1]
 
 
-def check_regularity(P: RiccatiSolution, p: SLQProblem, tol: float = 1e-9) -> RegularityReport:
+def check_regularity(P: RiccatiSolution, p: SLQProblem) -> RegularityReport:
     """Test the three regularity conditions of a generalized Riccati solution.
 
-    (a) min eigenvalue of R + D'PD >= -tol at every grid node,
+    (a) min eigenvalue of R + D'PD >= -REGULARITY_TOL at every grid node,
     (b) trapezoid L2 norm of the candidate gain finite under the
         delta-halving probe,
     (c) range(B'P + D'PC + S) contained in range(R + D'PD) at every node.
     """
-    if tol <= 0.0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
     if P.epsilon != 0.0:
         raise InvalidInputError(
             f"regularity needs a generalized solution (eps = 0), got eps={P.epsilon}"
         )
     K, L, _ = inner(coef_tables(p, P.grid), P.P.values, 0.0)
-    positivity_ok = bool(np.linalg.eigvalsh(symmetrize(K)).min() >= -tol)
-    range_ok = range_included(L, K, tol)
-    l2 = _theta_hat_l2_probe(P, p)
-    ok = positivity_ok and range_ok and np.isfinite(l2)
     return RegularityReport(
-        positivity_ok=positivity_ok,
-        theta_hat_l2=l2,
-        range_ok=range_ok,
-        verdict="regular" if ok else "not-regular",
+        positivity_ok=bool(np.linalg.eigvalsh(symmetrize(K)).min() >= -REGULARITY_TOL),
+        theta_hat_l2=_theta_hat_l2_probe(P, p),
+        range_ok=range_included(L, K, REGULARITY_TOL),
     )
 
 

@@ -16,8 +16,7 @@ accuracy dial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .core import GridFn, csv_text, range_included
 from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import (
+    REGULARITY_TOL,
     RegularityReport,
     RiccatiSolution,
     check_regularity,
@@ -46,7 +46,6 @@ __all__ = [
     "extract_limit",
     "diagnose",
     "closed_loop_test",
-    "closed_loop_solvable",
     "default_ladder",
     "ladder_summary_csv",
     "strategy_csv",
@@ -221,8 +220,6 @@ class SolvabilityReport:
     """
 
     closed_loop: RegularityReport
-    closed_loop_blowup: Optional[float]
-    eta_condition_ok: Optional[bool]
     open_loop_verdict: str  # solvable | not-solvable | inconclusive
     u_norms: list  # (eps, E int |u_eps|^2)
     u_distances: list  # (eps_k, sqrt E int |u_k - u_{k+1}|^2)
@@ -230,38 +227,21 @@ class SolvabilityReport:
     controls: list
 
 
-# report line for a verdict decided by the adjoint range condition alone (K = R + D'PD)
-ETA_RANGE_FAILED = "eta range condition fails: B'eta + D'zeta + D'P sigma + rho not in range(K)"
-
-
-def closed_loop_solvable(reg: RegularityReport, blowup_time: Optional[float],
-                         eta_ok: Optional[bool]) -> bool:
-    """The closed-loop verdict from :func:`closed_loop_test`'s results: no
-    Riccati blow-up, a regular solution and no failed eta range check."""
-    return blowup_time is None and reg.is_regular() and eta_ok is not False
-
-
-def closed_loop_test(p: SLQProblem, P0) -> tuple:
+def closed_loop_test(p: SLQProblem, P0) -> RegularityReport:
     """The regularity tests of a generalized Riccati solution and, for a
     regular one, the adjoint range condition.
 
-    ``P0`` is the eps = 0 entry of :func:`run_ladder`.  Returns
-    ``(regularity, blowup_time, eta_ok)``.  A finite-time blow-up counts as
-    not regular and gives its time; ``eta_ok`` is None unless the solution
-    is regular.
+    ``P0`` is the eps = 0 entry of :func:`run_ladder`.  A finite-time
+    blow-up counts as not regular and gives its time.
     """
     if isinstance(P0, BlowUpError):
-        reg = RegularityReport(
-            positivity_ok=False, theta_hat_l2=float("inf"), range_ok=False, verdict="not-regular"
-        )
-        return reg, P0.time, None
+        return RegularityReport(blowup_time=P0.time)
     reg = check_regularity(P0, p)
-    eta_ok = None
-    if reg.is_regular():
-        (adj,) = bsde_mod.solve_adjoint(p, [P0], P0.steps)
-        K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)
-        eta_ok = all(range_included(r, K, 1e-9) for r in rhs)
-    return reg, None, eta_ok
+    if not reg.is_regular():
+        return reg
+    (adj,) = bsde_mod.solve_adjoint(p, [P0], P0.steps)
+    K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)
+    return replace(reg, eta_ok=all(range_included(r, K, REGULARITY_TOL) for r in rhs))
 
 
 # relative round-off slack of the shrink test: example 1.1's exact distance
@@ -282,7 +262,6 @@ def diagnose(p: SLQProblem, ip: InitialPair, ladder, steps: int) -> SolvabilityR
     over >= 4 rungs means not-solvable; anything else is inconclusive.
     """
     P0, *sols = run_ladder(p, [0.0, *ladder], steps)
-    reg, blowup_time, eta_ok = closed_loop_test(p, P0)
     controls = [s.control for s in sols]
     mom = second_moments(p, ip, controls, steps)
 
@@ -309,9 +288,7 @@ def diagnose(p: SLQProblem, ip: InitialPair, ladder, steps: int) -> SolvabilityR
         verdict = "inconclusive"
 
     return SolvabilityReport(
-        closed_loop=reg,
-        closed_loop_blowup=blowup_time,
-        eta_condition_ok=eta_ok,
+        closed_loop=closed_loop_test(p, P0),
         open_loop_verdict=verdict,
         u_norms=u_norms,
         u_distances=u_distances,

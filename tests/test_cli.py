@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from slq import riccati
 from slq.cli import main
@@ -285,3 +286,33 @@ class TestConfigFile:
             assert run(["solve", *flags, "--config", conf, "--out", out]) == 1
             assert f"{conf}:{line}: {message}" in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_negative_paths_are_rejected_and_nothing_is_written(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("paths = -3\n", encoding="utf-8")
+    for k, (cmd, paths) in enumerate((
+        (["simulate", "--control", "zero", "--paths", "-5"], "-5"),
+        (["solve", *FAST_SOLVE, "--paths", "-3"], "-3"),
+        (["diagnose", "--paths", "-3"], "-3"),
+        (["diagnose", "--config", conf], "-3"),
+    )):
+        out = tmp_path / str(k)
+        assert run([*cmd, "--builtin", "example-1.1", "--out", out]) == 1
+        assert f"paths must be >= 0, got {paths}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose", "simulate", "verify-example"])
+def test_help_states_the_defaults(command, capsys):
+    # argparse %-formats a help string only when it prints it
+    with pytest.raises(SystemExit) as exc_info:
+        run([command, "--help"])
+    assert exc_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    if command != "verify-example":
+        eps_min = "2^-5" if command == "diagnose" else "2^-10"
+        assert f"ladder end (default {eps_min})" in out
+        assert "(default 1024)" in out and "(default 25)" in out
+    if command == "simulate":
+        assert "0 for 20000" in out

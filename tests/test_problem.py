@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from slq.core import GridFn
 from slq.errors import UnknownProblemError
 from slq.problem import (
+    NAMED_PROFILES,
     Modulation,
     RandomInput,
     SLQProblem,
@@ -61,6 +63,15 @@ def test_validate_builtins_clean():
         p, _ = builtin(name)
         report = validate(p)
         assert report.ok(), report.violations
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PROFILES))
+def test_validate_accepts_every_named_profile(name):
+    # both are smooth(s)/sqrt(T - s), integrable on [0, T)
+    p, _ = builtin("example-5.1")
+    mod = Modulation(gamma=1.0, profile=named_profile(name))
+    q = dataclasses.replace(p, b=dataclasses.replace(p.b, modulated=mod))
+    assert validate(q).violations == []
 
 
 def test_validate_flags_nonsymmetric_q():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slq.cli import _closed_loop_lines
 from slq.errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from slq.core import GridFn
 from slq import riccati
@@ -280,9 +279,9 @@ class TestMergedStack:
             assert np.array_equal(rung.P.values, alone.P.values)
             assert rung.max_local_error_estimate == alone.max_local_error_estimate
             assert rung.max_step_asymmetry == alone.max_step_asymmetry
-        reg, blowup, eta_ok = closed_loop_test(p, P0)
-        assert (reg.verdict, blowup, eta_ok) == ("not-regular", P0.time, None)
-        assert _closed_loop_lines(reg, blowup, eta_ok) == [
+        reg = closed_loop_test(p, P0)
+        assert (reg.verdict, reg.blowup_time, reg.eta_ok) == ("not-regular", P0.time, None)
+        assert reg.lines() == [
             "closed-loop: NOT solvable",
             "  generalized Riccati flow blew up near s=0.373047",
         ]

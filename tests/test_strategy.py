@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,15 +8,17 @@ from slq import bsde
 from slq.errors import BlowUpError, InvalidInputError
 from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
-from slq.riccati import gain, solve_perturbed
+from slq.riccati import gain, solve_ladder, solve_perturbed
 from slq.strategy import (
     extract_limit,
     default_ladder,
     diagnose,
     ladder_summary_csv,
+    closed_loop_test,
     run_ladder,
     strategy_csv,
 )
+from test_riccati import scalar_problem
 
 
 def zero_input_problem():
@@ -204,6 +207,22 @@ def test_diagnose_propagates_eta_check_failure(monkeypatch):
     monkeypatch.setattr(bsde, "solve_adjoint", failing)
     with pytest.raises(InvalidInputError, match="no adjoint at eps = 0"):
         diagnose(p, ip, [1.0, 0.5, 0.25], 64)
+
+
+@pytest.mark.parametrize("p, verdict, range_ok, blown, eta_ok, solvable", [
+    (builtin("standard-scalar")[0], "regular", True, False, True, True),
+    (builtin("example-1.1")[0], "not-regular", False, False, None, False),
+    # K = 0 and L = 0 pass every regularity test, but rho = 1 is not in range(K)
+    (dataclasses.replace(scalar_problem(B=0.0), rho=RandomInput(GridFn.const([1.0]))),
+     "regular", True, False, False, False),
+    # R = 1/2, Q = 1, G = -1: the generalized flow blows up near s = 0.373
+    (scalar_problem(R=0.5, Q=1.0, G=-1.0), "not-regular", False, True, None, False),
+], ids=["standard-scalar", "example-1.1", "eta-range", "blowup"])
+def test_closed_loop_test_branches(p, verdict, range_ok, blown, eta_ok, solvable):
+    rep = closed_loop_test(p, solve_ladder(p, [0.0, 1.0, 0.5], 512)[0])
+    assert (rep.verdict, rep.range_ok, rep.eta_ok, rep.solvable) == (
+        verdict, range_ok, eta_ok, solvable)
+    assert rep.blowup_time == (pytest.approx(0.373, abs=1e-3) if blown else None)
 
 
 def test_default_ladder():
