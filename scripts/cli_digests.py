@@ -1,10 +1,11 @@
 """Print a sha256 prefix of the files each recorded CLI command writes.
 
-Run from the repo root, e.g. ``PYTHONPATH=src python3 scripts/cli_digests.py``.
-Each command writes into a fresh directory; its digest is the sha256 over
-the sorted file names, each followed by a NUL byte and the file's bytes,
-cut to 16 hex digits.  Equal digests before and after a change mean that
-change left the CLI's output bytes alone.
+Run from the repo root, e.g. ``python3 scripts/cli_digests.py``; it imports
+``slq`` from the repository's ``src``.  Each command writes into a fresh
+directory; its digest is the sha256 over the sorted file names, each
+followed by a NUL byte and the file's bytes, cut to 16 hex digits.  Equal
+digests before and after a change mean that change left the CLI's output
+bytes alone.
 
 ``--compare FILE`` reads an earlier run's output from FILE and, after the
 digests, prints each command whose digest changed or that FILE lacks; the
@@ -21,7 +22,9 @@ import os
 import sys
 import tempfile
 
-from slq.cli import main
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from slq.cli import main  # noqa: E402
 
 # problem files, written as <key with - for _>.slq into the working
 # directory; commands name them relative to it, as the report quotes the path

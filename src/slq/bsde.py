@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, rk4_step
-from .errors import WrongClassError
+from .core import GridFn, interp_weights, matmul, rk4_step
+from .errors import InvalidInputError, WrongClassError
 from .problem import NamedProfile, RandomInput, SLQProblem
 from .riccati import coef_tables, gain
 
@@ -79,13 +79,14 @@ def _adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
         rho = p.rho.deterministic(half_times)[..., None]
         qv = p.q.deterministic(half_times)
         bv = p.b.deterministic(half_times)[..., None]
+        at = interp_weights(sols[0].grid, half_times)  # the rungs share one grid
         cl, force = [], []
         for P in sols:
-            Th = gain(P, p, half_times, cf)
-            Pv = P.P(half_times)
-            cl.append(cf["A"] + cf["B"] @ Th)
+            Th, Pv = gain(P, p, half_times, cf, at), P.P.interp(at)
+            cl.append(cf["A"] + matmul(cf["B"], Th))
+            CDT = (cf["C"] + matmul(cf["D"], Th)).mT
             force.append(
-                ((cf["C"] + cf["D"] @ Th).mT @ (Pv @ sig) + Th.mT @ rho + Pv @ bv)[..., 0] + qv
+                (matmul(CDT, matmul(Pv, sig)) + matmul(Th.mT, rho) + matmul(Pv, bv))[..., 0] + qv
             )
         # time-major stacks; each rung keeps its transposed (A + B Th)' view
         # layout, so its matrix-vector products round as in a call of its own
@@ -93,7 +94,7 @@ def _adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
         force = np.stack(force, axis=1)
 
         def rhs(j: int, eta: np.ndarray) -> np.ndarray:
-            return -((M_cl[j] @ eta[..., None])[..., 0] + force[j])
+            return -(matmul(M_cl[j], eta[..., None])[..., 0] + force[j])
 
         eta = values[:, steps].copy()
         for k in range(steps, 0, -1):
@@ -118,8 +119,9 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     weight g.  Returns, per Riccati solution in ``sols``, the deterministic
     profile h with eta = M*h and zeta = gamma*M*h, plus the eta of the
     deterministic part of b from :func:`_adjoint_deterministic`.  Each
-    Gauss node's coefficient tables are built once for all solutions, and
-    one loop runs every rung's h recurrence.
+    Gauss node set's coefficient tables and interpolation weights are built
+    once for all solutions; the gains and the h recurrence, on Python
+    floats, then run rung by rung.
     """
     if p.n != 1 or p.m != 1:
         raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
@@ -158,24 +160,27 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
 
     def integrals(nodes, w):
         """int (A + B Th + gamma (C + D Th)) by 4-point rules, rung by rung."""
-        cf = coef_tables(p, nodes.reshape(-1))
+        times = nodes.reshape(-1)
+        cf, at = coef_tables(p, times), interp_weights(sols[0].grid, times)
         for P in sols:
-            Th = gain(P, p, nodes.reshape(-1), cf)
-            a = cf["A"] + cf["B"] @ Th + gamma * (cf["C"] + cf["D"] @ Th)
+            Th = gain(P, p, times, cf, at)
+            a = cf["A"] + matmul(cf["B"], Th) + gamma * (cf["C"] + matmul(cf["D"], Th))
             yield np.sum(a.reshape(nodes.shape) * w, axis=-1)
 
-    prop = np.stack([np.exp(Ia) for Ia in integrals(tau_nodes, tau_w)], axis=1)
+    prop = [np.exp(Ia) for Ia in integrals(tau_nodes, tau_w)]
     # the inner rules one forcing node per interval at a time: no rung's
     # temporaries span all 16 inner nodes of an interval
-    inner = np.stack([list(integrals(in_nodes[:, i], in_w[:, i])) for i in range(4)], axis=-1)
-    F = np.empty((steps, len(sols)))
-    for i, (P, x) in enumerate(zip(sols, inner)):
-        g_vals = np.exp(x) * P.P(r_nodes.reshape(-1)).reshape(r_nodes.shape) * f_smooth * dens
-        F[:, i] = np.sum(g_vals * u_w, axis=1)
-
-    h = np.zeros((steps + 1, len(sols)))
-    for k in range(steps - 1, -1, -1):
-        h[k] = prop[k] * h[k + 1] + F[k]
+    inner_a = np.stack([list(integrals(in_nodes[:, i], in_w[:, i])) for i in range(4)], axis=-1)
+    at_r = interp_weights(sols[0].grid, r_nodes.reshape(-1))
+    h = []
+    for P, pr, ia in zip(sols, prop, inner_a):
+        g_vals = np.exp(ia) * P.P.interp(at_r).reshape(r_nodes.shape) * f_smooth * dens
+        F = np.sum(g_vals * u_w, axis=1)
+        x, hk = 0.0, [0.0]  # h(T) = 0, then h_k = prop_k h_{k+1} + F_k backward
+        for a, f in zip(pr[::-1].tolist(), F[::-1].tolist()):
+            x = a * x + f
+            hk.append(x)
+        h.append(np.array(hk[::-1]))
 
     # the deterministic drift component superposes linearly with the
     # modulated one (zeta = 0 on this component)
@@ -183,13 +188,16 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     det = _adjoint_deterministic(stripped, sols, steps)
     return [
         AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
-        for P, d, hk in zip(sols, det, h.T)
+        for P, d, hk in zip(sols, det, h)
     ]
 
 
 def solve_adjoint(p: SLQProblem, sols, steps: int) -> list:
     """Dispatch to the reduction matching the problem's input class: one
-    :class:`AdjointProfile` per Riccati solution in ``sols``."""
+    :class:`AdjointProfile` per Riccati solution in ``sols``, which must
+    share one grid."""
+    if any(not np.array_equal(P.grid, sols[0].grid) for P in sols[1:]):
+        raise InvalidInputError("Riccati solutions must share one grid")
     if not p.has_modulated_input():
         return _adjoint_deterministic(p, sols, steps)
     if p.b.modulated is not None and all(

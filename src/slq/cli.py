@@ -125,6 +125,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, flag_val)
     if cfg.paths < 0:
         raise ValueError(f"paths must be >= 0, got {cfg.paths}")
+    if cfg.mc_steps < 16:
+        raise ValueError(f"--mc-steps must be >= 16, got {cfg.mc_steps}")
+    if not cfg.tol > 0.0:
+        raise ValueError(f"--tol must be positive, got {cfg.tol:g}")
     return cfg
 
 
@@ -182,9 +186,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
         means, ses = mean_se(cpl.control_norm_sq)
         u_norms = [(s.epsilon, float(v), float(se)) for s, v, se in zip(sols, means, ses)]
 
-    files = {}
-    for k, sol in enumerate(sols):
-        files[f"riccati_eps_{k}.csv"] = riccati_csv(sol.P)
+    texts = riccati_csv([s.P for s in sols])
+    files = {f"riccati_eps_{k}.csv": text for k, text in enumerate(texts)}
     files["strategy.csv"] = strategy_csv(ws)
     files["ladder_summary.csv"] = ladder_summary_csv(sols, ws.cauchy_evidence, u_norms)
 

@@ -16,12 +16,14 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
+    "matmul",
     "pinv",
     "pinv_1x1",
     "range_included",
     "symmetrize",
     "rk4_step",
     "is_symmetric",
+    "interp_weights",
     "GridFn",
     "csv_text",
 ]
@@ -39,6 +41,17 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(A).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on matrices or stacks of them.  Two stacks of 1x1 matrices
+    multiply elementwise as ``0.0 + a * b``, at a fraction of matmul's
+    per-matrix cost: numpy's matmul sums its one product onto +0.0, so the
+    two agree bit for bit (a -0.0 product comes out +0.0), except that of
+    two NaN factors either may give the result's sign and payload."""
+    if a.shape[-2:] == (1, 1) == b.shape[-2:]:
+        return 0.0 + a * b
+    return a @ b
 
 
 def pinv_1x1(A: np.ndarray) -> np.ndarray:
@@ -124,6 +137,20 @@ def is_symmetric(M, tol: float = 0.0) -> bool:
     return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(np.all(np.abs(A - A.T) <= tol))
 
 
+def interp_weights(grid: np.ndarray, s) -> tuple:
+    """Where the times ``s`` fall on a strictly increasing ``grid``: node
+    indices ``idx`` and weights ``w`` in [0, 1] (clamped outside the span)
+    such that the linear interpolant of node values v is
+    ``(1 - w) v[idx] + w v[idx + 1]``.  One pair serves every
+    :class:`GridFn` on ``grid`` (see :meth:`GridFn.interp`)."""
+    pts = np.atleast_1d(np.asarray(s, dtype=float))
+    if grid.size == 1:
+        return np.zeros(pts.size, dtype=np.intp), np.zeros(pts.size)
+    idx = np.clip(np.searchsorted(grid, pts, side="right") - 1, 0, grid.size - 2)
+    h = grid[idx + 1] - grid[idx]
+    return idx, np.clip((pts - grid[idx]) / h, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class GridFn:
     """A time-dependent array sampled on a strictly increasing grid.
@@ -165,18 +192,18 @@ class GridFn:
     def __call__(self, s):
         """Evaluate at scalar or array times (linear interpolation, clamped)."""
         s_arr = np.asarray(s, dtype=float)
-        scalar = s_arr.ndim == 0
-        pts = np.atleast_1d(s_arr)
-        g = self.grid
-        if g.size == 1:
-            out = np.broadcast_to(self.values[0], (pts.size,) + self.value_shape).copy()
-        else:
-            idx = np.clip(np.searchsorted(g, pts, side="right") - 1, 0, g.size - 2)
-            h = g[idx + 1] - g[idx]
-            w = np.clip((pts - g[idx]) / h, 0.0, 1.0)
-            w = w.reshape((-1,) + (1,) * len(self.value_shape))
-            out = (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
-        return out[0] if scalar else out
+        out = self.interp(interp_weights(self.grid, s_arr))
+        return out[0] if s_arr.ndim == 0 else out
+
+    def interp(self, weights: tuple) -> np.ndarray:
+        """Values at the times ``s`` of ``weights = interp_weights(self.grid, s)``,
+        as ``self(s)`` for array ``s``."""
+        idx, w = weights
+        if self.grid.size == 1:
+            return np.broadcast_to(self.values[0], (idx.size,) + self.value_shape).copy()
+        w = w.reshape((-1,) + (1,) * len(self.value_shape))
+        v = self.values
+        return (1.0 - w) * np.take(v, idx, axis=0) + w * np.take(v, idx + 1, axis=0)
 
     def restrict(self, t_max: float) -> "GridFn":
         """Nodes with grid <= t_max (no resampling; restriction is exact)."""

@@ -26,7 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, csv_text, pinv, pinv_1x1, range_included, rk4_step, symmetrize
+from .core import (
+    GridFn, interp_weights, matmul, pinv, pinv_1x1, range_included, rk4_step,
+    symmetrize,
+)
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import SLQProblem
 
@@ -93,14 +96,14 @@ def inner(cf: dict, P: np.ndarray, eps, idx=slice(None)) -> tuple:
     if not isinstance(eps, tuple):
         eps = _eps_rows(np.full(len(P), eps), cf["R"].shape[-1])
     g, e, eps_I = eps
-    PD = P @ cf["D"][idx]
-    DPD = cf["D'"][idx] @ PD
+    PD = matmul(P, cf["D"][idx])
+    DPD = matmul(cf["D'"][idx], PD)
     K = cf["R"][idx] + DPD
     scale = None  # read only by the eps > 0 conditioning check
     if g < len(P):
         scale = cf["|R|"][idx] + np.abs(DPD[g:]).max(axis=(-2, -1)) + e
         K[g:] += eps_I
-    L = cf["B'"][idx] @ P + PD.mT @ cf["C"][idx] + cf["S"][idx]
+    L = matmul(cf["B'"][idx], P) + matmul(PD.mT, cf["C"][idx]) + cf["S"][idx]
     return K, L, scale
 
 
@@ -122,7 +125,7 @@ def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray
     the eps and time of the first bad stack entry.
     """
     if scale is None:
-        return pinv(K) @ rhs
+        return matmul(pinv(K), rhs)
     m = K.shape[-1]
     if m == 1:
         lo = hi = np.abs(K[:, 0, 0])
@@ -190,18 +193,23 @@ def _scalar_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
 
     def stage(j: int, P: list) -> list:
         a, b, c, d, q, s, r = tab[j].tolist()  # one row per stage, not the table
-        dP = []
+        abs_r, dP = abs(r), []
         for x, e in zip(P, rates):
             xd = x * d
-            K, L = r + d * xd, (b * x + xd * c) + s
+            dxd = d * xd
+            K, L = r + dxd, (b * x + xd * c) + s
             if e == 0.0:  # a generalized row: L (K^+ L)
                 LKL = L * ((1.0 / K if K != 0.0 else 0.0) * L)
             else:
                 K += e
-                if abs(K) <= max(abs(K), (abs(r) + abs(d * xd)) + e) / COND_LIMIT:
+                # max(abs_K, scale) as the builtin picks it, NaN included,
+                # without the call
+                abs_K, scale = abs(K), (abs_r + abs(dxd)) + e
+                if abs_K <= (scale if scale > abs_K else abs_K) / COND_LIMIT:
                     raise _singular(e, float(times[j]))
                 LKL = (L * L) / K
-            dP.append(-((((x * a + a * x) + (c * x) * c) + q) - LKL))
+            xa = x * a  # = a * x, so x a + a x is xa + xa
+            dP.append(-((((xa + xa) + (c * x) * c) + q) - LKL))
         dP[:frozen] = [0.0] * frozen
         return dP
 
@@ -335,16 +343,18 @@ def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:
     return sol
 
 
-def gain(P: RiccatiSolution, p: SLQProblem, times, cf=None) -> np.ndarray:
+def gain(P: RiccatiSolution, p: SLQProblem, times, cf=None, at=None) -> np.ndarray:
     """Feedback gain -K^{-1} L of a Riccati solution at an array of times, ``(N, m, n)``.
 
     K = R + eps I + D'PD uses ``P.epsilon``; for eps = 0 this is the
     pseudoinverse candidate gain -(R + D'PD)^+ (B'P + D'PC + S) of the
-    generalized equation.  ``cf`` is ``coef_tables(p, times)`` when the
-    caller already holds it, as for a ladder of solutions on shared times.
+    generalized equation.  ``cf`` is ``coef_tables(p, times)`` and ``at``
+    is ``interp_weights(P.grid, times)`` when the caller already holds
+    them, as for a ladder of solutions on one grid and shared times.
     """
     cf = coef_tables(p, times) if cf is None else cf
-    K, L, scale = inner(cf, P.P(times), P.epsilon)
+    at = interp_weights(P.grid, times) if at is None else at
+    K, L, scale = inner(cf, P.P.interp(at), P.epsilon)
     return -solve_inner(K, L, P.epsilon, scale, times)
 
 
@@ -373,13 +383,10 @@ class RegularityReport:
         ok = self.positivity_ok and self.range_ok and math.isfinite(self.theta_hat_l2)
         return "regular" if ok else "not-regular"
 
-    def is_regular(self) -> bool:
-        return self.verdict == "regular"
-
     @property
     def solvable(self) -> bool:
         """Closed-loop solvable: regular and no failed eta range check."""
-        return self.is_regular() and self.eta_ok is not False
+        return self.verdict == "regular" and self.eta_ok is not False
 
     def lines(self) -> list:
         """The closed-loop verdict line and its detail lines."""
@@ -448,8 +455,20 @@ def check_regularity(P: RiccatiSolution, p: SLQProblem) -> RegularityReport:
     )
 
 
-def riccati_csv(sol: RiccatiSolution) -> str:
-    """CSV dump: header s,P_11,...,P_nn; one row per node; 17 digits."""
-    n = sol.P.values.shape[1]
+def riccati_csv(sols: list) -> list:
+    """One CSV dump per solution of a ladder on one grid: header
+    s,P_11,...,P_nn; one row per node; 17 digits.  The shared s column is
+    formatted once."""
+    grid = sols[0].grid
+    if any(not np.array_equal(sol.grid, grid) for sol in sols):
+        raise InvalidInputError("ladder members must share one grid")
+    n = sols[0].P.values.shape[1]
     header = "s," + ",".join(f"P_{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    return csv_text(header, [sol.grid[:, None], sol.P.values.reshape(sol.grid.size, -1)])
+    # one format string per row, as core.csv_text, with s as ready text
+    s_col = ["%.17g" % s for s in grid.tolist()]
+    fmt = "%s" + ",%.17g" * (n * n)
+    out = []
+    for sol in sols:
+        entries = sol.P.values.reshape(grid.size, -1).T.tolist()
+        out.append("\n".join([header, *map(fmt.__mod__, zip(s_col, *entries))]) + "\n")
+    return out

@@ -23,7 +23,7 @@ import numpy as np
 from . import bsde as bsde_mod
 from .moments import second_moments
 from .bsde import AdjointProfile
-from .core import GridFn, csv_text, range_included
+from .core import GridFn, csv_text, matmul, range_included
 from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import (
@@ -62,8 +62,8 @@ def _node_kernel(p: SLQProblem, cf: dict, P: RiccatiSolution, adj: AdjointProfil
     K, L, scale = inner(cf, Ps, P.epsilon)
     B, D = cf["B"], cf["D"]
     rhs = [
-        B.mT @ adj.deterministic_eta.values[..., None]
-        + D.mT @ (Ps @ p.sigma.deterministic(grid)[..., None])
+        matmul(B.mT, adj.deterministic_eta.values[..., None])
+        + matmul(D.mT, matmul(Ps, p.sigma.deterministic(grid)[..., None]))
         + p.rho.deterministic(grid)[..., None]
     ]
     if adj.modulated_h is not None:
@@ -237,7 +237,7 @@ def closed_loop_test(p: SLQProblem, P0) -> RegularityReport:
     if isinstance(P0, BlowUpError):
         return RegularityReport(blowup_time=P0.time)
     reg = check_regularity(P0, p)
-    if not reg.is_regular():
+    if reg.verdict != "regular":
         return reg
     (adj,) = bsde_mod.solve_adjoint(p, [P0], P0.steps)
     K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)

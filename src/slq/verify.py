@@ -247,7 +247,7 @@ def _c10_determinism() -> CriterionResult:
         ens = simulate_ensemble(p, ip, ws.control, cfg, block_size=block_size)
         est = estimate_cost(p, ip, ens)
         return (
-            riccati_csv(sols[0].P) + strategy_csv(ws) + estimate_csv_row(est)
+            riccati_csv([sols[0].P])[0] + strategy_csv(ws) + estimate_csv_row(est)
         )
     first = pipeline(512)
     second = pipeline(512)

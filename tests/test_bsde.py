@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from slq.bsde import solve_adjoint
-from slq.errors import WrongClassError
+from slq.errors import InvalidInputError, WrongClassError
 from slq.core import GridFn
-from slq.problem import Modulation, RandomInput, SLQProblem, builtin
+from slq.problem import Modulation, RandomInput, SLQProblem, builtin, named_profile
 from slq.riccati import gain, solve_ladder, solve_perturbed
 from test_riccati import random_problem
 
@@ -179,10 +180,26 @@ def forced_random_problem():
     return with_inputs(base, b=0.4, sigma=-0.3, q=0.2, rho=0.5, g=-0.6)
 
 
-@pytest.mark.parametrize("case", ["example-5.1", "forced-scalar", "forced-random"])
+def modulated(profile, gamma=2.0**0.5):
+    """Example 5.1 with the modulated drift profile ``profile``."""
+    p, _ = builtin("example-5.1")
+    b = RandomInput(deterministic=GridFn.const(np.zeros(1)),
+                    modulated=Modulation(gamma=gamma, profile=profile))
+    return dataclasses.replace(p, b=b)
+
+
+@pytest.mark.parametrize("case", ["example-5.1", "inv-sqrt-gap", "table-profile",
+                                  "forced-scalar", "forced-random"])
 def test_stacked_rungs_equal_one_solution_calls(case):
+    # the rungs share their interpolation weights and coefficient tables,
+    # and nothing else: each rung's adjoint has the bits of its own call
     if case == "forced-random":
         p = forced_random_problem()
+    elif case == "inv-sqrt-gap":
+        p = modulated(named_profile("inv-sqrt-gap"))
+    elif case == "table-profile":
+        g = np.linspace(0.0, 1.0, 9)
+        p = modulated(GridFn(g, np.cos(3.0 * g) - 0.5 * g), gamma=0.8)
     else:
         p, _ = builtin("example-5.1" if case == "example-5.1" else "standard-scalar")
         if case == "forced-scalar":
@@ -198,8 +215,17 @@ def test_stacked_rungs_equal_one_solution_calls(case):
         if one.modulated_h is not None:
             assert np.array_equal(adj.modulated_h.values, one.modulated_h.values)
             assert adj.gamma == one.gamma
-    if case != "example-5.1":
+    if case.startswith("forced"):
         assert np.all(np.abs(stacked[-1].deterministic_eta.values[0]) > 0.0)
+    else:
+        assert np.all(stacked[-1].modulated_h.values[:-1] != 0.0)
+
+
+def test_rungs_on_different_grids_are_rejected():
+    p, _ = builtin("example-5.1")
+    sols = [solve_perturbed(p, 0.5, 64), solve_perturbed(p, 0.25, 128)]
+    with pytest.raises(InvalidInputError, match="share one grid"):
+        solve_adjoint(p, sols, 64)
 
 
 @pytest.mark.parametrize("name", ["example-1.1", "example-5.1"])

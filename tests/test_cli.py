@@ -303,6 +303,24 @@ def test_negative_paths_are_rejected_and_nothing_is_written(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["simulate", "--control", "zero", "--paths", "100", "--mc-steps", "0"],
+     "--mc-steps must be >= 16, got 0"),
+    (["solve", *FAST_SOLVE, "--paths", "100", "--mc-steps", "15"],
+     "--mc-steps must be >= 16, got 15"),
+    (["solve", *FAST_SOLVE, "--tol", "-1"], "--tol must be positive, got -1"),
+    (["diagnose", "--tol", "0"], "--tol must be positive, got 0"),
+])
+def test_bad_mc_steps_and_tol_name_their_flag(flags, message, tmp_path, capsys):
+    # --steps is the Riccati grid, and a tolerance <= 0 would only show as
+    # an inconclusive extraction
+    out = tmp_path / "out"
+    assert run([*flags, "--builtin", "standard-scalar", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "--steps" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose", "simulate", "verify-example"])
 def test_help_states_the_defaults(command, capsys):
     # argparse %-formats a help string only when it prints it

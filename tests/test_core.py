@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from slq.core import GridFn, pinv, pinv_1x1, range_included
+from slq.core import GridFn, interp_weights, matmul, pinv, pinv_1x1, range_included
 from slq.errors import InvalidInputError
 from slq.strategy import _l2_pair
 
@@ -203,3 +206,63 @@ class TestL2Norm:
         vals[:, 0, 0] = 1.0
         vals[:, 1, 1] = 1.0
         assert l2_norm(GridFn(g, vals)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+# signed zeros, infinities, NaNs of both signs, subnormals and the extremes
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+            2.2250738585072009e-308, -1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1.0, -1.0]
+_entries = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1, max_size=40)
+
+
+class _Tracked(np.ndarray):
+    """An array that counts the products ``@`` forms with it on the left."""
+
+    calls = 0
+
+    def __matmul__(self, other):
+        _Tracked.calls += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(a=_entries, b=_entries, size=st.integers(1, 100_000))
+@example(a=_SPECIAL, b=_SPECIAL[::-1], size=1)
+@example(a=_SPECIAL, b=_SPECIAL[3:], size=100_000)
+def test_matmul_of_1x1_stacks_is_numpys_bit_for_bit(a, b, size):
+    # np.resize repeats the draws cyclically, so lists of different lengths
+    # pair every entry of one with many of the other
+    x = np.resize(np.array(a), size).reshape(size, 1, 1)
+    y = np.resize(np.array(b), size).reshape(size, 1, 1)
+    with np.errstate(all="ignore"):
+        for u, v in ((x, y), (x, y[0]), (x[:1], y), (x.mT, y[::-1]), (x[0], y[0])):
+            want = u @ v
+            got = matmul(u.view(_Tracked), v)
+            assert got.shape == want.shape
+            # of two NaN factors, numpy's vector multiply may pass on either
+            both_nan = np.isnan(u) & np.isnan(v)
+            assert got[~both_nan].tobytes() == want[~both_nan].tobytes()
+            assert np.isnan(got[both_nan]).all()
+    assert _Tracked.calls == 0
+
+
+def test_matmul_of_other_shapes_is_matmul():
+    rng = np.random.default_rng(3)
+    for a_shape, b_shape in (((5, 2, 2), (5, 2, 2)), ((5, 2, 1), (5, 1, 1)),
+                             ((2, 2), (2, 1)), ((5, 1, 1), (5, 1, 2))):
+        a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        before = _Tracked.calls
+        got = matmul(a.view(_Tracked), b)
+        assert _Tracked.calls == before + 1
+        assert np.asarray(got).tobytes() == (a @ b).tobytes()
+
+
+def test_one_set_of_weights_serves_every_gridfn_on_the_grid():
+    g = np.linspace(0.0, 1.0, 7)
+    fs = [GridFn(g, np.sin(g)), GridFn(g, np.outer(g, [1.0, -2.0]).reshape(7, 1, 2))]
+    pts = np.array([-0.5, 0.0, 0.31, 0.5, 0.999, 1.0, 2.0])
+    at = interp_weights(g, pts)
+    for f in fs:
+        assert f.interp(at).tobytes() == f(pts).tobytes()
+    one = GridFn.const([[3.0]])
+    assert np.array_equal(one.interp(interp_weights(one.grid, pts)), np.full((7, 1, 1), 3.0))

@@ -227,7 +227,7 @@ class TestRegularity:
 def test_csv_dump_shape_and_precision():
     p, _ = builtin("example-5.1")
     sol = solve_perturbed(p, 0.5, 64)
-    text = riccati_csv(sol)
+    (text,) = riccati_csv([sol])
     lines = text.strip().split("\n")
     assert lines[0] == "s,P_11"
     assert len(lines) == 66
@@ -235,6 +235,19 @@ def test_csv_dump_shape_and_precision():
     p_val = float(lines[33].split(",")[1])
     assert p_val == sol.P.values[32, 0, 0]  # 17 digits round-trips exactly
     assert s_val == sol.grid[32]
+
+
+def test_csv_dump_of_a_ladder_formats_each_solution_alone():
+    p = random_problem()
+    sols = solve_ladder(p, [0.0, 1.0, 0.5], 32)
+    texts = riccati_csv(sols)
+    assert texts == [riccati_csv([sol])[0] for sol in sols]
+    lines = texts[1].split("\n")
+    assert lines[0] == "s,P_11,P_12,P_21,P_22" and lines[-1] == "" and len(lines) == 35
+    row = [float(v) for v in lines[5].split(",")]
+    assert row == [sols[1].grid[4], *sols[1].P.values[4].ravel()]
+    with pytest.raises(InvalidInputError, match="share one grid"):
+        riccati_csv([sols[1], solve_perturbed(p, 0.5, 64)])
 
 
 def _merged_case(name):
@@ -310,7 +323,7 @@ def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in(A, B, C, D, Q,
     # P_eps decreases to it as eps decreases (the cost grows with eps)
     p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, R=R, G=G)
     P0, *rungs = solve_ladder(p, [0.0, 1.0, 0.5, 0.25, 0.125], 256)
-    assert check_regularity(P0, p).is_regular()
+    assert check_regularity(P0, p).verdict == "regular"
     gaps = [float(np.max(np.abs(r.P.values - P0.P.values))) for r in rungs]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
 
@@ -332,7 +345,7 @@ def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in_2x2(A, B, C, D
         rho=RandomInput.zero(2),
     )
     P0, *rungs = solve_ladder(p, [0.0, 1.0, 0.5, 0.25, 0.125], 256)
-    assert check_regularity(P0, p).is_regular()
+    assert check_regularity(P0, p).verdict == "regular"
     gaps = [float(np.max(np.abs(r.P.values - P0.P.values))) for r in rungs]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])), gaps
 
