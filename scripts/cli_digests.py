@@ -60,6 +60,16 @@ PROBLEMS = {
         "[input.b]\ndeterministic = 0\ngamma = 1.4142135623730951\n"
         "profile = named:inv-sqrt-gap\n"
     ),
+    # n = 2, m = 1 with R = 0: the only problem here on the numpy
+    # backend of the Riccati pass
+    "two_state": (
+        "[dims]\nn = 2\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.A]\nconstant = 0, 1; -1, 0\n[coef.B]\nconstant = 0; 1\n"
+        "[coef.C]\nconstant = 0.3, 0; 0, 0.3\n[coef.D]\nconstant = 0; 0.5\n"
+        "[coef.Q]\nconstant = 1, 0; 0, 0\n[coef.S]\nconstant = 0.2, 0\n"
+        "[coef.R]\nconstant = 0\n[terminal]\nG = 1, 0; 0, 1\ng = 0.5, 0\n"
+        "[input.b]\ndeterministic = 0.1, 0\n"
+    ),
 }
 
 COMMANDS = [
@@ -82,6 +92,8 @@ COMMANDS = [
     "solve --problem {gre_blowup} --steps 512 --eps-min 0.25",
     "diagnose --problem {gre_blowup} --steps 512 --eps-min 0.25",
     "diagnose --problem {inv_sqrt_gap} --steps 400",
+    "solve --problem {two_state} --steps 400 --eps-min 0.125",
+    "diagnose --problem {two_state} --steps 400",
 ]
 
 

@@ -34,7 +34,6 @@ from .riccati import (
     gain,
     solve_gre,
     solve_ladder,
-    solve_perturbed,
 )
 from .bsde import AdjointProfile, solve_adjoint
 from .strategy import (

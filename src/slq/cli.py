@@ -144,8 +144,13 @@ def _load(cfg: RunConfig):
     if not report.ok():
         raise ValueError("invalid problem: " + "; ".join(report.violations))
     t = cfg.t if cfg.t is not None else ip_default.t
-    x = ip_default.x if cfg.x is None else np.array([float(v) for v in cfg.x.split(",")])
-    return p, InitialPair(t=t, x=x)
+    try:
+        x = ip_default.x if cfg.x is None else np.array([float(v) for v in cfg.x.split(",")])
+    except ValueError:
+        raise ValueError(f"--x must be comma-separated numbers, got {cfg.x!r}") from None
+    ip = InitialPair(t=t, x=x)
+    ip.check(p)
+    return p, ip
 
 
 def _write_atomic(out_dir: str, name: str, text: str):

@@ -51,10 +51,7 @@ class SecondMoments:
 def _check(p: SLQProblem, ip: InitialPair, controls: list):
     if not controls:
         raise InvalidInputError("need at least one control")
-    if ip.x.size != p.n:
-        raise InvalidInputError(f"initial state has length {ip.x.size}, expected {p.n}")
-    if not (0.0 <= ip.t < p.T):
-        raise InvalidInputError(f"initial time {ip.t} outside [0, T)")
+    ip.check(p)
     for name in ("sigma", "q", "rho"):
         if getattr(p, name).modulated is not None:
             raise WrongClassError("the moment equations support a modulated part on b only")

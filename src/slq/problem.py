@@ -147,6 +147,13 @@ class InitialPair:
         if not np.all(np.isfinite(self.x)):
             raise InvalidInputError("initial state has non-finite entries")
 
+    def check(self, p: SLQProblem):
+        """Raise :class:`InvalidInputError` unless x has length n and t lies in [0, T)."""
+        if self.x.size != p.n:
+            raise InvalidInputError(f"initial state has length {self.x.size}, expected {p.n}")
+        if not (0.0 <= self.t < p.T):
+            raise InvalidInputError(f"initial time {self.t} outside [0, T)")
+
 
 @dataclass
 class ValidationReport:

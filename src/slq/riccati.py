@@ -8,11 +8,12 @@ with K = R + eps*I + D'P D inverted exactly in the perturbed flow and
 K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
 classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
 step; uniform grids keep downstream L2 norms and eps-comparisons
-node-aligned.  One backward pass holds the generalized flow and a whole
-eps ladder as one stack of flows.  For n = m = 1 the whole pass (stages,
-RK4 combination, blow-up test, step doubling, symmetrization) runs on a
-list of Python floats with the numpy pass's bits, since numpy's per-call
-cost on 1x1 matrices was most of a scalar solve.  Blow-up is detected and
+node-aligned.  One backward loop, :func:`_solve_backward`, holds the
+generalized flow and a whole eps ladder as one stack of flows and owns the
+blow-up test, the step doubling and the stored table.  Two backends supply
+its arithmetic: numpy stacks for any n and m, and for n = m = 1 a list of
+Python floats with the numpy backend's bits, since numpy's per-call cost on
+1x1 matrices was most of a scalar solve.  Blow-up is detected and
 reported, not papered over: an indefinite generalized equation may
 legitimately fail to have a global solution, so its blow-up is returned
 while the ladder goes on.
@@ -36,7 +37,6 @@ from .problem import SLQProblem
 __all__ = [
     "RiccatiSolution",
     "RegularityReport",
-    "solve_perturbed",
     "solve_ladder",
     "solve_gre",
     "coef_tables",
@@ -141,60 +141,71 @@ def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray
     return np.linalg.solve(K, rhs)
 
 
-def _matrix_stage(p: SLQProblem, rows: tuple, times: np.ndarray):
-    """The RK4 stage right-hand side ``dP(j, P)`` of a stack of flows whose
-    first ``g`` rows are generalized (see :func:`_eps_rows`)."""
-    cf = coef_tables(p, times)
-    A, At, Ct, C, Q = cf["A"], cf["A'"], cf["C'"], cf["C"], cf["Q"]
-    g, e, _ = rows
-    LKL = np.empty((g + e.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
+class _MatrixRows:
+    """The arithmetic of :func:`_solve_backward` on numpy stacks ``(N, n, n)``
+    for any n and m; it tracks each row's largest step asymmetry."""
 
-    def stage(j: int, P: np.ndarray) -> np.ndarray:
-        K, L, scale = inner(cf, P, rows, j)
+    cell = Ellipsis  # where a table (N, steps + 1, n, n) stores the rows of a node
+
+    def __init__(self, p: SLQProblem, eps: np.ndarray, times: np.ndarray):
+        self.p, self.times, self.cf = p, times, coef_tables(p, times)
+        self.rows = _eps_rows(eps, p.m)
+        self.LKL = np.empty((eps.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
+        self.P_T = np.repeat(symmetrize(np.asarray(p.G, dtype=float))[None], eps.size, axis=0)
+        self.max_asym = np.zeros(eps.size)
+
+    def stage(self, j: int, P: np.ndarray, frozen: int) -> np.ndarray:
+        """dP at quarter-grid index j, zero on the first ``frozen`` rows; the
+        first ``g`` rows are generalized (see :func:`_eps_rows`)."""
+        cf, LKL, (g, e, _) = self.cf, self.LKL, self.rows
+        K, L, scale = inner(cf, P, self.rows, j)
         if g:
             # L'(K^+ L); pinv_1x1 skips pinv's checks: a non-finite value reaches the blow-up test
-            Kp = pinv_1x1(K[:g]) if p.m == 1 else pinv(K[:g])
+            Kp = pinv_1x1(K[:g]) if self.p.m == 1 else pinv(K[:g])
             LKL[:g] = L[:g].mT @ (Kp @ L[:g])
         if e.size:
-            if p.m == 1:
+            if self.p.m == 1:
                 # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
-                LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, times[j])
+                LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, self.times[j])
             else:
-                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, times[j])
-        return -(P @ A[j] + At[j] @ P + Ct[j] @ P @ C[j] + Q[j] - LKL)
+                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, self.times[j])
+        dP = -(P @ cf["A"][j] + cf["A'"][j] @ P + cf["C'"][j] @ P @ cf["C"][j] + cf["Q"][j] - LKL)
+        dP[:frozen] = 0.0
+        return dP
 
-    return stage
+    def rk4(self, j: int, y: np.ndarray, step: float, stride: int, frozen: int) -> np.ndarray:
+        return rk4_step(lambda j, P: self.stage(j, P, frozen), j, y, step, stride)
 
+    @staticmethod
+    def norms(P: np.ndarray, Q=None) -> np.ndarray:
+        """The Frobenius norm of each row of P, or of P - Q."""
+        return np.linalg.norm(P if Q is None else P - Q, axis=(-2, -1))
 
-def _grids(p: SLQProblem, steps: int) -> tuple:
-    """The step h, the node grid and the quarter grid: index j = 4k is node k,
-    a step's midpoint is 4k - 2 and the half steps' are 4k - 1 and 4k - 3."""
-    return p.T / steps, np.linspace(0.0, p.T, steps + 1), np.linspace(0.0, p.T, 4 * steps + 1)
-
-
-def _blowup(eps: float, s: float) -> BlowUpError:
-    return BlowUpError(f"Riccati flow (eps={eps}) left the finite regime near s={s:.6g}", time=s)
-
-
-def _solutions(eps, grid, values, steps, errs, asyms, gre_blowup) -> list:
-    sols = [RiccatiSolution(float(e), GridFn(grid, v), steps, float(err), float(asym))
-            for e, v, err, asym in zip(eps, values, errs, asyms)]
-    return [gre_blowup, *sols[1:]] if gre_blowup else sols
+    def symmetrized(self, P: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        asym = np.linalg.norm(P - P.mT, axis=(-2, -1)) / np.maximum(1.0, norms)
+        self.max_asym = np.maximum(self.max_asym, asym)
+        return symmetrize(P)
 
 
-def _scalar_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
-    """:func:`_matrix_backward` for n = m = 1, all rows in lockstep on a list of
-    Python floats, in its order of operations and so with its bits and errors.
-    A numpy 1x1 product is 0.0 + a*b, never -0.0, and the table holds no -0.0, so
-    q and s make a zero sum +0.0 as there; a finite 1x1 step's asymmetry is 0.0."""
-    h, grid, times = _grids(p, steps)
-    g, rates = int(np.count_nonzero(eps == 0.0)), eps.tolist()
-    tab = np.stack([getattr(p, k)(times)[:, 0, 0] + 0.0 for k in "ABCDQSR"], axis=1)
+class _ScalarRows:
+    """:class:`_MatrixRows` for n = m = 1, each row one Python float of a list,
+    in its order of operations and so with its bits and errors, since numpy's
+    per-call cost on 1x1 matrices was most of a scalar solve.  A numpy 1x1
+    product is 0.0 + a*b, never -0.0, and the table holds no -0.0, so q and s
+    make a zero sum +0.0 as there; a finite 1x1 step's asymmetry is 0.0."""
 
-    def stage(j: int, P: list) -> list:
-        a, b, c, d, q, s, r = tab[j].tolist()  # one row per stage, not the table
+    cell = (Ellipsis, 0, 0)
+
+    def __init__(self, p: SLQProblem, eps: np.ndarray, times: np.ndarray):
+        self.tab = np.stack([getattr(p, k)(times)[:, 0, 0] + 0.0 for k in "ABCDQSR"], axis=1)
+        self.rates, self.times = eps.tolist(), times
+        self.P_T = symmetrize(np.asarray(p.G, dtype=float)).ravel().tolist() * eps.size
+        self.max_asym = [0.0] * eps.size
+
+    def stage(self, j: int, P: list, frozen: int) -> list:
+        a, b, c, d, q, s, r = self.tab[j].tolist()  # one row per stage, not the table
         abs_r, dP = abs(r), []
-        for x, e in zip(P, rates):
+        for x, e in zip(P, self.rates):
             xd = x * d
             dxd = d * xd
             K, L = r + dxd, (b * x + xd * c) + s
@@ -206,89 +217,36 @@ def _scalar_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
                 # without the call
                 abs_K, scale = abs(K), (abs_r + abs(dxd)) + e
                 if abs_K <= (scale if scale > abs_K else abs_K) / COND_LIMIT:
-                    raise _singular(e, float(times[j]))
+                    raise _singular(e, float(self.times[j]))
                 LKL = (L * L) / K
             xa = x * a  # = a * x, so x a + a x is xa + xa
             dP.append(-((((xa + xa) + (c * x) * c) + q) - LKL))
         dP[:frozen] = [0.0] * frozen
         return dP
 
-    def rk4(j: int, y: list, step: float, stride: int) -> list:  # core.rk4_step
-        k1 = stage(j, y)
-        k2 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k1)])
-        k3 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k2)])
-        k4 = stage(j - stride, [v - step * k for v, k in zip(y, k3)])
+    def rk4(self, j: int, y: list, step: float, stride: int, frozen: int) -> list:
+        stage = self.stage  # core.rk4_step on lists
+        k1 = stage(j, y, frozen)
+        k2 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k1)], frozen)
+        k3 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k2)], frozen)
+        k4 = stage(j - stride, [v - step * k for v, k in zip(y, k3)], frozen)
         return [v - (step / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
-    P = symmetrize(np.asarray(p.G, dtype=float)).ravel().tolist() * eps.size
-    max_err, values = [0.0] * eps.size, np.empty((eps.size, steps + 1, 1, 1))
-    values[:, steps, 0, 0] = P
-    gre_blowup, frozen = None, 0  # frozen: leading generalized rows held at their last value
-    err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
-    for k in range(steps, 0, -1):
-        P_new = rk4(4 * k, P, h, 4)
-        blown = [i for i, x in enumerate(P_new) if not math.sqrt(x * x) <= BLOWUP_NORM]
-        if blown:
-            i = next((i for i in blown if i >= g), 0)  # else the generalized flow
-            if i >= g:
-                raise _blowup(rates[i], grid[k - 1])
-            gre_blowup, frozen = _blowup(rates[i], grid[k - 1]), g
-            P_new[:g] = P[:g]
-        if k % err_stride == 0:
-            P_half = rk4(4 * k - 2, rk4(4 * k, P, 0.5 * h, 2), 0.5 * h, 2)
-            errs = [math.sqrt((x - y) * (x - y)) for x, y in zip(P_new, P_half)]
-            max_err = [m if m != m or m >= e else e for m, e in zip(max_err, errs)]  # a NaN stays
-        P = [0.5 * (x + x) for x in P_new]
-        values[:, k - 1, 0, 0] = P
-    return _solutions(eps, grid, values, steps, max_err, [0.0] * eps.size, gre_blowup)
+    @staticmethod
+    def norms(P: list, Q=None) -> list:
+        if Q is None:
+            return [math.sqrt(x * x) for x in P]
+        return [math.sqrt((x - y) * (x - y)) for x, y in zip(P, Q)]
 
-
-def _matrix_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
-    """The backward pass on numpy stacks ``(N, n, n)``, for any n and m."""
-    h, grid, times = _grids(p, steps)
-    rows = g, _, _ = _eps_rows(eps, p.m)
-    stage = _matrix_stage(p, rows, times)
-    gre_blowup = None
-
-    def rhs(j: int, P: np.ndarray) -> np.ndarray:
-        dP = stage(j, P)
-        if gre_blowup is not None:
-            dP[:g] = 0.0  # a blown generalized flow stays at its last finite value
-        return dP
-
-    values = np.empty((eps.size, steps + 1, p.n, p.n))
-    values[:, steps] = symmetrize(np.asarray(p.G, dtype=float))
-    P = values[:, steps].copy()
-    max_asym = np.zeros(eps.size)
-    max_local_err = np.zeros(eps.size)
-    err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
-    for k in range(steps, 0, -1):
-        j_right = 4 * k
-        P_new = rk4_step(rhs, j_right, P, h, 4)
-        norm = np.linalg.norm(P_new, axis=(-2, -1))
-        blown = ~(norm <= BLOWUP_NORM)  # also true for NaN
-        if blown.any():
-            i = g + np.argmax(blown[g:]) if blown[g:].any() else 0  # else the generalized flow
-            exc = _blowup(float(eps[i]), grid[k - 1])
-            if i >= g:
-                raise exc
-            gre_blowup = exc
-            P_new[:g] = P[:g]
-        if k % err_stride == 0:
-            # step-doubling local error estimate on a subsample of steps
-            P_half = rk4_step(rhs, j_right, P, 0.5 * h, 2)
-            P_half = rk4_step(rhs, j_right - 2, P_half, 0.5 * h, 2)
-            max_local_err = np.maximum(max_local_err, np.linalg.norm(P_new - P_half, axis=(-2, -1)))
-        asym = np.linalg.norm(P_new - P_new.mT, axis=(-2, -1)) / np.maximum(1.0, norm)
-        max_asym = np.maximum(max_asym, asym)
-        P = symmetrize(P_new)
-        values[:, k - 1] = P
-    return _solutions(eps, grid, values, steps, max_local_err, max_asym, gre_blowup)
+    @staticmethod
+    def symmetrized(P: list, norms: list) -> list:
+        return [0.5 * (x + x) for x in P]
 
 
 def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
-    """One RK4 loop over the stack of flows for the values in ``eps``.
+    """One RK4 loop over the stack of flows for the values in ``eps``, on
+    :class:`_ScalarRows` for n = m = 1 and on :class:`_MatrixRows` otherwise.
 
     A leading eps = 0 is the generalized flow.  Its blow-up never raises:
     the row freezes at its last finite value, the other rows go on, and its
@@ -297,38 +255,59 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     """
     if steps < 16:
         raise InvalidInputError(f"steps must be >= 16, got {steps}")
-    return (_scalar_backward if p.n == p.m == 1 else _matrix_backward)(p, eps, steps)
+    # on the quarter grid, index j = 4k is node k, a step's midpoint is
+    # 4k - 2 and the half steps' are 4k - 1 and 4k - 3
+    h, grid = p.T / steps, np.linspace(0.0, p.T, steps + 1)
+    times = np.linspace(0.0, p.T, 4 * steps + 1)
+    rows = (_ScalarRows if p.n == p.m == 1 else _MatrixRows)(p, eps, times)
+    rk4, norms, symmetrized = rows.rk4, rows.norms, rows.symmetrized
+    g, rates = int(np.count_nonzero(eps == 0.0)), eps.tolist()
+    values = np.empty((eps.size, steps + 1, p.n, p.n))
+    nodes = values[rows.cell]
+    P = nodes[:, steps] = rows.P_T
+    max_err, gre_blowup, frozen = [0.0] * eps.size, None, 0  # frozen: leading rows held still
+    err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
+    for k in range(steps, 0, -1):
+        P_new = rk4(4 * k, P, h, 4, frozen)
+        norm = norms(P_new)
+        blown = [i for i, x in enumerate(norm) if not x <= BLOWUP_NORM]  # NaN too
+        if blown:
+            i = next((i for i in blown if i >= g), 0)  # else the generalized flow
+            s = grid[k - 1]
+            exc = BlowUpError(
+                f"Riccati flow (eps={rates[i]}) left the finite regime near s={s:.6g}", time=s)
+            if i >= g:
+                raise exc
+            gre_blowup, frozen, P_new[:g] = exc, g, P[:g]
+        if k % err_stride == 0:
+            # step-doubling local error estimate on a subsample of steps
+            P_half = rk4(4 * k - 2, rk4(4 * k, P, 0.5 * h, 2, frozen), 0.5 * h, 2, frozen)
+            max_err = [m if m != m or m >= e else e  # a NaN stays
+                       for m, e in zip(max_err, norms(P_new, P_half))]
+        P = nodes[:, k - 1] = symmetrized(P_new, norm)
+    sols = [RiccatiSolution(e, GridFn(grid, v), steps, float(err), float(asym))
+            for e, v, err, asym in zip(rates, values, max_err, rows.max_asym)]
+    return [gre_blowup, *sols[1:]] if gre_blowup else sols
 
 
 def solve_ladder(p: SLQProblem, ladder, steps: int) -> list:
     """Integrate the eps-perturbed Riccati equation for every eps of a ladder.
 
     All rungs advance as one ``(L, n, n)`` stack through one RK4 loop on one
-    uniform grid; rung k equals :func:`solve_perturbed` for ``ladder[k]``.
-    The first step at which a rung leaves the finite regime raises
-    :class:`BlowUpError` naming its eps (the first in ladder order on a tie).
-    An eps = 0 ahead of the rungs adds the generalized flow as one more row:
-    its entry equals :func:`solve_gre`, but a blow-up is returned, not raised.
+    uniform grid; no rung's bits depend on the others.  K = R + eps*I + D'PD
+    is inverted exactly, and a condition number above 1e14 raises
+    :class:`DegeneratePerturbationError`.  The gain term scales like 1/eps,
+    so the explicit integrator needs steps >~ T * |P| / eps: the first step
+    at which a rung leaves the finite regime raises :class:`BlowUpError`
+    naming its eps (the first in ladder order on a tie).  An eps = 0 ahead
+    of the rungs adds the generalized flow as one more row: its entry equals
+    :func:`solve_gre`, but a blow-up is returned, not raised.
     """
     eps = np.asarray(ladder, dtype=float)
     rungs = eps[1:] if eps.size > 1 and eps[0] == 0.0 else eps
     if not np.all(rungs > 0.0):
         raise InvalidInputError(f"eps must be positive, got {float(rungs[np.argmin(rungs > 0.0)])}")
     return _solve_backward(p, eps, steps)
-
-
-def solve_perturbed(p: SLQProblem, eps: float, steps: int) -> RiccatiSolution:
-    """Integrate the eps-perturbed Riccati equation backward from P(T) = G.
-
-    The inner matrix R + eps*I + D'PD is inverted exactly; for convex
-    problems it stays >= eps*I along the flow, and a condition number above
-    1e14 raises :class:`DegeneratePerturbationError`.
-
-    The gain term scales like 1/eps, so the explicit integrator needs
-    steps >~ T * |P| / eps for stability; too coarse a grid surfaces as a
-    :class:`BlowUpError` rather than silent garbage.
-    """
-    return solve_ladder(p, [eps], steps)[0]
 
 
 def solve_gre(p: SLQProblem, steps: int) -> RiccatiSolution:

@@ -400,10 +400,7 @@ def _run_blocks(
     block_size: int,
     record_paths: bool,
 ):
-    if ip.x.size != p.n:
-        raise InvalidInputError(f"initial state has length {ip.x.size}, expected {p.n}")
-    if not (0.0 <= ip.t < p.T):
-        raise InvalidInputError(f"initial time {ip.t} outside [0, T)")
+    ip.check(p)
     t, T, N = ip.t, p.T, cfg.steps
     dt = (T - t) / N
     s_nodes = t + dt * np.arange(N + 1)

@@ -8,7 +8,7 @@ from slq.bsde import solve_adjoint
 from slq.errors import InvalidInputError, WrongClassError
 from slq.core import GridFn
 from slq.problem import Modulation, RandomInput, SLQProblem, builtin, named_profile
-from slq.riccati import gain, solve_ladder, solve_perturbed
+from slq.riccati import gain, solve_ladder
 from test_riccati import random_problem
 
 
@@ -31,7 +31,7 @@ def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None):
 class TestDeterministic:
     def test_zero_inputs_zero_terminal(self):
         p, _ = builtin("standard-scalar")
-        P = solve_perturbed(p, 1.0, 64)
+        P = solve_ladder(p, [1.0], 64)[0]
         adj = solve_adjoint(p, [P], 64)[0]
         assert np.all(adj.deterministic_eta.values == 0.0)
         assert adj.modulated_h is None
@@ -46,14 +46,14 @@ class TestDeterministic:
             C=GridFn.const([[0.0]]), D=GridFn.const([[0.0]]),
             Q=p.Q, S=p.S, R=p.R, G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
         )
-        P = solve_perturbed(p, 0.5, 64)
+        P = solve_ladder(p, [0.5], 64)[0]
         adj = solve_adjoint(p, [P], 64)[0]
         assert np.allclose(adj.deterministic_eta.values, 2.5, atol=1e-13)
 
     def test_terminal_value_exact(self):
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0, g=0.7)
-        P = solve_perturbed(p, 1.0, 128)
+        P = solve_ladder(p, [1.0], 128)[0]
         adj = solve_adjoint(p, [P], 128)[0]
         assert adj.deterministic_eta(p.T)[0] == 0.7
 
@@ -62,7 +62,7 @@ class TestDeterministic:
         # the step-halved integration of the same linear ODE
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, b=1.0)
-        P = solve_perturbed(p, 1.0, 4096)
+        P = solve_ladder(p, [1.0], 4096)[0]
         coarse = solve_adjoint(p, [P], 512)[0]
         fine = solve_adjoint(p, [P], 1024)[0]
         on = np.linspace(0.0, 1.0, 9)
@@ -73,7 +73,7 @@ class TestDeterministic:
         base, _ = builtin("standard-scalar")
         p1 = with_inputs(base, b=1.0)
         p2 = with_inputs(base, b=2.0)
-        P = solve_perturbed(base, 1.0, 256)
+        P = solve_ladder(base, [1.0], 256)[0]
         a1 = solve_adjoint(p1, [P], 256)[0]
         a2 = solve_adjoint(p2, [P], 256)[0]
         assert np.allclose(2.0 * a1.deterministic_eta.values, a2.deterministic_eta.values,
@@ -85,7 +85,7 @@ class TestDeterministic:
         base, _ = builtin("standard-scalar")
         p = with_inputs(base, q=RandomInput(deterministic=GridFn.const(np.zeros(1)),
                                             modulated=builtin("example-5.1")[0].b.modulated))
-        P = solve_perturbed(p, 1.0, 64)
+        P = solve_ladder(p, [1.0], 64)[0]
         with pytest.raises(WrongClassError, match="only the b input"):
             solve_adjoint(p, [P], 64)
 
@@ -93,7 +93,7 @@ class TestDeterministic:
 class TestModulated:
     def test_terminal_condition_exact(self):
         p, _ = builtin("example-5.1")
-        P = solve_perturbed(p, 0.5, 128)
+        P = solve_ladder(p, [0.5], 128)[0]
         adj = solve_adjoint(p, [P], 128)[0]
         assert adj.modulated_h(p.T) == 0.0
         assert adj.gamma == pytest.approx(math.sqrt(2.0))
@@ -101,7 +101,7 @@ class TestModulated:
     def test_value_at_zero_eps_one(self):
         # h(0) = [eps/(eps+1)] * e^0 * int_0^1 dr/sqrt(1-r) = 0.5 * 2 = 1
         p, _ = builtin("example-5.1")
-        P = solve_perturbed(p, 1.0, 2000)
+        P = solve_ladder(p, [1.0], 2000)[0]
         adj = solve_adjoint(p, [P], 2000)[0]
         assert adj.modulated_h(0.0) == pytest.approx(1.0, abs=1e-6)
 
@@ -109,7 +109,7 @@ class TestModulated:
         # h(s) (eps+1-s) / (eps e^{-s}) equals the gap integral 2 sqrt(1-s)
         p, _ = builtin("example-5.1")
         eps = 0.5
-        P = solve_perturbed(p, eps, 2000)
+        P = solve_ladder(p, [eps], 2000)[0]
         adj = solve_adjoint(p, [P], 2000)[0]
         g = adj.modulated_h.grid
         lhs = adj.modulated_h.values * (eps + 1.0 - g) / (eps * np.exp(-g))
@@ -120,7 +120,7 @@ class TestModulated:
         # must reproduce M times the h-equation right-hand side
         p, _ = builtin("example-5.1")
         eps = 0.25
-        P = solve_perturbed(p, eps, 1000)
+        P = solve_ladder(p, [eps], 1000)[0]
         adj = solve_adjoint(p, [P], 1000)[0]
         gamma = adj.gamma
         rng = np.random.default_rng(99)
@@ -161,17 +161,17 @@ class TestModulated:
                           modulated=Modulation(gamma=1.0, profile=tab2)),
             sigma=p.sigma, q=p.q, rho=p.rho,
         )
-        P1 = solve_perturbed(base, 0.5, 256)
+        P1 = solve_ladder(base, [0.5], 256)[0]
         a1 = solve_adjoint(base, [P1], 256)[0]
         a2 = solve_adjoint(double, [P1], 256)[0]
         assert np.allclose(2.0 * a1.modulated_h.values, a2.modulated_h.values, atol=1e-12)
 
     def test_wrong_class_errors(self):
         p, _ = builtin("example-5.1")
-        P = solve_perturbed(p, 0.5, 64)
+        P = solve_ladder(p, [0.5], 64)[0]
         with_sigma = with_inputs(p, b=p.b, sigma=1.0)
         with pytest.raises(WrongClassError, match="sigma = 0"):
-            solve_adjoint(with_sigma, [solve_perturbed(with_sigma, 0.5, 64)], 64)
+            solve_adjoint(with_sigma, [solve_ladder(with_sigma, [0.5], 64)[0]], 64)
 
 
 def forced_random_problem():
@@ -223,7 +223,7 @@ def test_stacked_rungs_equal_one_solution_calls(case):
 
 def test_rungs_on_different_grids_are_rejected():
     p, _ = builtin("example-5.1")
-    sols = [solve_perturbed(p, 0.5, 64), solve_perturbed(p, 0.25, 128)]
+    sols = [solve_ladder(p, [0.5], 64)[0], solve_ladder(p, [0.25], 128)[0]]
     with pytest.raises(InvalidInputError, match="share one grid"):
         solve_adjoint(p, sols, 64)
 
@@ -241,9 +241,9 @@ def test_unforced_eta_is_exact_positive_zero(name):
 
 def test_dispatch():
     p5, _ = builtin("example-5.1")
-    P = solve_perturbed(p5, 0.5, 64)
+    P = solve_ladder(p5, [0.5], 64)[0]
     assert solve_adjoint(p5, [P], 64)[0].modulated_h is not None
     p0, _ = builtin("standard-scalar")
-    P0 = solve_perturbed(p0, 0.5, 64)
+    P0 = solve_ladder(p0, [0.5], 64)[0]
     assert solve_adjoint(p0, [P0], 64)[0].modulated_h is None
 

@@ -321,6 +321,25 @@ def test_bad_mc_steps_and_tol_name_their_flag(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose", "simulate"])
+@pytest.mark.parametrize("flags, message", [
+    (["--t", "2"], "initial time 2.0 outside [0, T)"),
+    (["--t", "-0.5"], "initial time -0.5 outside [0, T)"),
+    (["--x", "1,2"], "initial state has length 2, expected 1"),
+    (["--x", "a"], "--x must be comma-separated numbers, got 'a'"),
+])
+def test_bad_initial_pair_is_rejected_without_monte_carlo(command, flags, message, tmp_path,
+                                                          capsys):
+    # solve with --paths 0 never simulates, yet checks the pair before any work
+    out = tmp_path / "out"
+    argv = [command, *FAST_SOLVE, *flags, "--builtin", "standard-scalar", "--out", out]
+    if command == "simulate":
+        argv += ["--control", "zero", "--paths", "100", "--mc-steps", "16"]
+    assert run(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose", "simulate", "verify-example"])
 def test_help_states_the_defaults(command, capsys):
     # argparse %-formats a help string only when it prints it

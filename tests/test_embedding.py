@@ -14,7 +14,7 @@ from slq.errors import DegeneratePerturbationError
 from slq.core import GridFn
 from slq.moments import second_moments
 from slq.problem import InitialPair, RandomInput, SLQProblem, builtin
-from slq.riccati import check_regularity, solve_gre, solve_perturbed
+from slq.riccati import check_regularity, solve_gre, solve_ladder
 from slq.simulate import ControlSpec, MonteCarloConfig, simulate_coupled
 from slq.strategy import run_ladder
 
@@ -121,5 +121,5 @@ def test_degenerate_perturbation_names_time():
     p, _ = builtin("standard-scalar")
     q = embed(p, np.eye(2), np.eye(2), R=np.diag([-0.5, 1.0]))
     with pytest.raises(DegeneratePerturbationError, match="s=1;"):
-        solve_perturbed(q, 0.5, 64)
+        solve_ladder(q, [0.5], 64)[0]
 

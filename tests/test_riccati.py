@@ -14,7 +14,6 @@ from slq.riccati import (
     riccati_csv,
     solve_gre,
     solve_ladder,
-    solve_perturbed,
 )
 from slq.strategy import closed_loop_test
 from test_embedding import EMBEDDINGS, embed
@@ -61,19 +60,19 @@ def time_table_problem():
 class TestPerturbed:
     def test_example_51_closed_form_values(self):
         p, _ = builtin("example-5.1")
-        sol = solve_perturbed(p, 0.5, 2000)
+        sol = solve_ladder(p, [0.5], 2000)[0]
         assert sol.P(0.5)[0, 0] == pytest.approx(0.5, abs=1e-10)
-        sol1 = solve_perturbed(p, 1.0, 2000)
+        sol1 = solve_ladder(p, [1.0], 2000)[0]
         assert sol1.P(0.0)[0, 0] == pytest.approx(0.5, abs=1e-10)
 
     def test_zero_fixed_point(self):
         p = scalar_problem(A=0.3, B=1.0, C=0.2, D=0.5, R=1.0, G=0.0)
-        sol = solve_perturbed(p, 0.25, 64)
+        sol = solve_ladder(p, [0.25], 64)[0]
         assert np.all(sol.P.values == 0.0)
 
     def test_terminal_condition_exact(self):
         p, _ = builtin("example-5.1")
-        sol = solve_perturbed(p, 0.5, 64)
+        sol = solve_ladder(p, [0.5], 64)[0]
         assert sol.P(p.T)[0, 0] == p.G[0, 0]
 
     def test_fourth_order_convergence(self):
@@ -81,7 +80,7 @@ class TestPerturbed:
         eps = 0.5
 
         def max_err(steps):
-            sol = solve_perturbed(p, eps, steps)
+            sol = solve_ladder(p, [eps], steps)[0]
             s = sol.grid
             return np.max(np.abs(sol.P.values[:, 0, 0] - eps / (eps + 1.0 - s)))
 
@@ -94,19 +93,19 @@ class TestPerturbed:
         A = GridFn([0.0, 1.0], np.array([[[0.0]], [[4.0]]]))
         q = SLQProblem(n=1, m=1, T=1.0, A=A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
                        G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho)
-        est = [solve_perturbed(q, 0.5, n).max_local_error_estimate for n in (200, 400)]
+        est = [solve_ladder(q, [0.5], n)[0].max_local_error_estimate for n in (200, 400)]
         assert est[0] / est[1] >= 16.0
 
     def test_eps_monotone_on_example_51(self):
         p, _ = builtin("example-5.1")
         ladder = [1.0, 0.5, 0.25, 0.125]
-        sols = [solve_perturbed(p, e, 256) for e in ladder]
+        sols = [solve_ladder(p, [e], 256)[0] for e in ladder]
         for hi, lo in zip(sols[:-1], sols[1:]):
             assert np.all(hi.P.values >= lo.P.values - 1e-12)
 
     def test_symmetry_enforced_and_drift_small(self):
         p = random_problem()
-        sol = solve_perturbed(p, 0.5, 256)
+        sol = solve_ladder(p, [0.5], 256)[0]
         assert np.array_equal(sol.P.values, np.swapaxes(sol.P.values, 1, 2))
         assert sol.max_step_asymmetry <= 1e-10
 
@@ -115,7 +114,7 @@ class TestPerturbed:
         p = random_problem() if name == "random-n2" else builtin(name)[0]
         ladder = [1.0, 0.5, 0.25]
         for eps, rung in zip(ladder, solve_ladder(p, ladder, 256)):
-            alone = solve_perturbed(p, eps, 256)
+            alone = solve_ladder(p, [eps], 256)[0]
             assert rung.epsilon == eps
             assert np.array_equal(rung.P.values, alone.P.values)
             assert rung.max_local_error_estimate == alone.max_local_error_estimate
@@ -124,15 +123,15 @@ class TestPerturbed:
     def test_eps_must_be_positive(self):
         p, _ = builtin("example-5.1")
         with pytest.raises(InvalidInputError):
-            solve_perturbed(p, 0.0, 64)
+            solve_ladder(p, [0.0], 64)[0]
         with pytest.raises(InvalidInputError):
-            solve_perturbed(p, 0.5, 8)
+            solve_ladder(p, [0.5], 8)[0]
 
     def test_degenerate_perturbation(self):
         # R = -0.5 cancels eps = 0.5 exactly: inner matrix is singular
         p = scalar_problem(R=-0.5, G=1.0)
         with pytest.raises(DegeneratePerturbationError):
-            solve_perturbed(p, 0.5, 64)
+            solve_ladder(p, [0.5], 64)[0]
 
 
 class TestGRE:
@@ -198,7 +197,7 @@ class TestRegularity:
     def test_rejects_perturbed_solution(self):
         p, _ = builtin("standard-scalar")
         with pytest.raises(InvalidInputError, match="eps=0.5"):
-            check_regularity(solve_perturbed(p, 0.5, 64), p)
+            check_regularity(solve_ladder(p, [0.5], 64)[0], p)
 
     def test_l2_probe_flags_divergent_gain(self):
         # hand-built solution P = 1 against R(s) = 1 - s gives the gain
@@ -226,7 +225,7 @@ class TestRegularity:
 
 def test_csv_dump_shape_and_precision():
     p, _ = builtin("example-5.1")
-    sol = solve_perturbed(p, 0.5, 64)
+    sol = solve_ladder(p, [0.5], 64)[0]
     (text,) = riccati_csv([sol])
     lines = text.strip().split("\n")
     assert lines[0] == "s,P_11"
@@ -247,7 +246,7 @@ def test_csv_dump_of_a_ladder_formats_each_solution_alone():
     row = [float(v) for v in lines[5].split(",")]
     assert row == [sols[1].grid[4], *sols[1].P.values[4].ravel()]
     with pytest.raises(InvalidInputError, match="share one grid"):
-        riccati_csv([sols[1], solve_perturbed(p, 0.5, 64)])
+        riccati_csv([sols[1], solve_ladder(p, [0.5], 64)[0]])
 
 
 def _merged_case(name):
@@ -267,7 +266,7 @@ class TestMergedStack:
         p = _merged_case(name)
         ladder = [1.0, 0.5, 0.25]
         merged = solve_ladder(p, [0.0, *ladder], 256)
-        alone = [solve_gre(p, 256)] + [solve_perturbed(p, eps, 256) for eps in ladder]
+        alone = [solve_gre(p, 256)] + [solve_ladder(p, [eps], 256)[0] for eps in ladder]
         assert len(merged) == len(alone)
         for a, b in zip(merged, alone):
             assert a.epsilon == b.epsilon
@@ -287,7 +286,7 @@ class TestMergedStack:
         assert P0.time == exc_info.value.time == pytest.approx(0.373, abs=1e-3)
         assert str(P0) == str(exc_info.value)
         for eps, rung in zip(ladder, rungs):
-            alone = solve_perturbed(p, eps, 512)
+            alone = solve_ladder(p, [eps], 512)[0]
             assert np.all(np.isfinite(rung.P.values))
             assert np.array_equal(rung.P.values, alone.P.values)
             assert rung.max_local_error_estimate == alone.max_local_error_estimate
@@ -375,11 +374,17 @@ STAGE_CASES = {
 }
 
 
-def _pass_or_error(backward, p, ladder, steps):
-    try:
-        return backward(p, np.asarray(ladder, dtype=float), steps)
-    except (BlowUpError, DegeneratePerturbationError) as exc:
-        return exc
+def _pass_or_error(p, ladder, steps, backend=None):
+    """The one backward loop on ``backend`` (by default the one n and m pick),
+    or the error it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        if backend is not None:
+            mp.setattr(riccati, "_ScalarRows", backend)
+            mp.setattr(riccati, "_MatrixRows", backend)
+        try:
+            return riccati._solve_backward(p, np.asarray(ladder, dtype=float), steps)
+        except (BlowUpError, DegeneratePerturbationError) as exc:
+            return exc
 
 
 def _assert_same_pass(scalar, matrix):
@@ -400,13 +405,14 @@ def _assert_same_pass(scalar, matrix):
 
 @pytest.mark.parametrize("case", list(STAGE_CASES))
 def test_scalar_stage_equals_matrix_stage(case, monkeypatch):
-    # the Python-float pass against the numpy pass, bit for bit, errors included
+    # the Python-float backend against the numpy backend through the one
+    # loop, bit for bit, errors included
     make, ladder, steps = STAGE_CASES[case]
     p = make()
-    scalar = _pass_or_error(riccati._scalar_backward, p, ladder, steps)
-    _assert_same_pass(scalar, _pass_or_error(riccati._matrix_backward, p, ladder, steps))
-    monkeypatch.delattr(riccati, "_matrix_backward")  # n = m = 1 must not reach it
-    _assert_same_pass(_pass_or_error(riccati._solve_backward, p, ladder, steps), scalar)
+    scalar = _pass_or_error(p, ladder, steps, riccati._ScalarRows)
+    _assert_same_pass(scalar, _pass_or_error(p, ladder, steps, riccati._MatrixRows))
+    monkeypatch.delattr(riccati, "_MatrixRows")  # n = m = 1 must not reach it
+    _assert_same_pass(_pass_or_error(p, ladder, steps), scalar)
 
 
 _nonzero = st.floats(-1.0, 1.0).filter(lambda v: v != 0.0)
@@ -421,8 +427,24 @@ def test_scalar_pass_equals_matrix_pass_on_drawn_problems(A, B, C, D, Q, S, G, R
     p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, S=S, R=R, G=G)
     ladder = [0.0, 1.0, 0.5, 0.25]
     with np.errstate(all="ignore"):
-        matrix = _pass_or_error(riccati._matrix_backward, p, ladder, 64)
-    _assert_same_pass(_pass_or_error(riccati._scalar_backward, p, ladder, 64), matrix)
+        matrix = _pass_or_error(p, ladder, 64, riccati._MatrixRows)
+    _assert_same_pass(_pass_or_error(p, ladder, 64, riccati._ScalarRows), matrix)
+
+
+def test_matrix_generalized_row_freezes_as_the_scalar_one():
+    # two uncoupled copies of the generalized-blowup case on the numpy
+    # backend: the generalized flow blows up at the scalar time and its
+    # frozen row leaves every rung the scalar rung on the diagonal
+    p = scalar_problem(R=0.5, Q=1.0, G=-1.0)
+    ladder = [0.0, 1.0, 0.5, 0.25]
+    scalar = solve_ladder(p, ladder, 512)
+    matrix = solve_ladder(embed(p, *EMBEDDINGS["block"]), ladder, 512)
+    assert isinstance(scalar[0], BlowUpError) and isinstance(matrix[0], BlowUpError)
+    assert (str(matrix[0]), matrix[0].time) == (str(scalar[0]), scalar[0].time)
+    assert matrix[0].time == pytest.approx(0.373, abs=1e-3)
+    for a, b in zip(scalar[1:], matrix[1:], strict=True):
+        assert b.epsilon == a.epsilon
+        assert np.max(np.abs(b.P.values - a.P.values[:, :1, :1] * np.eye(2))) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["time-table", "random-n2"])
@@ -441,7 +463,7 @@ def test_rk4_flow_matches_a_radau_oracle(name):
         L = B.T @ P + D.T @ P @ C + S
         return -(P @ A + A.T @ P + C.T @ P @ C + Q - L.T @ np.linalg.solve(K, L)).ravel()
 
-    coarse, fine = (solve_perturbed(p, eps, steps).P.values for steps in (50, 100))
+    coarse, fine = (solve_ladder(p, [eps], steps)[0].P.values for steps in (50, 100))
     ref = solve_ivp(f, (p.T, 0.0), p.G.ravel(), method="Radau", rtol=1e-10, atol=1e-12,
                     t_eval=np.linspace(p.T, 0.0, 101))
     assert ref.success

@@ -8,7 +8,7 @@ from slq import bsde
 from slq.errors import BlowUpError, InvalidInputError
 from slq.core import GridFn
 from slq.problem import RandomInput, SLQProblem, builtin
-from slq.riccati import gain, solve_ladder, solve_perturbed
+from slq.riccati import gain, solve_ladder
 from slq.strategy import (
     extract_limit,
     default_ladder,
@@ -35,9 +35,9 @@ def zero_input_problem():
 class TestThetaEps:
     def test_example_51_values(self):
         p, _ = builtin("example-5.1")
-        P = solve_perturbed(p, 0.1, 2000)
+        P = solve_ladder(p, [0.1], 2000)[0]
         assert gain(P, p, [0.9])[0, 0, 0] == pytest.approx(-5.0, abs=1e-7)
-        P1 = solve_perturbed(p, 1.0, 2000)
+        P1 = solve_ladder(p, [1.0], 2000)[0]
         assert gain(P1, p, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_numerator(self):
@@ -49,7 +49,7 @@ class TestThetaEps:
             R=GridFn.const([[1.0]]), G=np.eye(1), g=np.zeros(1),
             b=zero, sigma=zero, q=zero, rho=zero,
         )
-        P = solve_perturbed(p, 0.3, 64)
+        P = solve_ladder(p, [0.3], 64)[0]
         assert np.all(gain(P, p, [0.0, 0.4, 1.0]) == 0.0)
 
 
