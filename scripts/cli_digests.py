@@ -72,6 +72,12 @@ PROBLEMS = {
     ),
 }
 
+# config files, written as <key with - for _>.conf beside the problem files
+CONFIGS = {
+    # the flags of the third command, read from a file instead: the same bytes
+    "steps_400": "steps = 400\neps_min = 3e-5\n",
+}
+
 COMMANDS = [
     "solve --builtin example-5.1",
     "solve --builtin example-1.1",
@@ -94,6 +100,7 @@ COMMANDS = [
     "diagnose --problem {inv_sqrt_gap} --steps 400",
     "solve --problem {two_state} --steps 400 --eps-min 0.125",
     "diagnose --problem {two_state} --steps 400",
+    "solve --builtin standard-scalar --config {steps_400}",
 ]
 
 
@@ -107,11 +114,11 @@ def digest(out_dir: str) -> str:
 
 
 def _file(key: str) -> str:
-    return key.replace("_", "-") + ".slq"
+    return key.replace("_", "-") + (".conf" if key in CONFIGS else ".slq")
 
 
 def shown(command: str) -> str:
-    return command.format(**{k: _file(k) for k in PROBLEMS})
+    return command.format(**{k: _file(k) for k in {**PROBLEMS, **CONFIGS}})
 
 
 def run(command: str, work: str) -> str:
@@ -130,12 +137,12 @@ def read_digests(path: str) -> dict:
 
 def digests(commands):
     """Yield ``(shown command, digest)`` for each of ``commands``, run in a
-    scratch working directory that holds the problem files."""
+    scratch working directory that holds the problem and config files."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for key, text in PROBLEMS.items():
+            for key, text in {**PROBLEMS, **CONFIGS}.items():
                 with open(_file(key), "w", encoding="utf-8") as fh:
                     fh.write(text)
             for command in commands:

@@ -56,20 +56,21 @@ class AdjointProfile:
     gamma: Optional[float] = None
 
 
-def _adjoint_deterministic(p: SLQProblem, sols, steps: int) -> list:
+def _adjoint_deterministic(p: SLQProblem, sols) -> list:
     """Backward RK4 for the adjoint ODE under purely deterministic inputs.
 
     With zeta identically zero the adjoint reduces to
 
         eta' = -[(A + B*Th)' eta + (C + D*Th)' P sigma + Th' rho + P b + q],
 
-    with terminal value eta(T) = g, on a uniform grid of ``steps`` steps.
+    with terminal value eta(T) = g, on the uniform grid of the solutions.
     One :class:`AdjointProfile` per Riccati solution in ``sols``, from one
     set of half-grid coefficient tables and one RK4 loop over an ``(L, n)``
     stack.  Unforced (b, sigma, q, rho without deterministic part, g = 0),
     eta is exactly +0.0 and no gain or loop is formed.
     """
-    grid = np.linspace(0.0, p.T, steps + 1)
+    grid = sols[0].grid
+    steps = grid.size - 1
     values = np.zeros((len(sols), steps + 1, p.n))
     values[:, steps] = p.g
     if p.g.any() or any(f.deterministic.values.any() for f in (p.b, p.sigma, p.q, p.rho)):
@@ -112,7 +113,7 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
     return nodes, weights
 
 
-def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
+def _adjoint_modulated(p: SLQProblem, sols) -> list:
     """Exact per-path reduction for a scalar problem with modulated drift.
 
     Requires n = m = 1, a modulated b, zero sigma/q/rho and zero terminal
@@ -135,7 +136,7 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     T = p.T
     gamma = float(p.b.modulated.gamma)
     profile = p.b.modulated.profile
-    grid = np.linspace(0.0, T, steps + 1)
+    grid = sols[0].grid
     lo, hi = grid[:-1], grid[1:]
 
     # propagator exponents int_{lo_k}^{hi_k} a
@@ -185,23 +186,23 @@ def _adjoint_modulated(p: SLQProblem, sols, steps: int) -> list:
     # the deterministic drift component superposes linearly with the
     # modulated one (zeta = 0 on this component)
     stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
-    det = _adjoint_deterministic(stripped, sols, steps)
+    det = _adjoint_deterministic(stripped, sols)
     return [
         AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
         for P, d, hk in zip(sols, det, h)
     ]
 
 
-def solve_adjoint(p: SLQProblem, sols, steps: int) -> list:
+def solve_adjoint(p: SLQProblem, sols) -> list:
     """Dispatch to the reduction matching the problem's input class: one
-    :class:`AdjointProfile` per Riccati solution in ``sols``, which must
-    share one grid."""
+    :class:`AdjointProfile` per Riccati solution in ``sols``, on the grid
+    they must share."""
     if any(not np.array_equal(P.grid, sols[0].grid) for P in sols[1:]):
         raise InvalidInputError("Riccati solutions must share one grid")
     if not p.has_modulated_input():
-        return _adjoint_deterministic(p, sols, steps)
+        return _adjoint_deterministic(p, sols)
     if p.b.modulated is not None and all(
         getattr(p, name).modulated is None for name in ("sigma", "q", "rho")
     ):
-        return _adjoint_modulated(p, sols, steps)
+        return _adjoint_modulated(p, sols)
     raise WrongClassError("only the b input may carry a modulated part")

@@ -7,20 +7,21 @@ built-in problem).  All numeric output uses 17 significant digits so doubles
 round-trip; files are written atomically via rename, and nothing is written
 when a run fails.
 
-Defaults can be placed in a config file of ``key = value`` lines (keys match
-the long flag names with dashes replaced by underscores); explicit flags
-override the file, and an unknown key or a malformed value is an error
-that names the file and line.
+Defaults can be placed in a config file of ``key = value`` lines.  A key is
+the long flag of any run subcommand with dashes replaced by underscores, at
+most once per file, and its value is typed by that flag's declaration
+(``yes``/``no`` for ``dump_paths``).  Explicit flags override the file; an
+unknown or repeated key or a malformed value is an error that names the file
+and line.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -51,52 +52,17 @@ from .strategy import (
 )
 from . import verify as verify_mod
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-
-@dataclass
-class RunConfig:
-    command: str
-    builtin: Optional[str] = None
-    problem: Optional[str] = None
-    t: Optional[float] = None  # None -> problem default (0 for files)
-    x: Optional[str] = None
-    eps_max: float = 1.0
-    eps_min: Optional[float] = None  # None -> 2^-10 (solve), 2^-5 (diagnose)
-    ladder_factor: float = 0.5
-    steps: int = 2000
-    delta: Optional[float] = None  # None -> 1e-2 * T
-    tol: float = 1e-3
-    paths: int = 0
-    mc_steps: int = 1024
-    seed: int = verify_mod.MASTER_SEED
-    out: str = "."
-    control: str = "feedback"
-    dump_paths: bool = False
-
-
-_FLOAT_KEYS = {"t", "eps_max", "eps_min", "ladder_factor", "delta", "tol"}
-_INT_KEYS = {"steps", "paths", "mc_steps", "seed"}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
-_CHOICES = {"control": ("zero", "feedback"), "builtin": tuple(builtin_names())}
+_DEFAULT_PATHS = 20_000  # simulate's paths at --paths 0
 
 
-def _coerce(key: str, val: str):
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    if key == "dump_paths":
-        return _BOOLS[val.lower()]
-    if val not in _CHOICES.get(key, (val,)):
-        raise ValueError(val)
-    return val
-
-
-def _read_config_file(path: str) -> dict:
-    """The typed settings of a config file; an unknown key or a value of the
-    wrong type is an error that names ``path:line``."""
+def _read_config_file(path: str, flags: dict) -> dict:
+    """The settings of a config file, each typed by the type and choices of
+    the flag its key names in ``flags`` (``{key: Action}``).  An unknown or
+    repeated key or a value the flag refuses is an error that names
+    ``path:line``."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -107,32 +73,35 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in flags:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            flag = flags[key]
+            # a --builtin flag is checked by the loader, a file's value here
+            choices = builtin_names() if key == "builtin" else flag.choices
             try:
-                out[key] = _coerce(key, val)
+                out[key] = _BOOLS[val.lower()] if flag.nargs == 0 else (flag.type or str)(val)
+                if choices is not None and out[key] not in choices:
+                    raise ValueError(val)
             except (KeyError, ValueError):
                 raise ValueError(f"{path}:{lineno}: bad value {val!r} for {key}") from None
     return out
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig(command=args.command, **file_vals)
-    for f in fields(RunConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
-    if cfg.paths < 0:
-        raise ValueError(f"paths must be >= 0, got {cfg.paths}")
-    if cfg.mc_steps < 16:
-        raise ValueError(f"--mc-steps must be >= 16, got {cfg.mc_steps}")
-    if not cfg.tol > 0.0:
-        raise ValueError(f"--tol must be positive, got {cfg.tol:g}")
-    return cfg
+def _check(args: argparse.Namespace):
+    """The bounds no argparse type states, on flags and config values alike."""
+    if args.paths < 0:
+        raise ValueError(f"paths must be >= 0, got {args.paths}")
+    if args.mc_steps < 16:
+        raise ValueError(f"--mc-steps must be >= 16, got {args.mc_steps}")
+    if not args.tol > 0.0:
+        raise ValueError(f"--tol must be positive, got {args.tol:g}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
 
 
-def _load(cfg: RunConfig):
+def _load(cfg: argparse.Namespace):
     if (cfg.builtin is None) == (cfg.problem is None):
         raise ValueError("give exactly one of --builtin or --problem")
     if cfg.builtin is not None:
@@ -166,9 +135,9 @@ def _write_atomic(out_dir: str, name: str, text: str):
         raise
 
 
-def _monte_carlo(cfg: RunConfig, simulate, *args, **kwargs):
+def _monte_carlo(cfg: argparse.Namespace, simulate, *args, **kwargs):
     """``simulate(*args, mc, **kwargs)``, naming on stderr the paths it zeroed."""
-    paths = cfg.paths if cfg.paths > 0 else 20_000
+    paths = cfg.paths if cfg.paths > 0 else _DEFAULT_PATHS
     mc = MonteCarloConfig(paths=paths, steps=cfg.mc_steps, master_seed=cfg.seed)
     res = simulate(*args, mc, **kwargs)
     if res.blown.any():
@@ -177,11 +146,10 @@ def _monte_carlo(cfg: RunConfig, simulate, *args, **kwargs):
     return res
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
+def _cmd_solve(cfg: argparse.Namespace) -> int:
     p, ip = _load(cfg)
     delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
-    eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-10
-    ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
+    ladder = default_ladder(cfg.eps_max, cfg.eps_min, cfg.ladder_factor)
     P0, *sols = run_ladder(p, [0.0, *ladder], cfg.steps)
     ws = extract_limit(sols, delta=delta, tol=cfg.tol)
 
@@ -215,13 +183,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0 if ws.converged else 2
 
 
-def _cmd_diagnose(cfg: RunConfig) -> int:
+def _cmd_diagnose(cfg: argparse.Namespace) -> int:
     p, ip = _load(cfg)
-    # the verdicts read exact moments, so any ladder depth the Riccati grid
-    # resolves is usable (--eps-min); by default diagnose keeps the six
-    # rungs 2^0 .. 2^-5, one more than its shrink and growth tests need
-    eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-5
-    ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
+    ladder = default_ladder(cfg.eps_max, cfg.eps_min, cfg.ladder_factor)
     rep = diagnose(p, ip, ladder, cfg.steps)
 
     closed, *detail = rep.closed_loop.lines()
@@ -241,27 +205,23 @@ def _cmd_diagnose(cfg: RunConfig) -> int:
             for (e, v), mean, se in zip(rep.u_norms, *mean_se(cpl.control_norm_sq))
         ))
 
-    csv_lines = ["eps,u_norm_sq,u_norm_se,u_l2_dist_to_next"]
     dist_by_eps = dict(rep.u_distances)
-    for e, v in rep.u_norms:
-        d = dist_by_eps.get(e)
-        # exact values carry no standard error
-        csv_lines.append(f"{e:.17g},{v:.17g},0," + (f"{d:.17g}" if d is not None else "nan"))
-
-    _write_atomic(cfg.out, "solvability.csv", "\n".join(csv_lines) + "\n")
+    # exact values carry no standard error
+    table = np.array([(e, v, 0.0, dist_by_eps.get(e, np.nan)) for e, v in rep.u_norms])
+    csv = csv_text("eps,u_norm_sq,u_norm_se,u_l2_dist_to_next", [table])
+    _write_atomic(cfg.out, "solvability.csv", csv)
     _write_atomic(cfg.out, "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: argparse.Namespace) -> int:
     p, ip = _load(cfg)
     # argparse and the config file admit only zero and feedback
     if cfg.control == "zero":
         ctrl = ControlSpec.zero()
     else:
-        eps_min = cfg.eps_min if cfg.eps_min is not None else 2.0**-10
-        ladder = default_ladder(cfg.eps_max, eps_min, cfg.ladder_factor)
+        ladder = default_ladder(cfg.eps_max, cfg.eps_min, cfg.ladder_factor)
         sols = run_ladder(p, ladder, cfg.steps)
         delta = cfg.delta if cfg.delta is not None else 1e-2 * p.T
         ctrl = extract_limit(sols, delta=delta, tol=cfg.tol).control
@@ -307,24 +267,51 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _add_common(sp: argparse.ArgumentParser, eps_min: str, no_paths: str):
-    sp.add_argument("--builtin", help="built-in problem name")
-    sp.add_argument("--problem", help="problem definition file")
+def _shown(default) -> str:
+    """A default as ``--help`` states it: 2^k for a power of two below 1/2."""
+    if isinstance(default, float):
+        mant, exp = math.frexp(default)
+        return f"2^{exp - 1}" if mant == 0.5 and exp < 0 else f"{default:g}"
+    return str(default)
+
+
+def _add_run_options(sp: argparse.ArgumentParser, command: str) -> dict:
+    """Declare ``command``'s options on ``sp``, each help line stating its
+    default; return the options a config file may set, as ``{key: Action}``."""
+
+    def opt(flag, help, default=None, **kwargs):
+        if default is not None:
+            help = f"{help} (default {_shown(default)})"
+        return sp.add_argument(flag, default=default, help=help, **kwargs)
+
     sp.add_argument("--config", help="config file of key = value defaults")
-    sp.add_argument("--t", type=float, help="initial time (default 0)")
-    sp.add_argument("--x", help="initial state, comma-separated")
-    sp.add_argument("--eps-max", dest="eps_max", type=float, help="ladder start (default 1)")
-    sp.add_argument("--eps-min", dest="eps_min", type=float, help=f"ladder end (default {eps_min})")
-    sp.add_argument("--ladder-factor", dest="ladder_factor", type=float,
-                    help="geometric ladder factor in (0,1) (default 0.5)")
-    sp.add_argument("--steps", type=int, help="solver grid steps (default 2000)")
-    sp.add_argument("--delta", type=float, help="extraction window gap (default 1e-2*T)")
-    sp.add_argument("--tol", type=float, help="extraction tolerance (default 1e-3)")
-    sp.add_argument("--paths", type=int, help=f"Monte Carlo paths, 0 for {no_paths} (default 0)")
-    sp.add_argument("--mc-steps", dest="mc_steps", type=int,
-                    help="Monte Carlo time steps (default 1024)")
-    sp.add_argument("--seed", type=int, help=f"64-bit master seed (default {verify_mod.MASTER_SEED})")
-    sp.add_argument("--out", help="output directory (default .)")
+    # the diagnose verdicts read exact moments, so any ladder depth the
+    # Riccati grid resolves is usable; by default they keep the six rungs
+    # 2^0 .. 2^-5, one more than the shrink and growth tests need
+    eps_min = 2.0**-5 if command == "diagnose" else 2.0**-10
+    no_paths = _DEFAULT_PATHS if command == "simulate" else "none"
+    flags = [
+        opt("--builtin", "built-in problem name"),
+        opt("--problem", "problem definition file"),
+        opt("--t", "initial time (default 0)", type=float),
+        opt("--x", "initial state, comma-separated"),
+        opt("--eps-max", "ladder start", 1.0, type=float),
+        opt("--eps-min", "ladder end", eps_min, type=float),
+        opt("--ladder-factor", "geometric ladder factor in (0,1)", 0.5, type=float),
+        opt("--steps", "solver grid steps", 2000, type=int),
+        opt("--delta", "extraction window gap (default 1e-2*T)", type=float),
+        opt("--tol", "extraction tolerance", 1e-3, type=float),
+        opt("--paths", f"Monte Carlo paths, 0 for {no_paths}", 0, type=int),
+        opt("--mc-steps", "Monte Carlo time steps", 1024, type=int),
+        opt("--seed", "64-bit master seed", verify_mod.MASTER_SEED, type=int),
+        opt("--out", "output directory", "."),
+    ]
+    if command == "simulate":
+        flags.append(opt("--control", "control to simulate", "feedback",
+                         choices=("zero", "feedback")))
+        flags.append(sp.add_argument("--dump-paths", action="store_true",
+                                     help="also write per-path trajectories (large)"))
+    return {f.dest: f for f in flags}
 
 
 def main(argv=None) -> int:
@@ -333,16 +320,15 @@ def main(argv=None) -> int:
         description="Weak closed-loop strategies for stochastic LQ control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="run the eps ladder and extract the weak limit")
-    _add_common(sp, "2^-10", "none")
-    sp = sub.add_parser("diagnose", help="closed-loop/open-loop solvability verdicts")
-    _add_common(sp, "2^-5", "none")
-    sp = sub.add_parser("simulate", help="Monte Carlo simulation of a control")
-    _add_common(sp, "2^-10", "20000")
-    sp.add_argument("--control", choices=_CHOICES["control"], help="control to simulate")
-    sp.add_argument("--dump-paths", dest="dump_paths", action="store_true", default=None,
-                    help="also write per-path trajectories (large)")
+    run = {
+        "solve": (_cmd_solve, "run the eps ladder and extract the weak limit"),
+        "diagnose": (_cmd_diagnose, "closed-loop/open-loop solvability verdicts"),
+        "simulate": (_cmd_simulate, "Monte Carlo simulation of a control"),
+    }
+    parsers, flags = {}, {}  # a config key may name the flag of any run command
+    for command, (_, help) in run.items():
+        parsers[command] = sub.add_parser(command, help=help)
+        flags.update(_add_run_options(parsers[command], command))
     sp = sub.add_parser("verify-example", help="run acceptance checks for a built-in")
     sp.add_argument("example", help="built-in name, e.g. example-5.1")
 
@@ -350,12 +336,12 @@ def main(argv=None) -> int:
     if args.command == "verify-example":
         return _cmd_verify(args)
     try:
-        cfg = _build_config(args)
-        if args.command == "solve":
-            return _cmd_solve(cfg)
-        if args.command == "diagnose":
-            return _cmd_diagnose(cfg)
-        return _cmd_simulate(cfg)
+        if args.config:
+            # the file's values become defaults, so a flag still overrides them
+            parsers[args.command].set_defaults(**_read_config_file(args.config, flags))
+            args = parser.parse_args(argv)
+        _check(args)
+        return run[args.command][0](args)
     except Exception as exc:  # uniform error contract: message to stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,7 +132,7 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
     out = solve_ladder(p, ladder, steps)
     grid = out[-1].grid
     cf = coef_tables(p, grid)
-    adjoints = bsde_mod.solve_adjoint(p, out[g:], steps)
+    adjoints = bsde_mod.solve_adjoint(p, out[g:])
     for k, (P, adj) in enumerate(zip(out[g:], adjoints), start=g):
         K, L, scale, rhs = _node_kernel(p, cf, P, adj)
         theta, *v = (-solve_inner(K, r, P.epsilon, scale, grid) for r in [L] + rhs)
@@ -239,7 +239,7 @@ def closed_loop_test(p: SLQProblem, P0) -> RegularityReport:
     reg = check_regularity(P0, p)
     if reg.verdict != "regular":
         return reg
-    (adj,) = bsde_mod.solve_adjoint(p, [P0], P0.steps)
+    (adj,) = bsde_mod.solve_adjoint(p, [P0])
     K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)
     return replace(reg, eta_ok=all(range_included(r, K, REGULARITY_TOL) for r in rhs))
 
@@ -298,17 +298,13 @@ def diagnose(p: SLQProblem, ip: InitialPair, ladder, steps: int) -> SolvabilityR
 
 
 def ladder_summary_csv(sols: list, evidence: list, u_norms=None) -> str:
-    """CSV: eps,u_norm_sq,theta_l2_dist,v_l2_dist (distances to next rung)."""
-    lines = ["eps,u_norm_sq,theta_l2_dist,v_l2_dist"]
+    """CSV: eps,u_norm_sq,theta_l2_dist,v_l2_dist (distances to next rung),
+    nan where a rung has no value."""
     norm_by_eps = {e: v for e, v, *_ in u_norms or ()}
     dist_by_eps = {e: (dt, dv) for e, dt, dv in evidence}
-    for s in sols:
-        e = s.epsilon
-        u = norm_by_eps.get(e)
-        dt, dv = dist_by_eps.get(e, (None, None))
-        fmt = lambda v: "nan" if v is None else f"{v:.17g}"
-        lines.append(f"{e:.17g},{fmt(u)},{fmt(dt)},{fmt(dv)}")
-    return "\n".join(lines) + "\n"
+    rows = [(s.epsilon, norm_by_eps.get(s.epsilon, np.nan),
+             *dist_by_eps.get(s.epsilon, (np.nan, np.nan))) for s in sols]
+    return csv_text("eps,u_norm_sq,theta_l2_dist,v_l2_dist", [np.array(rows)])
 
 
 def strategy_csv(ws: WeakClosedLoopStrategy) -> str:

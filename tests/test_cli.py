@@ -288,6 +288,58 @@ class TestConfigFile:
             assert not out.exists()
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("steps = 100\nsteps = 200\n", 2, "duplicate key 'steps'"),
+    ("eps-min = 0.5\neps_min = 0.25\n", 2, "duplicate key 'eps_min'"),
+    ("# int\nsteps = 1.5\n", 2, "bad value '1.5' for steps"),
+    ("seed = x\n", 1, "bad value 'x' for seed"),
+    ("tol = 1e-3\neps_min = abc\n", 2, "bad value 'abc' for eps_min"),
+])
+def test_config_value_refused_by_its_flag_names_the_line(text, line, message, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["solve", "--builtin", "standard-scalar", "--config", conf, "--out", out]) == 1
+    assert f"{conf}:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose", "simulate"])
+def test_one_config_file_serves_every_command(command, tmp_path):
+    # control and dump_paths are simulate's flags, and solve and diagnose
+    # accept a file that sets them
+    conf = tmp_path / "run.conf"
+    conf.write_text("steps = 200\neps_min = 0.125\ncontrol = zero\ndump_paths = yes\n"
+                    "paths = 3\nmc_steps = 16\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = run([command, "--builtin", "standard-scalar", "--config", conf, "--out", out])
+    assert rc == 0 or (command == "solve" and rc == 2)  # 2: extraction inconclusive
+    assert (out / "report.txt").exists() == (command != "simulate")
+    assert (out / "paths.csv").exists() == (command == "simulate")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_seed_outside_64_bits_is_rejected(seed, from_file, tmp_path, capsys):
+    # the Monte Carlo seed is masked to 64 bits, so -1 would run the stream
+    # of 2^64 - 1 and write that number as its seed
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"seed = {seed}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["simulate", "--builtin", "example-1.1", "--control", "zero", "--paths", "100",
+                "--mc-steps", "16", *(["--config", conf] if from_file else ["--seed", seed]),
+                "--out", out]) == 1
+    assert f"--seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_still_runs(tmp_path):
+    assert run(["simulate", "--builtin", "example-1.1", "--control", "zero", "--paths", "100",
+                "--mc-steps", "16", "--seed", 2**64 - 1, "--out", tmp_path]) == 0
+    rows = read(tmp_path / "ensemble.csv").strip().split("\n")[1:]
+    assert [r.split(",")[-1] for r in rows] == [str(2**64 - 1)] * 3
+
+
 def test_negative_paths_are_rejected_and_nothing_is_written(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("paths = -3\n", encoding="utf-8")

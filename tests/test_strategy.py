@@ -199,10 +199,10 @@ def test_diagnose_propagates_eta_check_failure(monkeypatch):
     p, ip = builtin("standard-scalar")
     real = bsde.solve_adjoint
 
-    def failing(p, sols, steps):
+    def failing(p, sols):
         if any(P.epsilon == 0.0 for P in sols):
             raise InvalidInputError("no adjoint at eps = 0")
-        return real(p, sols, steps)
+        return real(p, sols)
 
     monkeypatch.setattr(bsde, "solve_adjoint", failing)
     with pytest.raises(InvalidInputError, match="no adjoint at eps = 0"):
