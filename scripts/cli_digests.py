@@ -70,6 +70,17 @@ PROBLEMS = {
         "[coef.R]\nconstant = 0\n[terminal]\nG = 1, 0; 0, 1\ng = 0.5, 0\n"
         "[input.b]\ndeterministic = 0.1, 0\n"
     ),
+    # nonzero b, a sigma table, q and rho, with g = 0.1: the only problem
+    # here whose every deterministic input forces the adjoint
+    "forced_inputs": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.A]\nconstant = -0.5\n[coef.B]\nconstant = 1\n[coef.C]\nconstant = 0.4\n"
+        "[coef.D]\nconstant = 0.2\n[coef.Q]\nconstant = 1\n[coef.S]\nconstant = 0.1\n"
+        "[coef.R]\nconstant = 1\n[terminal]\nG = 1\ng = 0.1\n"
+        "[input.b]\ndeterministic = 0.2\n"
+        "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
+        "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05\n"
+    ),
 }
 
 # config files, written as <key with - for _>.conf beside the problem files
@@ -101,6 +112,10 @@ COMMANDS = [
     "solve --problem {two_state} --steps 400 --eps-min 0.125",
     "diagnose --problem {two_state} --steps 400",
     "solve --builtin standard-scalar --config {steps_400}",
+    "solve --problem {forced_inputs} --steps 400 --eps-min 0.125",
+    "diagnose --problem {forced_inputs} --steps 400 --paths 2000 --mc-steps 64",
+    "simulate --problem {forced_inputs} --control feedback --steps 400 --eps-min 0.125 "
+    "--paths 2000 --mc-steps 64",
 ]
 
 

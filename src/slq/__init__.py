@@ -21,7 +21,6 @@ from .problem import (
     InitialPair,
     Modulation,
     NamedProfile,
-    RandomInput,
     SLQProblem,
     builtin,
     builtin_names,

@@ -6,8 +6,8 @@ input classes admit exact reductions of the adjoint pair (eta, zeta):
 
 * deterministic inputs: zeta vanishes and eta solves a linear backward ODE,
   integrated with fixed-step RK4, all rungs as one ``(L, n)`` stack.  When
-  b, sigma, q and rho have no deterministic part and g = 0, eta is exactly
-  zero and neither the gain nor the loop is formed;
+  b, sigma, q, rho and g are zero, eta is exactly zero and neither the gain
+  nor the loop is formed;
 * scalar martingale-modulated drift b(s) = M(s) f(s) with
   M(s) = exp(gamma*W(s) - gamma^2 s/2): the ansatz eta = M*h, zeta =
   gamma*M*h turns the backward SDE into a deterministic scalar ODE for h,
@@ -25,14 +25,14 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import GridFn, interp_weights, matmul, rk4_step
 from .errors import InvalidInputError, WrongClassError
-from .problem import NamedProfile, RandomInput, SLQProblem
+from .problem import NamedProfile, SLQProblem
 from .riccati import coef_tables, gain
 
 __all__ = ["AdjointProfile", "solve_adjoint"]
@@ -66,20 +66,20 @@ def _adjoint_deterministic(p: SLQProblem, sols) -> list:
     with terminal value eta(T) = g, on the uniform grid of the solutions.
     One :class:`AdjointProfile` per Riccati solution in ``sols``, from one
     set of half-grid coefficient tables and one RK4 loop over an ``(L, n)``
-    stack.  Unforced (b, sigma, q, rho without deterministic part, g = 0),
-    eta is exactly +0.0 and no gain or loop is formed.
+    stack.  Unforced (b, sigma, q, rho and g zero), eta is exactly +0.0 and
+    no gain or loop is formed.
     """
     grid = sols[0].grid
     steps = grid.size - 1
     values = np.zeros((len(sols), steps + 1, p.n))
     values[:, steps] = p.g
-    if p.g.any() or any(f.deterministic.values.any() for f in (p.b, p.sigma, p.q, p.rho)):
+    if p.g.any() or any(f.values.any() for f in (p.b, p.sigma, p.q, p.rho)):
         half_times = np.linspace(0.0, p.T, 2 * steps + 1)
         cf = coef_tables(p, half_times)
-        sig = p.sigma.deterministic(half_times)[..., None]
-        rho = p.rho.deterministic(half_times)[..., None]
-        qv = p.q.deterministic(half_times)
-        bv = p.b.deterministic(half_times)[..., None]
+        sig = p.sigma(half_times)[..., None]
+        rho = p.rho(half_times)[..., None]
+        qv = p.q(half_times)
+        bv = p.b(half_times)[..., None]
         at = interp_weights(sols[0].grid, half_times)  # the rungs share one grid
         cl, force = [], []
         for P in sols:
@@ -119,23 +119,22 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
     Requires n = m = 1, a modulated b, zero sigma/q/rho and zero terminal
     weight g.  Returns, per Riccati solution in ``sols``, the deterministic
     profile h with eta = M*h and zeta = gamma*M*h, plus the eta of the
-    deterministic part of b from :func:`_adjoint_deterministic`.  Each
-    Gauss node set's coefficient tables and interpolation weights are built
-    once for all solutions; the gains and the h recurrence, on Python
-    floats, then run rung by rung.
+    table b from :func:`_adjoint_deterministic`.  Each Gauss node set's
+    coefficient tables and interpolation weights are built once for all
+    solutions; the gains and the h recurrence, on Python floats, then run
+    rung by rung.
     """
     if p.n != 1 or p.m != 1:
         raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
     for name in ("sigma", "q", "rho"):
-        inp: RandomInput = getattr(p, name)
-        if not inp.is_zero():
+        if getattr(p, name).values.any():
             raise WrongClassError(f"modulated reduction requires {name} = 0")
     if not np.all(p.g == 0.0):
         raise WrongClassError("modulated reduction requires g = 0")
 
     T = p.T
-    gamma = float(p.b.modulated.gamma)
-    profile = p.b.modulated.profile
+    gamma = float(p.b_mod.gamma)
+    profile = p.b_mod.profile
     grid = sols[0].grid
     lo, hi = grid[:-1], grid[1:]
 
@@ -153,7 +152,7 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
     else:
         r_nodes, u_w = _gauss_nodes(lo, hi)
         dens = np.ones_like(r_nodes)
-        f_smooth = p.b.modulated.profile_at(r_nodes.reshape(-1), T).reshape(r_nodes.shape)
+        f_smooth = p.b_mod.profile_at(r_nodes.reshape(-1), T).reshape(r_nodes.shape)
 
     # inner exponents int_{lo_k}^{r_{k,i}} a, one 4-point rule per (k, i)
     inner_lo = np.broadcast_to(lo[:, None], r_nodes.shape)
@@ -183,10 +182,9 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
             hk.append(x)
         h.append(np.array(hk[::-1]))
 
-    # the deterministic drift component superposes linearly with the
-    # modulated one (zeta = 0 on this component)
-    stripped = replace(p, b=RandomInput(deterministic=p.b.deterministic))
-    det = _adjoint_deterministic(stripped, sols)
+    # the table drift superposes linearly with the modulated one (zeta = 0
+    # on this component); the deterministic pass never reads b_mod
+    det = _adjoint_deterministic(p, sols)
     return [
         AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
         for P, d, hk in zip(sols, det, h)
@@ -199,10 +197,6 @@ def solve_adjoint(p: SLQProblem, sols) -> list:
     they must share."""
     if any(not np.array_equal(P.grid, sols[0].grid) for P in sols[1:]):
         raise InvalidInputError("Riccati solutions must share one grid")
-    if not p.has_modulated_input():
+    if p.b_mod is None:
         return _adjoint_deterministic(p, sols)
-    if p.b.modulated is not None and all(
-        getattr(p, name).modulated is None for name in ("sigma", "q", "rho")
-    ):
-        return _adjoint_modulated(p, sols)
-    raise WrongClassError("only the b input may carry a modulated part")
+    return _adjoint_modulated(p, sols)

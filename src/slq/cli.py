@@ -95,7 +95,8 @@ def _check(args: argparse.Namespace):
         raise ValueError(f"paths must be >= 0, got {args.paths}")
     if args.mc_steps < 16:
         raise ValueError(f"--mc-steps must be >= 16, got {args.mc_steps}")
-    if not args.tol > 0.0:
+    # diagnose has no --tol, but a config file may still set it
+    if "tol" in args and not args.tol > 0.0:
         raise ValueError(f"--tol must be positive, got {args.tol:g}")
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
@@ -299,8 +300,13 @@ def _add_run_options(sp: argparse.ArgumentParser, command: str) -> dict:
         opt("--eps-min", "ladder end", eps_min, type=float),
         opt("--ladder-factor", "geometric ladder factor in (0,1)", 0.5, type=float),
         opt("--steps", "solver grid steps", 2000, type=int),
-        opt("--delta", "extraction window gap (default 1e-2*T)", type=float),
-        opt("--tol", "extraction tolerance", 1e-3, type=float),
+    ]
+    if command != "diagnose":  # diagnose extracts no limit
+        flags += [
+            opt("--delta", "extraction window gap (default 1e-2*T)", type=float),
+            opt("--tol", "extraction tolerance", 1e-3, type=float),
+        ]
+    flags += [
         opt("--paths", f"Monte Carlo paths, 0 for {no_paths}", 0, type=int),
         opt("--mc-steps", "Monte Carlo time steps", 1024, type=int),
         opt("--seed", "64-bit master seed", verify_mod.MASTER_SEED, type=int),

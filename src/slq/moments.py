@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidInputError, WrongClassError
+from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, NamedProfile, SLQProblem
 
 __all__ = ["SecondMoments", "second_moments"]
@@ -52,9 +52,6 @@ def _check(p: SLQProblem, ip: InitialPair, controls: list):
     if not controls:
         raise InvalidInputError("need at least one control")
     ip.check(p)
-    for name in ("sigma", "q", "rho"):
-        if getattr(p, name).modulated is not None:
-            raise WrongClassError("the moment equations support a modulated part on b only")
     for c in controls:
         if c.theta is None:
             continue
@@ -71,15 +68,14 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
     """Exact moments of ``controls`` (``ControlSpec`` values) from ``ip``.
 
     ``steps`` is the number of intervals of the uniform node grid, rounded
-    up to even; each RK4 step spans two intervals.  Only b may carry a
-    modulated part, as in the simulator; a flow that leaves the finite
-    regime raises :class:`BlowUpError`.
+    up to even; each RK4 step spans two intervals.  A flow that leaves the
+    finite regime raises :class:`BlowUpError`.
     """
     _check(p, ip, controls)
     if steps < 1:
         raise InvalidInputError(f"steps must be positive, got {steps}")
     t, T, n, m, K = ip.t, p.T, p.n, p.m, len(controls)
-    mod = p.b.modulated
+    mod = p.b_mod
     singular = mod is not None and isinstance(mod.profile, NamedProfile)
     intervals = steps + steps % 2
     if singular:
@@ -106,8 +102,7 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
         return np.zeros((N,) + shape) if f is None else f(s).reshape((N,) + shape)
 
     A, B, C, D = (getattr(p, name)(s) for name in "ABCD")
-    b_det = p.b.deterministic(s)
-    sig_det = p.sigma.deterministic(s)
+    b_det, sig_det = p.b(s), p.sigma(s)
     F = np.zeros((N, d, d))
     Gm = np.zeros((N, d, d))
     U = np.zeros((N, K, m, d))  # u_i = U_i Z
@@ -180,7 +175,7 @@ def second_moments(p: SLQProblem, ip: InitialPair, controls: list,
     # running cost: (X_i, u_i, 1) against [[Q, S', q], [S, R, rho], [q', rho', 0]]
     se = s[ends]
     Q, Sw, R = (getattr(p, name)(se) for name in "QSR")
-    q, rho = p.q.deterministic(se), p.rho.deterministic(se)
+    q, rho = p.q(se), p.rho(se)
     W = np.zeros((ends.size, n + m + 1, n + m + 1))
     W[:, :n, :n], W[:, n:-1, n:-1] = Q, R
     W[:, n:-1, :n], W[:, :n, n:-1] = Sw, Sw.mT

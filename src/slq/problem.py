@@ -2,13 +2,12 @@
 
 A problem bundles the state-equation coefficients A, B, C, D, the cost
 weights Q, S, R, G, g and four inhomogeneous inputs b, sigma, q, rho.
-Coefficients, deterministic inputs and table profiles are
-:class:`~slq.core.GridFn` time tables; a constant is a one-node table
-(``GridFn.const``), since tables clamp outside their grid.  Inputs are a
-deterministic part plus an optional martingale-modulated part
-``exp(gamma*W(s) - gamma^2 s/2) * f(s)`` with a deterministic scalar profile
-f; the modulated class is restricted to scalar problems, where it admits an
-exact deterministic reduction of the adjoint equation.
+Coefficients, inputs and table profiles are :class:`~slq.core.GridFn` time
+tables; a constant is a one-node table (``GridFn.const``), since tables
+clamp outside their grid.  The drift b alone may add a martingale-modulated
+part ``b_mod``, ``exp(gamma*W(s) - gamma^2 s/2) * f(s)`` with a
+deterministic scalar profile f; it is restricted to scalar problems, where
+it admits an exact deterministic reduction of the adjoint equation.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import InvalidInputError, UnknownProblemError
 __all__ = [
     "NamedProfile",
     "Modulation",
-    "RandomInput",
     "SLQProblem",
     "InitialPair",
     "ValidationReport",
@@ -91,21 +89,6 @@ class Modulation:
 
 
 @dataclass(frozen=True)
-class RandomInput:
-    """Inhomogeneous input: deterministic part + optional modulated part."""
-
-    deterministic: GridFn
-    modulated: Optional[Modulation] = None
-
-    @staticmethod
-    def zero(dim: int) -> "RandomInput":
-        return RandomInput(deterministic=GridFn.const(np.zeros(dim)))
-
-    def is_zero(self) -> bool:
-        return not self.deterministic.values.any() and self.modulated is None
-
-
-@dataclass(frozen=True)
 class SLQProblem:
     """Full problem datum for one SLQ control problem on [0, T]."""
 
@@ -121,20 +104,16 @@ class SLQProblem:
     R: GridFn
     G: np.ndarray
     g: np.ndarray
-    b: RandomInput
-    sigma: RandomInput
-    q: RandomInput
-    rho: RandomInput
+    b: GridFn
+    sigma: GridFn
+    q: GridFn
+    rho: GridFn
+    b_mod: Optional[Modulation] = None
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "G", np.asarray(self.G, dtype=float).reshape(self.n, self.n))
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float).reshape(self.n))
-
-    def has_modulated_input(self) -> bool:
-        return any(
-            inp.modulated is not None for inp in (self.b, self.sigma, self.q, self.rho)
-        )
 
 
 @dataclass(frozen=True)
@@ -177,11 +156,11 @@ COEF_SHAPES = {
     "R": ("m", "m"),
 }
 
-INPUT_LENGTHS = {"b": "n", "sigma": "n", "q": "n", "rho": "m"}
+INPUT_SHAPES = {"b": ("n",), "sigma": ("n",), "q": ("n",), "rho": ("m",)}
 
 
 def validate(p: SLQProblem) -> ValidationReport:
-    """Check shapes, table spans, symmetry and that modulated inputs have a
+    """Check shapes, table spans, symmetry and that a modulated drift has a
     scalar state.  Every profile that can be built is integrable on [0, T):
     a table is finite and clamped, a named profile is ``smooth(s)/sqrt(T - s)``.
 
@@ -199,12 +178,12 @@ def validate(p: SLQProblem) -> ValidationReport:
         if f.grid[0] < -1e-12 or f.grid[-1] > p.T + 1e-12:
             report.add(f"{name} table spans outside [0, T]")
 
-    for cname, want in COEF_SHAPES.items():
-        coef: GridFn = getattr(p, cname)
-        want_shape = (dims[want[0]], dims[want[1]])
-        if coef.value_shape != want_shape:
-            report.add(f"{cname} has shape {coef.value_shape}, expected {want_shape}")
-        check_span(cname, coef)
+    for name, want in {**COEF_SHAPES, **INPUT_SHAPES}.items():
+        f: GridFn = getattr(p, name)
+        want_shape = tuple(dims[d] for d in want)
+        if f.value_shape != want_shape:
+            report.add(f"{name} has shape {f.value_shape}, expected {want_shape}")
+        check_span(name, f)
 
     for cname in ("Q", "R"):
         vals = getattr(p, cname).values
@@ -214,32 +193,22 @@ def validate(p: SLQProblem) -> ValidationReport:
     if not is_symmetric(p.G):
         report.add("G not symmetric")
 
-    for iname, want in INPUT_LENGTHS.items():
-        inp: RandomInput = getattr(p, iname)
-        want_shape = (dims[want],)
-        if inp.deterministic.value_shape != want_shape:
-            report.add(
-                f"{iname} deterministic part has shape {inp.deterministic.value_shape}, "
-                f"expected {want_shape}"
-            )
-        check_span(f"{iname} deterministic", inp.deterministic)
-        mod = inp.modulated
-        if mod is None:
-            continue
-        if isinstance(mod.profile, GridFn):
-            check_span(f"{iname} profile", mod.profile)
+    if p.b_mod is not None:
+        if isinstance(p.b_mod.profile, GridFn):
+            check_span("b profile", p.b_mod.profile)
         if p.n != 1:
-            report.add(f"{iname}: modulated inputs require scalar state (n=1), got n={p.n}")
+            report.add(f"b: a modulated drift requires scalar state (n=1), got n={p.n}")
     return report
 
 
-def _scalar_problem(name, T, G, b=None, **coefs) -> SLQProblem:
-    """Scalar problem with constant coefficients A .. R and zero inputs but b."""
-    zero = RandomInput.zero(1)
+def _scalar_problem(name, T, G, b_mod=None, **coefs) -> SLQProblem:
+    """Scalar problem with constant coefficients A .. R, zero inputs and the
+    modulated drift ``b_mod``."""
+    zero = GridFn.const(np.zeros(1))
     return SLQProblem(
         n=1, m=1, T=T, **{c: GridFn.const([[v]]) for c, v in coefs.items()},
         G=np.array([[G]], dtype=float), g=np.zeros(1),
-        b=b if b is not None else zero, sigma=zero, q=zero, rho=zero, name=name,
+        b=zero, sigma=zero, q=zero, rho=zero, b_mod=b_mod, name=name,
     )
 
 
@@ -265,11 +234,9 @@ def builtin(name: str):
         gamma = math.sqrt(2.0)
         # gamma^2/2 = 1, so exp(gamma W - gamma^2 s/2) * e^{-s}/sqrt(1-s)
         # equals exp(sqrt(2) W(s) - 2s)/sqrt(1-s) identically.
-        b = RandomInput(
-            deterministic=GridFn.const(np.zeros(1)),
-            modulated=Modulation(gamma=gamma, profile=named_profile("exp-inv-sqrt-gap")),
-        )
-        p = _scalar_problem(name, T=1.0, A=-1.0, B=1.0, C=gamma, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, b=b)
+        b_mod = Modulation(gamma=gamma, profile=named_profile("exp-inv-sqrt-gap"))
+        p = _scalar_problem(name, T=1.0, A=-1.0, B=1.0, C=gamma, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0,
+                            b_mod=b_mod)
         return p, InitialPair(t=0.0, x=np.array([1.0]))
     if name == "standard-scalar":
         p = _scalar_problem(name, T=1.0, A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=1.0, G=1.0)

@@ -7,8 +7,9 @@ Format: UTF-8 text, ``key = value`` lines under ``[section]`` headers, with
 reals ("1, 0; 0, 1").  A coefficient section holds either ``constant =
 MATRIX`` or bare table lines ``t : MATRIX``.  Input sections hold
 ``deterministic = VECTOR`` (or ``deterministic = table`` followed by ``t :
-VECTOR`` lines) plus, for modulated inputs, ``gamma = REAL`` and ``profile =
-named:<id>`` or ``profile = table`` followed by ``t : REAL`` lines.
+VECTOR`` lines); ``[input.b]`` alone may add a modulated part, ``gamma =
+REAL`` and ``profile = named:<id>`` or ``profile = table`` followed by ``t :
+REAL`` lines.
 Missing coefficient and input sections default to zero; unknown sections
 and keys, repeated keys and a value given both inline and as a table are
 rejected.  Constants are one-node tables.
@@ -24,9 +25,8 @@ from .core import GridFn
 from .errors import InvalidInputError
 from .problem import (
     COEF_SHAPES,
-    INPUT_LENGTHS,
+    INPUT_SHAPES,
     Modulation,
-    RandomInput,
     SLQProblem,
     named_profile,
 )
@@ -34,7 +34,7 @@ from .problem import (
 __all__ = ["parse_problem", "load_problem"]
 
 _COEF_SECTIONS = {f"coef.{c.lower()}": c for c in COEF_SHAPES}
-_INPUT_SECTIONS = {f"input.{c}": c for c in INPUT_LENGTHS}
+_INPUT_SECTIONS = {f"input.{c}": c for c in INPUT_SHAPES}
 _SECTIONS = {"dims", "horizon", "terminal"} | set(_COEF_SECTIONS) | set(_INPUT_SECTIONS)
 
 
@@ -139,7 +139,9 @@ def _parse_coef(lines, shape, what: str) -> GridFn:
     return _table(table_rows or [(0.0, np.zeros(shape))])
 
 
-def _parse_input(lines, dim: int, what: str) -> RandomInput:
+def _parse_input(lines, dim: int, what: str, keys: tuple) -> tuple:
+    """The input's table and its modulated part or None; ``keys`` are the
+    keys the section accepts."""
     det_const = np.zeros(dim)
     gamma = None
     profile_named = None
@@ -150,7 +152,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
     for lineno, line in lines:
         if "=" in line and ":" not in line.split("=", 1)[0]:
             key, val = _split_kv(line, lineno)
-            if key not in ("deterministic", "gamma", "profile"):
+            if key not in keys:
                 raise InvalidInputError(f"line {lineno}: unknown key {key!r} in {what}")
             table = val.lower() == "table"
             if (key, table) in seen:
@@ -197,7 +199,7 @@ def _parse_input(lines, dim: int, what: str) -> RandomInput:
         else:
             raise InvalidInputError(f"{what}: modulated input needs a profile")
         modulated = Modulation(gamma=gamma, profile=profile)
-    return RandomInput(deterministic=det, modulated=modulated)
+    return det, modulated
 
 
 def parse_problem(text: str, name: str = "") -> SLQProblem:
@@ -231,11 +233,14 @@ def parse_problem(text: str, name: str = "") -> SLQProblem:
     g_vec = (_reshape(_parse_matrix(*kv["g"], "[terminal]"), n, kv["g"][1], "[terminal] g")
              if "g" in kv else np.zeros(n))
 
+    # only the drift may be modulated
     inputs = {
-        i: _parse_input(sections.get(sec, []), dims[INPUT_LENGTHS[i]], f"[{sec}]")
+        i: _parse_input(sections.get(sec, []), dims[INPUT_SHAPES[i][0]], f"[{sec}]",
+                        ("deterministic", "gamma", "profile") if i == "b" else ("deterministic",))
         for sec, i in _INPUT_SECTIONS.items()
     }
-    return SLQProblem(n=n, m=m, T=T, **coefs, G=G, g=g_vec, **inputs, name=name)
+    return SLQProblem(n=n, m=m, T=T, **coefs, G=G, g=g_vec,
+                      **{i: det for i, (det, _) in inputs.items()}, b_mod=inputs["b"][1], name=name)
 
 
 def load_problem(path) -> SLQProblem:

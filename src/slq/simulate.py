@@ -43,7 +43,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import GridFn
-from .errors import EnsembleError, InvalidInputError, WrongClassError
+from .errors import EnsembleError, InvalidInputError
 from .problem import InitialPair, SLQProblem
 from .riccati import coef_tables
 
@@ -149,9 +149,9 @@ class CoupledEnsembles:
     random numbers); :func:`simulate_ensemble` gives the K = 1 form.
 
     Full paths are kept in ``recorded`` only when ``record_paths`` was
-    requested; the reductions are all downstream consumers need.  The
-    fields after ``cfg`` are in the order :func:`_run_blocks` returns them;
-    :func:`mean_se` of a per-path field gives its estimates.
+    requested (None otherwise); the reductions are all downstream consumers
+    need.  The fields after ``cfg`` are in the order :func:`_run_blocks`
+    returns them; :func:`mean_se` of a per-path field gives its estimates.
     """
 
     problem: SLQProblem
@@ -160,10 +160,9 @@ class CoupledEnsembles:
     cfg: MonteCarloConfig
     cost: np.ndarray  # (K, M) terminal + running cost per path
     control_norm_sq: np.ndarray  # (K, M) int |u|^2 per path
-    pair_dist_sq: np.ndarray  # (K-1, M) int |u_i - u_{i+1}|^2 per path
     X_T: np.ndarray  # (K, M, n)
+    recorded: Optional[dict]
     blown: np.ndarray  # (M,) bool, zeroed under every control
-    recorded: Optional[dict] = None
 
 
 def _usable_cores() -> int:
@@ -328,20 +327,17 @@ def _control_at(ct: dict, k: int, X: np.ndarray, M: Optional[np.ndarray], held: 
 def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
     """Node tables of the coefficients and inputs; a zero weight or input is None."""
     N = s_nodes.size - 1
-    for name in ("sigma", "q", "rho"):
-        if getattr(p, name).modulated is not None:
-            raise WrongClassError("the simulator supports a modulated part on b only")
     tabs = coef_tables(p, s_nodes)
     for name in ("Q", "S", "R"):
         if not getattr(p, name).values.any():
             tabs[name] = None
     for name in ("b", "sigma", "q", "rho"):
-        det = getattr(p, name).deterministic
-        tabs[name] = det(s_nodes) if det.values.any() else None
+        f = getattr(p, name)
+        tabs[name] = f(s_nodes) if f.values.any() else None
     tabs["running_cost"] = any(tabs[c] is not None for c in ("Q", "S", "R", "q", "rho"))
     tabs["D_nonzero"] = np.any(tabs["D"] != 0.0, axis=(1, 2))
     tabs["b_mod"] = tabs["b_gamma"] = None
-    mod = p.b.modulated
+    mod = p.b_mod
     if mod is not None:
         # drift uses left endpoints only, so the profile is never evaluated
         # at a singular terminal node
@@ -416,13 +412,11 @@ def _run_blocks(
     g_b = None if tabs["b_gamma"] is None else gammas.index(tabs["b_gamma"])
 
     K = len(controls)
-    # trapezoid sums of |u|^2, the running cost and |u_i - u_{i+1}|^2
-    rows = {"unorm": K, "cost": K if tabs["running_cost"] else 0, "dist": K - 1}
-    rows = {key: r for key, r in rows.items() if r}
+    # trapezoid sums of |u|^2 and the running cost
+    sums = ("unorm", "cost") if tabs["running_cost"] else ("unorm",)
     M = cfg.paths
     cost = np.zeros((K, M))
     unorm = np.zeros((K, M))
-    pdist = np.zeros((max(K - 1, 0), M))
     X_T = np.zeros((K, M, p.n))
     blown = np.zeros(M, dtype=bool)
     rec = None if not record_paths else {
@@ -466,9 +460,9 @@ def _run_blocks(
             bad = np.zeros(Bn, dtype=bool)
             any_bad = False
             # each node's integrands and the previous node's trade buffers
-            acc = {key: np.zeros((r, Bn)) for key, r in rows.items()}
-            phi = {key: np.empty((r, Bn)) for key, r in rows.items()}
-            prev = {key: np.empty((r, Bn)) for key, r in rows.items()}
+            acc = {key: np.zeros((K, Bn)) for key in sums}
+            phi = {key: np.empty((K, Bn)) for key in sums}
+            prev = {key: np.empty((K, Bn)) for key in sums}
 
             for k in range(N + 1):
                 if gammas:
@@ -481,12 +475,9 @@ def _run_blocks(
                 _dot(u, u, phi["unorm"], w.s1)
                 if "cost" in phi:
                     _cost_integrand(tabs, k, X, u, phi["cost"], w)
-                if "dist" in phi:
-                    d = np.subtract(u[:-1], u[1:], out=w.u1[:-1])
-                    _dot(d, d, phi["dist"], w.s1[:-1])
                 if k > 0:
-                    for key, r in rows.items():
-                        step = np.add(prev[key], phi[key], out=w.s1[:r])
+                    for key in sums:
+                        step = np.add(prev[key], phi[key], out=w.s1)
                         step *= half_dt
                         acc[key] += step
                 prev, phi = phi, prev
@@ -512,14 +503,13 @@ def _run_blocks(
             terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
             cost[:, sl] = acc.get("cost", 0.0) + terminal
             unorm[:, sl] = acc["unorm"]
-            pdist[:, sl] = acc.get("dist", 0.0)
             X_T[:, sl] = X
             blown[sl] = bad
 
     frac = float(blown.mean())
     if frac > 0.01:
         raise EnsembleError(f"{100 * frac:.1f}% of paths left the finite regime")
-    return s_nodes, cost, unorm, pdist, X_T, blown, rec
+    return s_nodes, cost, unorm, X_T, rec, blown
 
 
 def simulate_ensemble(

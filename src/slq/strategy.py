@@ -63,8 +63,8 @@ def _node_kernel(p: SLQProblem, cf: dict, P: RiccatiSolution, adj: AdjointProfil
     B, D = cf["B"], cf["D"]
     rhs = [
         matmul(B.mT, adj.deterministic_eta.values[..., None])
-        + matmul(D.mT, matmul(Ps, p.sigma.deterministic(grid)[..., None]))
-        + p.rho.deterministic(grid)[..., None]
+        + matmul(D.mT, matmul(Ps, p.sigma(grid)[..., None]))
+        + p.rho(grid)[..., None]
     ]
     if adj.modulated_h is not None:
         rhs.append(((B + adj.gamma * D)[..., 0, :] * adj.modulated_h.values[..., None])[..., None])
@@ -105,6 +105,8 @@ def default_ladder(eps_max: float = 1.0, eps_min: float = 2.0**-10, factor: floa
     """Geometric ladder eps_max * factor^k down to eps_min (inclusive)."""
     if not (0.0 < factor < 1.0) or eps_min <= 0.0 or eps_max < eps_min:
         raise InvalidInputError("need 0 < factor < 1 and 0 < eps_min <= eps_max")
+    if not math.isfinite(eps_max):  # inf * factor stays inf: the ladder would never end
+        raise InvalidInputError(f"eps_max must be finite, got {eps_max}")
     out = []
     e = eps_max
     while e >= eps_min * (1.0 - 1e-12):

@@ -7,24 +7,20 @@ import pytest
 from slq.bsde import solve_adjoint
 from slq.errors import InvalidInputError, WrongClassError
 from slq.core import GridFn
-from slq.problem import Modulation, RandomInput, SLQProblem, builtin, named_profile
+from slq.problem import Modulation, SLQProblem, builtin, named_profile
 from slq.riccati import gain, solve_ladder
 from test_riccati import random_problem
 
 
-def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None):
+def with_inputs(p, b=None, sigma=None, q=None, rho=None, g=None, b_mod=None):
     def as_input(v, dim):
-        if v is None:
-            return RandomInput.zero(dim)
-        if isinstance(v, RandomInput):
-            return v
-        return RandomInput(deterministic=GridFn.const(np.full(dim, float(v))))
+        return GridFn.const(np.full(dim, 0.0 if v is None else float(v)))
 
     return SLQProblem(
         n=p.n, m=p.m, T=p.T, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
         G=p.G, g=np.full(p.n, float(g)) if g is not None else p.g,
         b=as_input(b, p.n), sigma=as_input(sigma, p.n),
-        q=as_input(q, p.n), rho=as_input(rho, p.m), name=p.name,
+        q=as_input(q, p.n), rho=as_input(rho, p.m), b_mod=b_mod, name=p.name,
     )
 
 
@@ -81,16 +77,6 @@ class TestDeterministic:
         assert np.allclose(2.0 * a1.deterministic_eta.values, a2.deterministic_eta.values,
                            atol=1e-12)
 
-    def test_rejects_modulated(self):
-        # no reduction covers a modulated q: the dispatcher refuses it
-        # rather than solving for the deterministic part alone
-        base, _ = builtin("standard-scalar")
-        p = with_inputs(base, q=RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                                            modulated=builtin("example-5.1")[0].b.modulated))
-        P = solve_ladder(p, [1.0], 64)[0]
-        with pytest.raises(WrongClassError, match="only the b input"):
-            solve_adjoint(p, [P])
-
 
 class TestModulated:
     def test_terminal_condition_exact(self):
@@ -136,7 +122,7 @@ class TestModulated:
             A = float(p.A(s)[0, 0]); B = float(p.B(s)[0, 0])
             C = float(p.C(s)[0, 0]); D = float(p.D(s)[0, 0])
             Pv = float(P.P(s)[0, 0])
-            f = float(p.b.modulated.profile(s, p.T))
+            f = float(p.b_mod.profile(s, p.T))
             eta, zeta = M * h, gamma * M * h
             bsde_drift = -((A + B * Th) * eta + (C + D * Th) * zeta + Pv * M * f)
             h_rhs = -((A + B * Th + gamma * (C + D * Th)) * h + Pv * f)
@@ -151,17 +137,13 @@ class TestModulated:
         tab2 = GridFn([0.0, 1.0], np.array([2.0, 2.0]))
         base = SLQProblem(
             n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
-            G=p.G, g=p.g,
-            b=RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                          modulated=Modulation(gamma=1.0, profile=tab)),
-            sigma=p.sigma, q=p.q, rho=p.rho,
+            G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
+            b_mod=Modulation(gamma=1.0, profile=tab),
         )
         double = SLQProblem(
             n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
-            G=p.G, g=p.g,
-            b=RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                          modulated=Modulation(gamma=1.0, profile=tab2)),
-            sigma=p.sigma, q=p.q, rho=p.rho,
+            G=p.G, g=p.g, b=p.b, sigma=p.sigma, q=p.q, rho=p.rho,
+            b_mod=Modulation(gamma=1.0, profile=tab2),
         )
         P1 = solve_ladder(base, [0.5], 256)[0]
         a1 = solve_adjoint(base, [P1])[0]
@@ -171,7 +153,7 @@ class TestModulated:
     def test_wrong_class_errors(self):
         p, _ = builtin("example-5.1")
         P = solve_ladder(p, [0.5], 64)[0]
-        with_sigma = with_inputs(p, b=p.b, sigma=1.0)
+        with_sigma = with_inputs(p, sigma=1.0, b_mod=p.b_mod)
         with pytest.raises(WrongClassError, match="sigma = 0"):
             solve_adjoint(with_sigma, [solve_ladder(with_sigma, [0.5], 64)[0]])
 
@@ -185,9 +167,7 @@ def forced_random_problem():
 def modulated(profile, gamma=2.0**0.5):
     """Example 5.1 with the modulated drift profile ``profile``."""
     p, _ = builtin("example-5.1")
-    b = RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                    modulated=Modulation(gamma=gamma, profile=profile))
-    return dataclasses.replace(p, b=b)
+    return dataclasses.replace(p, b_mod=Modulation(gamma=gamma, profile=profile))
 
 
 @pytest.mark.parametrize("case", ["example-5.1", "inv-sqrt-gap", "table-profile",
@@ -232,7 +212,7 @@ def test_rungs_on_different_grids_are_rejected():
 
 @pytest.mark.parametrize("name", ["example-1.1", "example-5.1"])
 def test_unforced_eta_is_exact_positive_zero(name):
-    # b, sigma, q, rho without deterministic part and g = 0: eta is +0.0
+    # b, sigma, q, rho and g zero: eta is +0.0
     p, _ = builtin(name)
     sols = solve_ladder(p, [1.0, 0.5, 0.25], 64)
     for adj in solve_adjoint(p, sols):

@@ -361,15 +361,43 @@ def test_negative_paths_are_rejected_and_nothing_is_written(tmp_path, capsys):
     (["solve", *FAST_SOLVE, "--paths", "100", "--mc-steps", "15"],
      "--mc-steps must be >= 16, got 15"),
     (["solve", *FAST_SOLVE, "--tol", "-1"], "--tol must be positive, got -1"),
-    (["diagnose", "--tol", "0"], "--tol must be positive, got 0"),
+    # diagnose has no --tol, but a file it shares with solve may set tol
+    (["diagnose", "--config", "TOL_0"], "--tol must be positive, got 0"),
 ])
 def test_bad_mc_steps_and_tol_name_their_flag(flags, message, tmp_path, capsys):
     # --steps is the Riccati grid, and a tolerance <= 0 would only show as
     # an inconclusive extraction
+    conf = tmp_path / "run.conf"
+    conf.write_text("tol = 0\n", encoding="utf-8")
+    flags = [conf if f == "TOL_0" else f for f in flags]
     out = tmp_path / "out"
     assert run([*flags, "--builtin", "standard-scalar", "--out", out]) == 1
     err = capsys.readouterr().err
     assert message in err and "--steps" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--delta", "0.1"]])
+def test_diagnose_has_no_extraction_flags(flag, capsys):
+    # diagnose extracts no limit, so a window gap or tolerance would be unread
+    with pytest.raises(SystemExit) as exc_info:
+        run(["diagnose", "--builtin", "example-1.1", *flag])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run(["diagnose", "--help"])
+    assert flag[0] not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_infinite_eps_max_is_rejected(from_file, tmp_path, capsys):
+    # inf * factor stays inf, so the ladder would grow until memory ran out
+    conf = tmp_path / "run.conf"
+    conf.write_text("eps_max = inf\n", encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["--config", conf] if from_file else ["--eps-max", "inf"]
+    assert run(["solve", "--builtin", "standard-scalar", *flags, "--out", out]) == 1
+    assert "error: eps_max must be finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 

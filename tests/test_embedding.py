@@ -13,7 +13,7 @@ import pytest
 from slq.errors import DegeneratePerturbationError
 from slq.core import GridFn
 from slq.moments import second_moments
-from slq.problem import InitialPair, RandomInput, SLQProblem, builtin
+from slq.problem import InitialPair, SLQProblem, builtin
 from slq.riccati import check_regularity, solve_gre, solve_ladder
 from slq.simulate import ControlSpec, MonteCarloConfig, simulate_coupled
 from slq.strategy import run_ladder
@@ -40,8 +40,8 @@ def embed(p: SLQProblem, U: np.ndarray, V: np.ndarray, R=None) -> SLQProblem:
         Q=c("Q", U, U), S=c("S", V, U),
         R=GridFn.const(R) if R is not None else c("R", V, V),
         G=U @ (p.G[0, 0] * np.eye(2)) @ U.T, g=np.zeros(2),
-        b=RandomInput.zero(2), sigma=RandomInput.zero(2),
-        q=RandomInput.zero(2), rho=RandomInput.zero(2), name=p.name + "-2x2",
+        b=GridFn.const(np.zeros(2)), sigma=GridFn.const(np.zeros(2)),
+        q=GridFn.const(np.zeros(2)), rho=GridFn.const(np.zeros(2)), name=p.name + "-2x2",
     )
 
 
@@ -68,7 +68,7 @@ def test_ladder_maps_through_rotations(name, kind):
 @pytest.mark.parametrize("name", ["example-1.1", "standard-scalar"])
 def test_monte_carlo_doubles_scalar(name, kind):
     # both copies start at 1 and share one Brownian motion, so every path
-    # carries twice the scalar cost, |u|^2 and pair distance
+    # carries twice the scalar cost and |u|^2
     U, V = EMBEDDINGS[kind]
     p, ip = builtin(name)
     ladder = [1.0, 0.5, 0.25]
@@ -81,7 +81,7 @@ def test_monte_carlo_doubles_scalar(name, kind):
     q = embed(p, U, V)
     scalar = run(p, run_ladder(p, ladder, STEPS), ip.x)
     matrix = run(q, run_ladder(q, ladder, STEPS), U @ np.ones(2))
-    for name_ in ("cost", "control_norm_sq", "pair_dist_sq"):
+    for name_ in ("cost", "control_norm_sq"):
         np.testing.assert_allclose(getattr(matrix, name_), 2.0 * getattr(scalar, name_),
                                    rtol=1e-9, atol=0.0)
 

@@ -6,7 +6,7 @@ import pytest
 from slq.core import GridFn
 from slq.errors import InvalidInputError
 from slq.moments import second_moments
-from slq.problem import InitialPair, RandomInput, SLQProblem, builtin
+from slq.problem import InitialPair, SLQProblem, builtin
 from slq.simulate import ControlSpec
 from slq.strategy import run_ladder
 from slq.verify import bar_control_example_11
@@ -37,12 +37,11 @@ def test_ladder_norms_match_closed_forms(name, exact, rel):
 def test_linear_terminal_weight_norms_grow_4x():
     # cost 2 g X(1) with free drift: P = 0, eta = g, so u_eps = -g / eps
     g = 1.5
-    zero = GridFn.const([[0.0]])
+    zero, zero1 = GridFn.const([[0.0]]), GridFn.const(np.zeros(1))
     p = SLQProblem(
         n=1, m=1, T=1.0, A=zero, B=GridFn.const([[1.0]]), C=zero, D=zero, Q=zero,
         S=zero, R=zero, G=np.zeros((1, 1)), g=np.array([g]),
-        b=RandomInput.zero(1), sigma=RandomInput.zero(1), q=RandomInput.zero(1),
-        rho=RandomInput.zero(1),
+        b=zero1, sigma=zero1, q=zero1, rho=zero1,
     )
     mom = ladder_moments(p, InitialPair(t=0.0, x=np.array([1.0])), steps=200)
     want = g**2 / np.array(LADDER) ** 2

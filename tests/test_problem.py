@@ -9,7 +9,6 @@ from slq.errors import UnknownProblemError
 from slq.problem import (
     NAMED_PROFILES,
     Modulation,
-    RandomInput,
     SLQProblem,
     builtin,
     builtin_names,
@@ -32,7 +31,7 @@ def test_builtin_example_51_coefficients():
     for s in (0.0, 0.33, 1.0):
         assert p.C(s)[0, 0] == pytest.approx(math.sqrt(2.0))
     assert p.A(0.5)[0, 0] == pytest.approx(-1.0)
-    mod = p.b.modulated
+    mod = p.b_mod
     assert mod is not None
     # martingale normalization: gamma^2/2 = 1 makes the modulated drift equal
     # exp(sqrt(2) W(s) - 2s)/sqrt(1-s) with the recorded e^{-s} profile
@@ -47,7 +46,8 @@ def test_builtin_standard_scalar():
     for s in (0.0, 0.5, 1.0):
         assert p.R(s)[0, 0] == pytest.approx(1.0)
     assert p.A(0.1)[0, 0] == 0.0
-    assert all(inp.is_zero() for inp in (p.b, p.sigma, p.q, p.rho))
+    assert not any(f.values.any() for f in (p.b, p.sigma, p.q, p.rho))
+    assert p.b_mod is None
     assert np.all(p.g == 0.0)
 
 
@@ -70,7 +70,7 @@ def test_validate_accepts_every_named_profile(name):
     # both are smooth(s)/sqrt(T - s), integrable on [0, T)
     p, _ = builtin("example-5.1")
     mod = Modulation(gamma=1.0, profile=named_profile(name))
-    q = dataclasses.replace(p, b=dataclasses.replace(p.b, modulated=mod))
+    q = dataclasses.replace(p, b_mod=mod)
     assert validate(q).violations == []
 
 
@@ -86,8 +86,8 @@ def test_validate_flags_nonsymmetric_q():
         S=GridFn.const(np.zeros((1, 2))),
         R=GridFn.const(np.eye(1)),
         G=np.eye(2), g=np.zeros(2),
-        b=RandomInput.zero(2), sigma=RandomInput.zero(2),
-        q=RandomInput.zero(2), rho=RandomInput.zero(1),
+        b=GridFn.const(np.zeros(2)), sigma=GridFn.const(np.zeros(2)),
+        q=GridFn.const(np.zeros(2)), rho=GridFn.const(np.zeros(1)),
     )
     report = validate(bad)
     assert any("Q not symmetric" in v for v in report.violations)
@@ -105,28 +105,24 @@ def test_validate_rejects_modulation_on_vector_state():
         S=GridFn.const(np.zeros((1, 2))),
         R=GridFn.const(np.eye(1)),
         G=np.eye(2), g=np.zeros(2),
-        b=RandomInput(deterministic=GridFn.const(np.zeros(2)), modulated=mod),
-        sigma=RandomInput.zero(2), q=RandomInput.zero(2), rho=RandomInput.zero(1),
+        b=GridFn.const(np.zeros(2)), sigma=GridFn.const(np.zeros(2)),
+        q=GridFn.const(np.zeros(2)), rho=GridFn.const(np.zeros(1)), b_mod=mod,
     )
     report = validate(p)
     assert any("scalar state" in v for v in report.violations)
 
 
-@pytest.mark.parametrize("part", ["deterministic", "profile"])
+@pytest.mark.parametrize("part", ["table", "profile table"])
 def test_validate_flags_input_tables_outside_horizon(part):
     # a table node at s = 3 on T = 1 would otherwise be silently ignored
     p, _ = builtin("standard-scalar")
     tab = GridFn([0.0, 3.0], np.array([[1.0], [2.0]]))
-    if part == "deterministic":
-        b = RandomInput(deterministic=tab)
+    if part == "table":
+        q = dataclasses.replace(p, b=tab)
     else:
-        b = RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                        modulated=Modulation(gamma=1.0, profile=GridFn(tab.grid, tab.values[:, 0])))
-    q = SLQProblem(
-        n=1, m=1, T=1.0, A=p.A, B=p.B, C=p.C, D=p.D, Q=p.Q, S=p.S, R=p.R,
-        G=p.G, g=p.g, b=b, sigma=p.sigma, q=p.q, rho=p.rho,
-    )
-    assert validate(q).violations == [f"b {part} table spans outside [0, T]"]
+        profile = GridFn(tab.grid, tab.values[:, 0])
+        q = dataclasses.replace(p, b_mod=Modulation(gamma=1.0, profile=profile))
+    assert validate(q).violations == [f"b {part} spans outside [0, T]"]
 
 
 def test_table_coefficients():

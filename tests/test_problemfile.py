@@ -19,11 +19,11 @@ def test_reference_files_match_builtins(name):
     for c in ("A", "B", "C", "D", "Q", "S", "R"):
         assert np.allclose(getattr(q, c)(s), getattr(p, c)(s)), c
     assert np.array_equal(q.G, p.G) and np.array_equal(q.g, p.g)
-    if p.b.modulated is None:
-        assert q.b.modulated is None
+    if p.b_mod is None:
+        assert q.b_mod is None
     else:
-        assert q.b.modulated.gamma == p.b.modulated.gamma
-        assert q.b.modulated.profile.name == p.b.modulated.profile.name
+        assert q.b_mod.gamma == p.b_mod.gamma
+        assert q.b_mod.profile.name == p.b_mod.profile.name
 
 
 TABLE_PROBLEM = """
@@ -53,7 +53,7 @@ def test_tables_and_terminal_vector():
     assert np.allclose(p.A(1.0), [[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(p.G, [[1.0, 0.0], [0.0, 2.0]])
     assert np.allclose(p.g, [0.5, -0.5])
-    assert np.allclose(p.b.deterministic(1.0), [2.0, 2.0])
+    assert np.allclose(p.b(1.0), [2.0, 2.0])
 
 
 def test_modulated_profile_table():
@@ -72,8 +72,8 @@ profile = table
 1 : 2
 """
     p = parse_problem(text)
-    assert p.b.modulated.gamma == 0.5
-    assert p.b.modulated.profile_at(0.5, p.T) == pytest.approx(1.5)
+    assert p.b_mod.gamma == 0.5
+    assert p.b_mod.profile_at(0.5, p.T) == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize(
@@ -183,4 +183,16 @@ def test_rejects_non_numeric_values_with_line(text, where):
 )
 def test_rejects_wrong_size_values_with_line(text, where):
     with pytest.raises(InvalidInputError, match=where):
+        parse_problem(text)
+
+
+@pytest.mark.parametrize("section", ["sigma", "q", "rho"])
+@pytest.mark.parametrize("key, line", [("gamma", "gamma = 1"),
+                                       ("profile", "profile = named:inv-sqrt-gap")])
+def test_only_the_drift_takes_a_modulated_part(section, key, line):
+    # the same lines in [input.b] are its modulated part
+    assert parse_problem(_B + "gamma = 1\nprofile = named:inv-sqrt-gap\n").b_mod is not None
+    text = _MINIMAL + f"[input.{section}]\ndeterministic = 0\n{line}\n"
+    with pytest.raises(InvalidInputError,
+                       match=rf"^line 10: unknown key '{key}' in \[input\.{section}\]$"):
         parse_problem(text)

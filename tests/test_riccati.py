@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from slq.errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from slq.core import GridFn
 from slq import riccati
-from slq.problem import RandomInput, SLQProblem, builtin
+from slq.problem import SLQProblem, builtin
 from slq.riccati import (
     check_regularity,
     gain,
@@ -20,7 +20,7 @@ from test_embedding import EMBEDDINGS, embed
 
 
 def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0):
-    zero = RandomInput.zero(1)
+    zero = GridFn.const(np.zeros(1))
     return SLQProblem(
         n=1, m=1, T=T,
         A=GridFn.const([[A]]), B=GridFn.const([[B]]), C=GridFn.const([[C]]),
@@ -42,8 +42,8 @@ def random_problem():
         D=GridFn.const(rng.standard_normal((2, 1)) * 0.3),
         Q=GridFn.const(M @ M.T), S=GridFn.const(rng.standard_normal((1, 2))),
         R=GridFn.const(np.eye(1)), G=np.eye(2), g=np.zeros(2),
-        b=RandomInput.zero(2), sigma=RandomInput.zero(2),
-        q=RandomInput.zero(2), rho=RandomInput.zero(1),
+        b=GridFn.const(np.zeros(2)), sigma=GridFn.const(np.zeros(2)),
+        q=GridFn.const(np.zeros(2)), rho=GridFn.const(np.zeros(1)),
     )
 
 
@@ -340,8 +340,8 @@ def test_uniformly_convex_gre_is_regular_and_the_ladder_closes_in_2x2(A, B, C, D
         n=2, m=2, T=1.0, A=GridFn.const(A), B=GridFn.const(B), C=GridFn.const(C),
         D=GridFn.const(D), Q=GridFn.const(M @ M.T), S=GridFn.const(np.zeros((2, 2))),
         R=GridFn.const(V @ V.T + 0.1 * np.eye(2)), G=N @ N.T, g=np.zeros(2),
-        b=RandomInput.zero(2), sigma=RandomInput.zero(2), q=RandomInput.zero(2),
-        rho=RandomInput.zero(2),
+        b=GridFn.const(np.zeros(2)), sigma=GridFn.const(np.zeros(2)), q=GridFn.const(np.zeros(2)),
+        rho=GridFn.const(np.zeros(2)),
     )
     P0, *rungs = solve_ladder(p, [0.0, 1.0, 0.5, 0.25, 0.125], 256)
     assert check_regularity(P0, p).verdict == "regular"

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from numpy.random import Generator, Philox
 
 from slq import simulate
 from slq.core import GridFn
-from slq.errors import EnsembleError, InvalidInputError, WrongClassError
+from slq.errors import EnsembleError, InvalidInputError
 from slq.moments import second_moments
-from slq.problem import InitialPair, Modulation, RandomInput, SLQProblem, builtin, named_profile
+from slq.problem import InitialPair, Modulation, SLQProblem, builtin
 from slq.simulate import (
     ControlSpec,
     MonteCarloConfig,
@@ -27,11 +26,7 @@ from slq.strategy import extract_limit, run_ladder
 def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0,
                    b=None, sigma=None, q=None, rho=None, g=0.0, T=1.0, name=""):
     def inp(v, dim):
-        if isinstance(v, RandomInput):
-            return v
-        if v is None:
-            return RandomInput.zero(dim)
-        return RandomInput(deterministic=GridFn.const(np.full(dim, float(v))))
+        return GridFn.const(np.full(dim, 0.0 if v is None else float(v)))
 
     return SLQProblem(
         n=1, m=1, T=T,
@@ -68,15 +63,14 @@ class TestDeterminism:
         b = simulate_coupled(p, ip, controls, cfg, block_size=77)
         assert np.array_equal(a.cost, b.cost)
         assert np.array_equal(a.control_norm_sq, b.control_norm_sq)
-        assert np.array_equal(a.pair_dist_sq, b.pair_dist_sq)
 
     def test_common_random_numbers_coupling(self):
         # the same seed must reproduce the same Brownian increments, so two
-        # identical controls simulated jointly have exactly zero distance
+        # identical controls simulated jointly have exactly equal rows
         p, ip = builtin("example-1.1")
         cfg = MonteCarloConfig(paths=500, steps=32, master_seed=11)
         cpl = simulate_coupled(p, ip, [ControlSpec.zero(), ControlSpec.zero()], cfg)
-        assert np.all(cpl.pair_dist_sq == 0.0)
+        assert np.array_equal(cpl.control_norm_sq[0], cpl.control_norm_sq[1])
         assert np.array_equal(cpl.cost[0], cpl.cost[1])
 
     def test_stacked_controls_share_only_noise(self):
@@ -116,7 +110,7 @@ class TestOneResultType:
         ens = simulate_ensemble(p, ip, ctrl, cfg)
         cpl = simulate_coupled(p, ip, [ctrl], cfg)
         assert ens.controls == [ctrl] and ens.cost.shape == (1, 700)
-        assert ens.X_T.shape == (1, 700, 1) and ens.pair_dist_sq.shape == (0, 700)
+        assert ens.X_T.shape == (1, 700, 1)
         for field in ("cost", "control_norm_sq", "X_T", "blown"):
             assert np.array_equal(getattr(ens, field), getattr(cpl, field)), field
         assert ens.recorded is None and cpl.recorded is None
@@ -311,7 +305,7 @@ class TestBackgroundDraw:
 
 def reference_euler(p, ip, controls, cfg):
     """Euler-Maruyama for coupled controls, written out path-major in the
-    simulator's expression order: (cost, int |u|^2, int |u_i - u_i+1|^2)."""
+    simulator's expression order: (cost, int |u|^2)."""
     N, P = cfg.steps, cfg.paths
     dt = (p.T - ip.t) / N
     s = ip.t + dt * np.arange(N + 1)
@@ -320,8 +314,8 @@ def reference_euler(p, ip, controls, cfg):
                   .standard_normal(N + 1) for i in range(P)])
     W, dW = np.sqrt(ip.t) * z[:, 0], z[:, 1:] * np.sqrt(dt)
     A, B, C, D, Q, S, R = (getattr(p, c)(s) for c in "ABCDQSR")
-    b, sigma, q, rho = (getattr(p, c).deterministic(s) for c in ("b", "sigma", "q", "rho"))
-    mod = p.b.modulated
+    b, sigma, q, rho = (getattr(p, c)(s) for c in ("b", "sigma", "q", "rho"))
+    mod = p.b_mod
     b_mod = np.append(mod.profile(s[:-1]).reshape(N), 0.0)
 
     def apply(M, x):  # M (i, j), x (P, j) -> (P, i)
@@ -358,12 +352,11 @@ def reference_euler(p, ip, controls, cfg):
     K = len(controls)
     X = [np.broadcast_to(ip.x, (P, p.n)).copy() for _ in controls]
     u = [None] * K
-    acc = np.zeros((3, K, P))
+    acc = np.zeros((2, K, P))
     prev = None
     for k in range(N + 1):
         u = [control(c, k, X[i], u[i]) for i, c in enumerate(controls)]
-        phi = np.array([[dot(v, v) for v in u], [running(k, X[i], u[i]) for i in range(K)],
-                        [dot(u[i] - u[i + 1], u[i] - u[i + 1]) for i in range(K - 1)] + [np.zeros(P)]])
+        phi = np.array([[dot(v, v) for v in u], [running(k, X[i], u[i]) for i in range(K)]])
         if k > 0:
             acc += 0.5 * dt * (prev + phi)
         prev = phi
@@ -378,7 +371,7 @@ def reference_euler(p, ip, controls, cfg):
             W += dW[:, k]
     cost = np.array([acc[1, i] + (dot(apply(p.G, X[i]), X[i]) + 2.0 * dot(X[i], p.g))
                      for i in range(K)])
-    return cost, acc[0], acc[2, : K - 1]
+    return cost, acc[0]
 
 
 def test_coupled_run_matches_a_reference_euler_loop():
@@ -390,16 +383,13 @@ def test_coupled_run_matches_a_reference_euler_loop():
     def table(*shape, scale=0.4):
         return GridFn(grid, scale * rng.standard_normal((5,) + shape))
 
-    def inp(dim, mod=None):
-        return RandomInput(deterministic=table(dim, scale=0.2), modulated=mod)
-
     p = SLQProblem(
         n=2, m=2, T=1.0, A=table(2, 2), B=table(2, 2), C=table(2, 2),
         D=GridFn(grid, 0.3 + 0.1 * rng.random((5, 2, 2))),
         Q=GridFn.const(np.eye(2) + 0.2), S=table(2, 2, scale=0.1), R=GridFn.const(np.eye(2)),
         G=np.array([[1.0, 0.3], [0.3, 2.0]]), g=np.array([0.2, -0.1]),
-        b=inp(2, Modulation(gamma=0.6, profile=table(1))), sigma=inp(2), q=inp(2), rho=inp(2),
-        name="n2",
+        b_mod=Modulation(gamma=0.6, profile=table(1)), b=table(2, scale=0.2),
+        sigma=table(2, scale=0.2), q=table(2, scale=0.2), rho=table(2, scale=0.2), name="n2",
     )
     ip = InitialPair(t=0.125, x=np.array([0.5, -0.4]))
     controls = [
@@ -409,11 +399,10 @@ def test_coupled_run_matches_a_reference_euler_loop():
     ]
     cfg = MonteCarloConfig(paths=150, steps=32, master_seed=2**63 + 5)
     cpl = simulate_coupled(p, ip, controls, cfg, block_size=64)
-    cost, unorm, dist = reference_euler(p, ip, controls, cfg)
+    cost, unorm = reference_euler(p, ip, controls, cfg)
     assert not cpl.blown.any()
     assert np.array_equal(cpl.cost, cost)
     assert np.array_equal(cpl.control_norm_sq, unorm)
-    assert np.array_equal(cpl.pair_dist_sq, dist)
 
 
 class TestAgainstMomentOracle:
@@ -462,13 +451,6 @@ class TestAgainstMomentOracle:
             if abs(est.mean - cost_oracle) <= 3.0 * est.std_error:
                 hits += 1
         assert hits >= 18
-
-    def test_oracle_rejects_wrong_class(self):
-        # the simulator's class: only b may carry a modulated part
-        p, ip = builtin("example-5.1")
-        sigma = RandomInput(deterministic=GridFn.const(np.zeros(1)), modulated=p.b.modulated)
-        with pytest.raises(WrongClassError):
-            second_moments(replace(p, sigma=sigma), ip, [ControlSpec.zero()])
 
 
 class TestControlsAndCost:
@@ -562,15 +544,6 @@ class TestErrors:
         assert np.array_equal(cpl.blown, alone.blown)
         with pytest.raises(EnsembleError, match="left the finite regime"):
             verify._coupled_without_blowup(p, ip, [ControlSpec.zero()], cfg)
-
-    def test_modulated_sigma_rejected(self):
-        mod = Modulation(gamma=1.0, profile=named_profile("inv-sqrt-gap"))
-        p = scalar_problem(sigma=RandomInput(deterministic=GridFn.const(np.zeros(1)),
-                                             modulated=mod))
-        ip = InitialPair(t=0.0, x=np.array([1.0]))
-        cfg = MonteCarloConfig(paths=16, steps=16, master_seed=1)
-        with pytest.raises(WrongClassError):
-            simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
 
     def test_mismatched_ensemble_rejected(self):
         p, ip = builtin("example-1.1")

@@ -7,7 +7,7 @@ import pytest
 from slq import bsde
 from slq.errors import BlowUpError, InvalidInputError
 from slq.core import GridFn
-from slq.problem import RandomInput, SLQProblem, builtin
+from slq.problem import SLQProblem, builtin
 from slq.riccati import gain, solve_ladder
 from slq.strategy import (
     extract_limit,
@@ -22,7 +22,7 @@ from test_riccati import scalar_problem
 
 
 def zero_input_problem():
-    zero = RandomInput.zero(1)
+    zero = GridFn.const(np.zeros(1))
     return SLQProblem(
         n=1, m=1, T=1.0,
         A=GridFn.const([[0.0]]), B=GridFn.const([[1.0]]), C=GridFn.const([[0.0]]),
@@ -41,7 +41,7 @@ class TestThetaEps:
         assert gain(P1, p, [0.0])[0, 0, 0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_numerator(self):
-        zero = RandomInput.zero(1)
+        zero = GridFn.const(np.zeros(1))
         p = SLQProblem(
             n=1, m=1, T=1.0,
             A=GridFn.const([[0.4]]), B=GridFn.const([[0.0]]), C=GridFn.const([[0.2]]),
@@ -213,7 +213,7 @@ def test_diagnose_propagates_eta_check_failure(monkeypatch):
     (builtin("standard-scalar")[0], "regular", True, False, True, True),
     (builtin("example-1.1")[0], "not-regular", False, False, None, False),
     # K = 0 and L = 0 pass every regularity test, but rho = 1 is not in range(K)
-    (dataclasses.replace(scalar_problem(B=0.0), rho=RandomInput(GridFn.const([1.0]))),
+    (dataclasses.replace(scalar_problem(B=0.0), rho=GridFn.const([1.0])),
      "regular", True, False, False, False),
     # R = 1/2, Q = 1, G = -1: the generalized flow blows up near s = 0.373
     (scalar_problem(R=0.5, Q=1.0, G=-1.0), "not-regular", False, True, None, False),
@@ -233,3 +233,10 @@ def test_default_ladder():
         default_ladder(1.0, 2.0, 0.5)
     with pytest.raises(InvalidInputError):
         default_ladder(1.0, 0.1, 1.5)
+
+
+@pytest.mark.parametrize("eps_max", [math.inf, math.nan])
+def test_default_ladder_rejects_a_non_finite_start(eps_max):
+    # inf * factor is inf again, so the rungs would be appended without end
+    with pytest.raises(InvalidInputError, match="eps_max must be finite"):
+        default_ladder(eps_max, 2.0**-10, 0.5)
