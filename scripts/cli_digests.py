@@ -10,8 +10,9 @@ bytes alone.
 ``--compare FILE`` reads an earlier run's output from FILE and, after the
 digests, prints each command whose digest changed or that FILE lacks; the
 exit code is 1 if there is one.  ``scripts/cli_digests.txt`` is such an
-output, the reference the test suite compares the commands without Monte
-Carlo with; regenerate it only for a change that means to alter the bytes.
+output, the reference the test suite compares every command with, the
+Monte Carlo ones included; regenerate it only for a change that means to
+alter the bytes.
 """
 
 import argparse

@@ -11,20 +11,20 @@ increments.  Paths are therefore independent of how work is blocked, and all
 reductions run over full per-path arrays in fixed order, so results cannot
 depend on a worker or block count.  Two runs with the same master seed share
 Brownian increments exactly, which is what couples controls under common
-random numbers.  Paths are simulated in blocks, and the next block's normals
-are drawn while the current block steps, on one drawer thread per run.  A
-draw splits its block into contiguous ranges of paths, one per usable core:
-it fills the first itself and hands the others to a pool of helper threads,
-one pool per block.  Both are ``ThreadPoolExecutor``s left only when every
-thread is joined, so no thread outlives a run that returns or raises.
-Since a stream depends only on (master_seed, i), results do not depend on
-those threads, the split or their timing.  The Euler loop writes into work
-arrays allocated once per block, with every floating-point operation in the
-same order as the written-out scheme.
+random numbers.  Paths are simulated one block at a time, in two phases:
+the block's normals are drawn on every usable core (see
+:func:`_path_block_normals`), then the calling thread steps the block alone
+and drops its normals before the next draw, so two blocks never exist at
+once and no thread outlives a run.  Since a stream depends only on
+(master_seed, i), results do not depend on the split or the threads.  The
+Euler loop writes into work arrays allocated once per block, with every
+floating-point operation in the same order as the written-out scheme.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
-stacked Euler step advances all controls of a run at once.  A feedback
+stacked Euler step advances all controls of a run at once; a run in which
+no control has a part skips the control arithmetic, as u = 0 would only add
+exact zeros.  A feedback
 control (one with a Theta) is applied up to the end of its own grid and
 held at its last value afterwards: a weak closed-loop strategy may be
 singular at T while its outcome stays square integrable, so it is used on
@@ -180,8 +180,8 @@ def _fill_rows(master_seed: int, start: int, rows: np.ndarray, chunk: int):
     and cached half word reset: the same bits, without the OS entropy read
     that constructing a bit generator costs.  The state holds Python ints,
     which the setter reads about three times faster than array entries;
-    the per-path work that holds the interpreter lock is what the stepping
-    thread waits on.  Rows are filled through a buffer of ``chunk`` paths,
+    the per-path work holds the interpreter lock, which the threads of one
+    draw share.  Rows are filled through a buffer of ``chunk`` paths,
     as ``rows`` may be a draw-major view.
     """
     count, draws = rows.shape
@@ -348,36 +348,37 @@ def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
     return tabs
 
 
-def _cost_integrand(tabs: dict, k: int, X: np.ndarray, u: np.ndarray, out: np.ndarray,
+def _cost_integrand(tabs: dict, k: int, X: np.ndarray, u: Optional[np.ndarray], out: np.ndarray,
                     w: _BlockWork) -> np.ndarray:
-    """The running cost at node k into ``out`` (K, B)."""
+    """The running cost at node k into ``out`` (K, B); u None is u = 0."""
     out.fill(0.0)
     if tabs["Q"] is not None:
         out += _dot(_apply(tabs["Q"][k], X, w.x1, w.x2), X, w.s1, w.s2)
-    if tabs["S"] is not None:
+    if tabs["S"] is not None and u is not None:
         out += np.multiply(2.0, _dot(_apply(tabs["S"][k], X, w.u1, w.u2), u, w.s1, w.s2), out=w.s1)
-    if tabs["R"] is not None:
+    if tabs["R"] is not None and u is not None:
         out += _dot(_apply(tabs["R"][k], u, w.u1, w.u2), u, w.s1, w.s2)
     if tabs["q"] is not None:
         out += np.multiply(2.0, _dot(X, tabs["q"][k], w.s1, w.s2), out=w.s1)
-    if tabs["rho"] is not None:
+    if tabs["rho"] is not None and u is not None:
         out += np.multiply(2.0, _dot(u, tabs["rho"][k], w.s1, w.s2), out=w.s1)
     return out
 
 
-def _euler_step(tabs: dict, k: int, X: np.ndarray, u: np.ndarray, M_b: Optional[np.ndarray],
-                dt: float, dw: np.ndarray, w: _BlockWork) -> np.ndarray:
+def _euler_step(tabs: dict, k: int, X: np.ndarray, u: Optional[np.ndarray],
+                M_b: Optional[np.ndarray], dt: float, dw: np.ndarray, w: _BlockWork) -> np.ndarray:
     """One Euler-Maruyama step, in place, of every control's states X (K, B, n)
-    under controls u (K, B, m); M_b (B,) modulates b, dw (B, 1) is the
-    increment.  X becomes (X + drift dt) + diff dw, summed in that order."""
+    under controls u (K, B, m), None for u = 0; M_b (B,) modulates b, dw (B, 1)
+    is the increment.  X becomes (X + drift dt) + diff dw, summed in that order."""
     drift = _apply(tabs["A"][k], X, w.drift, w.x1)
-    drift += _apply(tabs["B"][k], u, w.x1, w.x2)
+    if u is not None:
+        drift += _apply(tabs["B"][k], u, w.x1, w.x2)
     if tabs["b"] is not None:
         drift += tabs["b"][k]
     if M_b is not None:
         drift += np.multiply(tabs["b_mod"][k], M_b, out=w.b)[:, None]
     diff = _apply(tabs["C"][k], X, w.diff, w.x1)
-    if tabs["D_nonzero"][k]:
+    if u is not None and tabs["D_nonzero"][k]:
         diff += _apply(tabs["D"][k], u, w.x1, w.x2)
     if tabs["sigma"] is not None:
         diff += tabs["sigma"][k]
@@ -412,8 +413,10 @@ def _run_blocks(
     g_b = None if tabs["b_gamma"] is None else gammas.index(tabs["b_gamma"])
 
     K = len(controls)
+    # u = 0 when no control has a part: its arithmetic would add exact zeros
+    has_u = any(ct[part] is not None for part in ("theta", "v_det", "v_mod"))
     # trapezoid sums of |u|^2 and the running cost
-    sums = ("unorm", "cost") if tabs["running_cost"] else ("unorm",)
+    sums = tuple(key for key, on in (("unorm", has_u), ("cost", tabs["running_cost"])) if on)
     M = cfg.paths
     cost = np.zeros((K, M))
     unorm = np.zeros((K, M))
@@ -432,79 +435,73 @@ def _run_blocks(
     # W is read only to form M(s) or to record paths
     need_W = bool(gammas) or rec is not None
 
-    # block b + 1 is drawn while block b steps; leaving the pool waits for
-    # a draw still running when a step raises
-    with ThreadPoolExecutor(1) as drawer:
-        def draw_from(start: int):
-            return drawer.submit(_path_block_normals, cfg.master_seed, start,
-                                 min(block_size, M - start), N + 1)
+    # one block of normals exists at a time: it is drawn on every usable
+    # core, stepped on this thread alone and dropped before the next draw
+    for start in range(0, M, block_size):
+        z = _path_block_normals(cfg.master_seed, start, min(block_size, M - start), N + 1)
+        Bn = z.shape[0]
+        sl = slice(start, start + Bn)
+        W = sqrt_t * z[:, 0] if need_W else None
+        dW = z[:, 1:]
+        dW *= sqrt_dt
+        X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
+        w = _BlockWork(K, Bn, p.n, p.m, g_b is not None)
+        # u and the previous node's controls trade buffers every node; with
+        # no part in any control u = 0 and stays None
+        u, spare = (np.empty((K, Bn, p.m)), np.empty((K, Bn, p.m))) if has_u else (None, None)
+        Mg = np.empty((len(gammas), Bn))
+        Mc = None if ct["v_mod"] is None else np.empty((K, Bn))
+        bad = np.zeros(Bn, dtype=bool)
+        any_bad = False
+        # each node's integrands and the previous node's trade buffers
+        acc = {key: np.zeros((K, Bn)) for key in sums}
+        phi = {key: np.empty((K, Bn)) for key in sums}
+        prev = {key: np.empty((K, Bn)) for key in sums}
 
-        draw = draw_from(0)
-        for start in range(0, M, block_size):
-            z = draw.result()
-            Bn = z.shape[0]
-            sl = slice(start, start + Bn)
-            W = sqrt_t * z[:, 0] if need_W else None
-            dW = z[:, 1:]
-            dW *= sqrt_dt
-            # z and dW no longer hold block b - 1, so starting the next draw
-            # keeps two blocks alive, as drawing in place of the old one did
-            nxt = start + Bn
-            draw = draw_from(nxt) if nxt < M else None
-            X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
-            w = _BlockWork(K, Bn, p.n, p.m, g_b is not None)
-            # u and the previous node's controls trade buffers every node
-            u, spare = np.empty((K, Bn, p.m)), np.empty((K, Bn, p.m))
-            Mg = np.empty((len(gammas), Bn))
-            Mc = None if ct["v_mod"] is None else np.empty((K, Bn))
-            bad = np.zeros(Bn, dtype=bool)
-            any_bad = False
-            # each node's integrands and the previous node's trade buffers
-            acc = {key: np.zeros((K, Bn)) for key in sums}
-            phi = {key: np.empty((K, Bn)) for key in sums}
-            prev = {key: np.empty((K, Bn)) for key in sums}
-
-            for k in range(N + 1):
-                if gammas:
-                    np.multiply(gam[:, None], W, out=Mg)
-                    Mg -= half_g2s[k][:, None]
-                    np.exp(Mg, out=Mg)
-                if Mc is not None:
-                    np.take(Mg, g_ctrl, axis=0, out=Mc, mode="clip")
+        for k in range(N + 1):
+            if gammas:
+                np.multiply(gam[:, None], W, out=Mg)
+                Mg -= half_g2s[k][:, None]
+                np.exp(Mg, out=Mg)
+            if Mc is not None:
+                np.take(Mg, g_ctrl, axis=0, out=Mc, mode="clip")
+            if has_u:
                 u, spare = _control_at(ct, k, X, Mc, u, spare, w.u1), u
                 _dot(u, u, phi["unorm"], w.s1)
-                if "cost" in phi:
-                    _cost_integrand(tabs, k, X, u, phi["cost"], w)
-                if k > 0:
-                    for key in sums:
-                        step = np.add(prev[key], phi[key], out=w.s1)
-                        step *= half_dt
-                        acc[key] += step
-                prev, phi = phi, prev
-                if rec is not None:
-                    rec["X"][:, sl, k] = X
+            if "cost" in phi:
+                _cost_integrand(tabs, k, X, u, phi["cost"], w)
+            if k > 0:
+                for key in sums:
+                    step = np.add(prev[key], phi[key], out=w.s1)
+                    step *= half_dt
+                    acc[key] += step
+            prev, phi = phi, prev
+            if rec is not None:
+                rec["X"][:, sl, k] = X
+                if has_u:
                     rec["u"][:, sl, k] = u
-                    rec["W"][sl, k] = W
+                rec["W"][sl, k] = W
 
-                if k < N:
-                    X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt,
-                                    dW[:, k : k + 1], w)
-                    # one mask per path: leaving the finite regime under any
-                    # control zeroes the path under all of them; the cheap
-                    # whole-block test (NaN fails it too) usually passes
-                    if not np.abs(X, out=w.x1).max() < 1e12:
-                        bad |= ~(w.x1 < 1e12).all(axis=(0, 2))
-                        any_bad = True
-                    if any_bad:
-                        X[:, bad] = 0.0
-                    if need_W:
-                        W += dW[:, k]
+            if k < N:
+                X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt,
+                                dW[:, k : k + 1], w)
+                # one mask per path: leaving the finite regime under any
+                # control zeroes the path under all of them; the cheap
+                # whole-block test (NaN fails it too) usually passes
+                if not np.abs(X, out=w.x1).max() < 1e12:
+                    bad |= ~(w.x1 < 1e12).all(axis=(0, 2))
+                    any_bad = True
+                if any_bad:
+                    X[:, bad] = 0.0
+                if need_W:
+                    W += dW[:, k]
+        del z, dW, W
 
-            terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
-            cost[:, sl] = acc.get("cost", 0.0) + terminal
-            unorm[:, sl] = acc["unorm"]
-            X_T[:, sl] = X
-            blown[sl] = bad
+        terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
+        cost[:, sl] = acc.get("cost", 0.0) + terminal
+        unorm[:, sl] = acc.get("unorm", 0.0)
+        X_T[:, sl] = X
+        blown[sl] = bad
 
     frac = float(blown.mean())
     if frac > 0.01:

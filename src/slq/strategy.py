@@ -105,8 +105,11 @@ def default_ladder(eps_max: float = 1.0, eps_min: float = 2.0**-10, factor: floa
     """Geometric ladder eps_max * factor^k down to eps_min (inclusive)."""
     if not (0.0 < factor < 1.0) or eps_min <= 0.0 or eps_max < eps_min:
         raise InvalidInputError("need 0 < factor < 1 and 0 < eps_min <= eps_max")
-    if not math.isfinite(eps_max):  # inf * factor stays inf: the ladder would never end
-        raise InvalidInputError(f"eps_max must be finite, got {eps_max}")
+    # inf * factor stays inf, so the ladder would never end; a NaN passes
+    # every comparison above and would leave it empty
+    for name, value in (("eps_max", eps_max), ("eps_min", eps_min)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
     out = []
     e = eps_max
     while e >= eps_min * (1.0 - 1e-12):

@@ -401,6 +401,16 @@ def test_infinite_eps_max_is_rejected(from_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_nan_eps_min_is_rejected(command, tmp_path, capsys):
+    # NaN passes every range comparison, so the ladder would come out empty
+    out = tmp_path / "out"
+    argv = [command, "--builtin", "standard-scalar", "--eps-min", "nan", "--steps", "200"]
+    assert run([*argv, "--out", out]) == 1
+    assert "error: eps_min must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose", "simulate"])
 @pytest.mark.parametrize("flags, message", [
     (["--t", "2"], "initial time 2.0 outside [0, T)"),

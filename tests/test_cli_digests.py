@@ -12,7 +12,7 @@ SPEC.loader.exec_module(cli_digests)
 
 
 def test_every_command_writes_the_reference_bytes():
-    # the seven Monte Carlo commands too, so a change to the draw or the
+    # the nine Monte Carlo commands too, so a change to the draw or the
     # Euler loop that moves a byte fails here
     reference = cli_digests.read_digests(os.path.join(ROOT, "scripts", "cli_digests.txt"))
     assert len(cli_digests.COMMANDS) == 23

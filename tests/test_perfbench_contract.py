@@ -9,6 +9,7 @@ nothing under ``perfbench/``.
 """
 
 import os
+import time
 
 import pytest
 
@@ -65,3 +66,31 @@ def test_each_simulation_is_one_span_with_its_counts(traced):
     assert traced.counts["simulate.paths"] == 2 * 300
     assert traced.counts["simulate.blown_paths"] == 0
     assert traced.counts["simulate.normals"] == 2 * 300 * 17
+
+
+def test_the_draw_is_timed_between_the_steps(traced, monkeypatch):
+    # each block is drawn on the calling thread, inside its simulation and
+    # outside every Euler step, so simulate minus simulate.rng times the stepping
+    steps, orig = [], simulate._euler_step
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            time.sleep(1e-3)  # room for a draw on another thread
+            return orig(*args)
+        finally:
+            steps.append((t0, time.perf_counter()))
+
+    monkeypatch.setattr(simulate, "_euler_step", timed)
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+    p, ip = builtin("example-1.1")
+    cfg = simulate.MonteCarloConfig(paths=300, steps=16, master_seed=5)
+    simulate.simulate_ensemble(p, ip, simulate.ControlSpec.zero(), cfg, block_size=128)
+    simulate.simulate_coupled(p, ip, [simulate.ControlSpec.zero()] * 2, cfg, block_size=128)
+    rng = [(start, stop, parent) for name, start, stop, parent in traced.spans
+           if name == "simulate.rng"]
+    assert len(rng) == 2 * 3 and len(steps) == 2 * 3 * 16
+    for start, stop, parent in rng:
+        name, p_start, p_stop, _ = traced.spans[parent]
+        assert name == "simulate" and p_start <= start <= stop <= p_stop
+        assert all(s_stop <= start or stop <= s_start for s_start, s_stop in steps)

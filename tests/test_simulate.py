@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestSplitDraw:
             sys.setswitchinterval(interval)
 
     def test_helper_failure_reaches_caller(self, monkeypatch):
-        # a helper of the background draw fails; the caller of
+        # a helper of a block's draw fails; the caller of
         # _path_block_normals joins its helpers and hands the error on
         callers, failed = set(), []
         orig_block, orig_fill = simulate._path_block_normals, simulate._fill_rows
@@ -260,8 +261,56 @@ class TestSplitDraw:
         assert events == [150]
 
 
-class TestBackgroundDraw:
-    """The next block's normals are drawn on a thread that never outlives a run."""
+class TestTwoPhaseBlocks:
+    """A block is drawn, then stepped on the calling thread; one block at a time."""
+
+    def test_no_draw_runs_while_a_block_steps(self, monkeypatch):
+        # the draw's helpers too have returned before the block steps, and
+        # every step runs on the calling thread
+        caller, events, running = threading.current_thread(), [], []
+        lock = threading.Lock()
+
+        def watched(kind, orig):
+            def call(*args):
+                with lock:
+                    # a step starts with nothing else running, and nothing
+                    # starts while a step runs
+                    assert (running == []) if kind == "step" else ("step" not in running)
+                    running.append(kind)
+                    events.append(kind)
+                try:
+                    if kind == "step":
+                        assert threading.current_thread() is caller
+                        time.sleep(1e-3)  # room for a draw on another thread
+                    return orig(*args)
+                finally:
+                    with lock:
+                        running.remove(kind)
+            return call
+
+        monkeypatch.setattr(simulate, "_euler_step", watched("step", simulate._euler_step))
+        monkeypatch.setattr(simulate, "_path_block_normals",
+                            watched("draw", simulate._path_block_normals))
+        monkeypatch.setattr(simulate, "_fill_rows", watched("fill", simulate._fill_rows))
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=600, steps=16, master_seed=4)
+        simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=200)
+        phases = [e for e in events if e != "fill"]
+        assert phases == (["draw"] + ["step"] * 16) * 3
+        assert events.count("fill") == 3 * 2  # two ranges per block
+
+    def test_peak_memory_is_one_block_of_normals(self):
+        p, ip = builtin("example-1.1")
+        block, steps = 2048, 256
+        cfg = MonteCarloConfig(paths=3 * block, steps=steps, master_seed=9)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block * (steps + 1) * 8
 
     def test_no_thread_left_after_run(self):
         p, ip = builtin("example-1.1")
@@ -279,28 +328,36 @@ class TestBackgroundDraw:
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=30)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("target", ["_path_block_normals", "_euler_step"])
-    def test_failure_reaches_caller_and_joins_the_draw(self, monkeypatch, target):
-        # the draw of the second block fails, or stepping the first block
-        # fails while the second block is being drawn
-        orig = getattr(simulate, target)
-        calls = []
+    @pytest.mark.parametrize("target, drawn", [
+        ("draw", [0, 100]),  # the second block's draw fails
+        ("step", [0]),  # the first block's first step fails
+    ])
+    def test_failure_reaches_caller_with_nothing_drawn_after_it(self, monkeypatch, target,
+                                                                drawn):
+        starts = []
+        orig_draw, orig_step = simulate._path_block_normals, simulate._euler_step
 
-        def failing(*args):
-            calls.append(args)
-            if target == "_euler_step" or len(calls) == 2:
+        def draw(seed, start, *rest):
+            starts.append(start)
+            if target == "draw" and len(starts) == 2:
                 raise RuntimeError("injected")
-            return orig(*args)
+            return orig_draw(seed, start, *rest)
 
-        monkeypatch.setattr(simulate, target, failing)
+        def step(*args):
+            if target == "step":
+                raise RuntimeError("injected")
+            return orig_step(*args)
+
+        monkeypatch.setattr(simulate, "_path_block_normals", draw)
+        monkeypatch.setattr(simulate, "_euler_step", step)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         p, ip = builtin("example-1.1")
         cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=100)
         assert threading.active_count() == before
-        if target == "_path_block_normals":
-            assert [a[1] for a in calls] == [0, 100]  # nothing drawn after the failure
+        assert starts == drawn
 
 
 def reference_euler(p, ip, controls, cfg):
@@ -316,7 +373,7 @@ def reference_euler(p, ip, controls, cfg):
     A, B, C, D, Q, S, R = (getattr(p, c)(s) for c in "ABCDQSR")
     b, sigma, q, rho = (getattr(p, c)(s) for c in ("b", "sigma", "q", "rho"))
     mod = p.b_mod
-    b_mod = np.append(mod.profile(s[:-1]).reshape(N), 0.0)
+    b_mod = None if mod is None else np.append(mod.profile(s[:-1]).reshape(N), 0.0)
 
     def apply(M, x):  # M (i, j), x (P, j) -> (P, i)
         out = M[:, 0] * x[:, :1]
@@ -361,11 +418,12 @@ def reference_euler(p, ip, controls, cfg):
             acc += 0.5 * dt * (prev + phi)
         prev = phi
         if k < N:
-            M_b = np.exp(mod.gamma * W - 0.5 * mod.gamma * mod.gamma * s[k])
             for i in range(K):
                 drift = apply(A[k], X[i]) + apply(B[k], u[i])
                 drift = drift + b[k]
-                drift = drift + (b_mod[k] * M_b)[:, None]
+                if mod is not None:
+                    M_b = np.exp(mod.gamma * W - 0.5 * mod.gamma * mod.gamma * s[k])
+                    drift = drift + (b_mod[k] * M_b)[:, None]
                 diff = apply(C[k], X[i]) + apply(D[k], u[i]) + sigma[k]
                 X[i] = X[i] + drift * dt + diff * dW[:, k : k + 1]
             W += dW[:, k]
@@ -403,6 +461,27 @@ def test_coupled_run_matches_a_reference_euler_loop():
     assert not cpl.blown.any()
     assert np.array_equal(cpl.cost, cost)
     assert np.array_equal(cpl.control_norm_sq, unorm)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_zero_control_matches_the_reference_bits(coupled):
+    # u = 0 would enter the drift, the diffusion (D) and the running cost
+    # (S, R, rho); a run with no control part skips that arithmetic, and a
+    # coupled run with a nonzero control does it, on the same bits
+    p = scalar_problem(A=-0.5, B=1.0, C=0.4, D=0.3, Q=1.0, S=0.2, R=1.0, G=1.0,
+                       b=0.2, sigma=0.3, q=0.1, rho=0.15, g=0.1)
+    ip = InitialPair(t=0.25, x=np.array([0.8]))
+    grid = np.linspace(0.0, 1.0, 5)
+    controls = [ControlSpec.zero()]
+    if coupled:
+        controls.append(ControlSpec(v_det=GridFn(grid, 0.5 - grid.reshape(-1, 1))))
+    cfg = MonteCarloConfig(paths=150, steps=32, master_seed=31)
+    cpl = simulate_coupled(p, ip, controls, cfg, block_size=64)
+    cost, unorm = reference_euler(p, ip, controls, cfg)
+    assert not cpl.blown.any()
+    assert np.array_equal(cpl.cost, cost)
+    assert np.array_equal(cpl.control_norm_sq, unorm)
+    assert not cpl.control_norm_sq[0].any()
 
 
 class TestAgainstMomentOracle:

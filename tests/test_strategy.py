@@ -235,8 +235,14 @@ def test_default_ladder():
         default_ladder(1.0, 0.1, 1.5)
 
 
-@pytest.mark.parametrize("eps_max", [math.inf, math.nan])
-def test_default_ladder_rejects_a_non_finite_start(eps_max):
-    # inf * factor is inf again, so the rungs would be appended without end
-    with pytest.raises(InvalidInputError, match="eps_max must be finite"):
-        default_ladder(eps_max, 2.0**-10, 0.5)
+@pytest.mark.parametrize("eps_max, eps_min, message", [
+    (math.inf, 2.0**-10, "eps_max must be finite, got inf"),
+    (math.nan, 2.0**-10, "eps_max must be finite, got nan"),
+    (1.0, math.nan, "eps_min must be finite, got nan"),
+    (math.nan, math.nan, "eps_max must be finite, got nan"),
+])
+def test_default_ladder_rejects_non_finite_ends(eps_max, eps_min, message):
+    # inf * factor is inf again, so the rungs would be appended without end;
+    # a NaN eps_min passes every range comparison and leaves the ladder empty
+    with pytest.raises(InvalidInputError, match=message):
+        default_ladder(eps_max, eps_min, 0.5)
