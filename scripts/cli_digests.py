@@ -30,8 +30,8 @@ from slq.cli import main  # noqa: E402
 # problem files, written as <key with - for _>.slq into the working
 # directory; commands name them relative to it, as the report quotes the path
 PROBLEMS = {
-    # the linear terminal weight g = 1 of tests/test_cli.py: the only
-    # problem here whose adjoint eta is nonzero
+    # the linear terminal weight g = 1 of tests/test_cli.py: P = 0, so the
+    # adjoint eta is g at every node
     "linear_terminal": (
         "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
         "[coef.B]\nconstant = 1\n[terminal]\nG = 0\ng = 1\n"
@@ -82,6 +82,19 @@ PROBLEMS = {
         "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
         "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05\n"
     ),
+    # example 5.1 with D = 0.2, R = 0.5, g = 0.1 and a sigma table, q and rho
+    # beside its modulated drift: the adjoint superposes the sweep's eta
+    # and the modulated h
+    "forced_modulated": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n"
+        "[coef.A]\nconstant = -1\n[coef.B]\nconstant = 1\n"
+        "[coef.C]\nconstant = 1.4142135623730951\n[coef.D]\nconstant = 0.2\n"
+        "[coef.R]\nconstant = 0.5\n[terminal]\nG = 1\ng = 0.1\n"
+        "[input.b]\ndeterministic = 0\ngamma = 1.4142135623730951\n"
+        "profile = named:exp-inv-sqrt-gap\n"
+        "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
+        "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05\n"
+    ),
 }
 
 # config files, written as <key with - for _>.conf beside the problem files
@@ -117,6 +130,8 @@ COMMANDS = [
     "diagnose --problem {forced_inputs} --steps 400 --paths 2000 --mc-steps 64",
     "simulate --problem {forced_inputs} --control feedback --steps 400 --eps-min 0.125 "
     "--paths 2000 --mc-steps 64",
+    "solve --problem {forced_modulated} --steps 400 --eps-min 0.125",
+    "diagnose --problem {forced_modulated} --steps 400",
 ]
 
 

@@ -1,18 +1,20 @@
 """Adjoint backward equation for the perturbed feedback construction.
 
 Every solver takes a whole eps ladder of Riccati solutions and returns one
-adjoint per rung from one pass; a single solution is a ladder of one.  Two
-input classes admit exact reductions of the adjoint pair (eta, zeta):
+adjoint per rung; a single solution is a ladder of one.  Two input classes
+admit exact reductions of the adjoint pair (eta, zeta):
 
-* deterministic inputs: zeta vanishes and eta solves a linear backward ODE,
-  integrated with fixed-step RK4, all rungs as one ``(L, n)`` stack.  When
-  b, sigma, q, rho and g are zero, eta is exactly zero and neither the gain
-  nor the loop is formed;
+* deterministic inputs: zeta vanishes and eta solves a linear backward ODE
+  driven by P and the gain.  The Riccati sweep integrates it beside P, in
+  the same RK4 stages (see :mod:`slq.riccati`), so here it is only read;
 * scalar martingale-modulated drift b(s) = M(s) f(s) with
   M(s) = exp(gamma*W(s) - gamma^2 s/2): the ansatz eta = M*h, zeta =
   gamma*M*h turns the backward SDE into a deterministic scalar ODE for h,
 
       h' = -[(A + B*Th + gamma*(C + D*Th)) h + P f],   h(T) = 0.
+
+  The adjoint is linear in its forcing, so the deterministic inputs and g
+  add the sweep's eta, with zeta = 0 on that part.
 
 The h equation is integrated with an exact-propagator product-integration
 scheme: each backward step multiplies by exp(int a) and adds a Gauss-Legendre
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFn, interp_weights, matmul, rk4_step
+from .core import GridFn, interp_weights, matmul
 from .errors import InvalidInputError, WrongClassError
 from .problem import NamedProfile, SLQProblem
 from .riccati import coef_tables, gain
@@ -56,54 +58,6 @@ class AdjointProfile:
     gamma: Optional[float] = None
 
 
-def _adjoint_deterministic(p: SLQProblem, sols) -> list:
-    """Backward RK4 for the adjoint ODE under purely deterministic inputs.
-
-    With zeta identically zero the adjoint reduces to
-
-        eta' = -[(A + B*Th)' eta + (C + D*Th)' P sigma + Th' rho + P b + q],
-
-    with terminal value eta(T) = g, on the uniform grid of the solutions.
-    One :class:`AdjointProfile` per Riccati solution in ``sols``, from one
-    set of half-grid coefficient tables and one RK4 loop over an ``(L, n)``
-    stack.  Unforced (b, sigma, q, rho and g zero), eta is exactly +0.0 and
-    no gain or loop is formed.
-    """
-    grid = sols[0].grid
-    steps = grid.size - 1
-    values = np.zeros((len(sols), steps + 1, p.n))
-    values[:, steps] = p.g
-    if p.g.any() or any(f.values.any() for f in (p.b, p.sigma, p.q, p.rho)):
-        half_times = np.linspace(0.0, p.T, 2 * steps + 1)
-        cf = coef_tables(p, half_times)
-        sig = p.sigma(half_times)[..., None]
-        rho = p.rho(half_times)[..., None]
-        qv = p.q(half_times)
-        bv = p.b(half_times)[..., None]
-        at = interp_weights(sols[0].grid, half_times)  # the rungs share one grid
-        cl, force = [], []
-        for P in sols:
-            Th, Pv = gain(P, p, half_times, cf, at), P.P.interp(at)
-            cl.append(cf["A"] + matmul(cf["B"], Th))
-            CDT = (cf["C"] + matmul(cf["D"], Th)).mT
-            force.append(
-                (matmul(CDT, matmul(Pv, sig)) + matmul(Th.mT, rho) + matmul(Pv, bv))[..., 0] + qv
-            )
-        # time-major stacks; each rung keeps its transposed (A + B Th)' view
-        # layout, so its matrix-vector products round as in a call of its own
-        M_cl = np.stack(cl, axis=1).mT
-        force = np.stack(force, axis=1)
-
-        def rhs(j: int, eta: np.ndarray) -> np.ndarray:
-            return -(matmul(M_cl[j], eta[..., None])[..., 0] + force[j])
-
-        eta = values[:, steps].copy()
-        for k in range(steps, 0, -1):
-            eta = rk4_step(rhs, 2 * k, eta, p.T / steps, 2)
-            values[:, k - 1] = eta
-    return [AdjointProfile(P.epsilon, GridFn(grid, v)) for P, v in zip(sols, values)]
-
-
 def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
     """Per-interval 4-point Gauss-Legendre nodes/weights, vectorized."""
     mid = 0.5 * (hi + lo)
@@ -116,21 +70,15 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
 def _adjoint_modulated(p: SLQProblem, sols) -> list:
     """Exact per-path reduction for a scalar problem with modulated drift.
 
-    Requires n = m = 1, a modulated b, zero sigma/q/rho and zero terminal
-    weight g.  Returns, per Riccati solution in ``sols``, the deterministic
-    profile h with eta = M*h and zeta = gamma*M*h, plus the eta of the
-    table b from :func:`_adjoint_deterministic`.  Each Gauss node set's
-    coefficient tables and interpolation weights are built once for all
-    solutions; the gains and the h recurrence, on Python floats, then run
-    rung by rung.
+    Requires n = m = 1 and a modulated b.  Returns, per Riccati solution in
+    ``sols``, the deterministic profile h with eta = M*h and zeta =
+    gamma*M*h, plus the solution's eta of the deterministic inputs and g.
+    Each Gauss node set's coefficient tables and interpolation weights are
+    built once for all solutions; the gains and the h recurrence, on Python
+    floats, then run rung by rung.
     """
     if p.n != 1 or p.m != 1:
         raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
-    for name in ("sigma", "q", "rho"):
-        if getattr(p, name).values.any():
-            raise WrongClassError(f"modulated reduction requires {name} = 0")
-    if not np.all(p.g == 0.0):
-        raise WrongClassError("modulated reduction requires g = 0")
 
     T = p.T
     gamma = float(p.b_mod.gamma)
@@ -182,13 +130,9 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
             hk.append(x)
         h.append(np.array(hk[::-1]))
 
-    # the table drift superposes linearly with the modulated one (zeta = 0
-    # on this component); the deterministic pass never reads b_mod
-    det = _adjoint_deterministic(p, sols)
-    return [
-        AdjointProfile(P.epsilon, d.deterministic_eta, GridFn(grid, hk), gamma)
-        for P, d, hk in zip(sols, det, h)
-    ]
+    # the deterministic inputs superpose linearly with the modulated drift
+    # (zeta = 0 on their part); the sweep's eta never reads b_mod
+    return [AdjointProfile(P.epsilon, P.eta, GridFn(grid, hk), gamma) for P, hk in zip(sols, h)]
 
 
 def solve_adjoint(p: SLQProblem, sols) -> list:
@@ -198,5 +142,5 @@ def solve_adjoint(p: SLQProblem, sols) -> list:
     if any(not np.array_equal(P.grid, sols[0].grid) for P in sols[1:]):
         raise InvalidInputError("Riccati solutions must share one grid")
     if p.b_mod is None:
-        return _adjoint_deterministic(p, sols)
+        return [AdjointProfile(P.epsilon, P.eta) for P in sols]
     return _adjoint_modulated(p, sols)

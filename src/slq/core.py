@@ -21,7 +21,6 @@ __all__ = [
     "pinv_1x1",
     "range_included",
     "symmetrize",
-    "rk4_step",
     "is_symmetric",
     "interp_weights",
     "GridFn",
@@ -115,21 +114,6 @@ def range_included(N, M, tol: float) -> bool:
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return (M + M') / 2, node by node on a stack."""
     return 0.5 * (M + M.mT)
-
-
-def rk4_step(rhs, j_right: int, y: np.ndarray, step: float, j_stride: int) -> np.ndarray:
-    """One classical RK4 step of y' = rhs(j, y) backward in time.
-
-    Times are indices j on a grid fine enough to hold the midpoint: the
-    step runs from ``j_right`` to ``j_right - j_stride`` with its midpoint at
-    ``j_right - j_stride // 2``, so ``j_stride`` must be even.
-    """
-    j_mid = j_right - j_stride // 2
-    k1 = rhs(j_right, y)
-    k2 = rhs(j_mid, y - 0.5 * step * k1)
-    k3 = rhs(j_mid, y - 0.5 * step * k2)
-    k4 = rhs(j_right - j_stride, y - step * k3)
-    return y - (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def is_symmetric(M, tol: float = 0.0) -> bool:

@@ -1,22 +1,29 @@
-"""Backward integration of the perturbed and generalized Riccati equations.
+"""Backward integration of the perturbed and generalized Riccati equations,
+each with the adjoint eta of the deterministic inputs beside it.
 
 Both flows share one right-hand side
 
     dP/ds = -[P A + A'P + C'P C + Q - L' K^{-1} L],    L = B'P + D'P C + S,
 
 with K = R + eps*I + D'P D inverted exactly in the perturbed flow and
-K = R + D'P D pseudo-inverted in the generalized flow.  Integration is
-classical fixed-step RK4 from P(T) = G down to 0, symmetrizing after every
-step; uniform grids keep downstream L2 norms and eps-comparisons
-node-aligned.  One backward loop, :func:`_solve_backward`, holds the
-generalized flow and a whole eps ladder as one stack of flows and owns the
-blow-up test, the step doubling and the stored table.  Two backends supply
-its arithmetic: numpy stacks for any n and m, and for n = m = 1 a list of
-Python floats with the numpy backend's bits, since numpy's per-call cost on
-1x1 matrices was most of a scalar solve.  Blow-up is detected and
-reported, not papered over: an indefinite generalized equation may
-legitimately fail to have a global solution, so its blow-up is returned
-while the ladder goes on.
+K = R + D'P D pseudo-inverted in the generalized flow.  For deterministic
+inputs zeta = 0, and eta solves a linear equation driven by P and the gain
+Theta = -K^{-1} L (K^+ in the generalized flow):
+
+    deta/ds = -[(A + B Theta)'eta + (C + D Theta)'P sigma + Theta'rho + P b + q],  eta(T) = g.
+
+Integration is classical fixed-step RK4 from T down to 0 on the rows
+(P, eta), so eta reads P and Theta at every stage and keeps fourth order;
+P is symmetrized after every step and never reads eta.  Unforced (b, sigma,
+q, rho and g zero), eta is exactly +0.0 and only P is integrated.  One
+backward loop, :func:`_solve_backward`, holds the generalized flow and a
+whole eps ladder as one stack on one uniform grid and owns the blow-up test
+and the step doubling, both on P.  Two backends supply its arithmetic: numpy
+stacks for any n and m, and for n = m = 1 Python floats with the numpy
+backend's bits, since numpy's per-call cost on 1x1 matrices was most of a
+scalar solve.  Blow-up is reported, not papered over: an indefinite
+generalized equation may fail to have a global solution, so its blow-up is
+returned while the ladder goes on.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    GridFn, interp_weights, matmul, pinv, pinv_1x1, range_included, rk4_step,
-    symmetrize,
+    GridFn, interp_weights, matmul, pinv, pinv_1x1, range_included, symmetrize,
 )
 from .errors import BlowUpError, DegeneratePerturbationError, InvalidInputError
 from .problem import SLQProblem
@@ -53,14 +59,16 @@ COND_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Symmetric matrix flow P(.) on a uniform grid of [0, T].
+    """Symmetric matrix flow P(.) and adjoint eta(.) on a uniform grid of [0, T].
 
     ``epsilon == 0`` marks the unperturbed generalized equation.  P(T) equals
     the terminal weight exactly; every stored node is exactly symmetric.
+    eta(T) equals g, and eta is exactly +0.0 when b, sigma, q, rho and g are.
     """
 
     epsilon: float
     P: GridFn
+    eta: GridFn
     steps: int
     max_local_error_estimate: float
     max_step_asymmetry: float
@@ -141,76 +149,128 @@ def solve_inner(K: np.ndarray, rhs: np.ndarray, eps, scale, times) -> np.ndarray
     return np.linalg.solve(K, rhs)
 
 
-class _MatrixRows:
-    """The arithmetic of :func:`_solve_backward` on numpy stacks ``(N, n, n)``
-    for any n and m; it tracks each row's largest step asymmetry."""
+def _forcing(p: SLQProblem, times: np.ndarray) -> Optional[list]:
+    """b, sigma, q and rho at ``times``, or None when they and g are all zero."""
+    inputs = (p.b, p.sigma, p.q, p.rho)
+    if not (p.g.any() or any(f.values.any() for f in inputs)):
+        return None
+    return [f(times) for f in inputs]
 
-    cell = Ellipsis  # where a table (N, steps + 1, n, n) stores the rows of a node
+
+def _zeros(shape: tuple) -> np.ndarray:
+    """A read-only table of +0.0 whose rows share one block of memory: the
+    eta of an unforced stack, allocated once for all its rows."""
+    return np.broadcast_to(np.zeros(shape[1:]), shape)
+
+
+def _rk4(stage, j: int, y: list, step: float, stride: int, frozen: int) -> list:
+    """One classical RK4 step of y' = stage(j, y, frozen) backward from
+    quarter-grid index j to j - stride, midpoint j - stride/2, on a list y of
+    Python floats or of numpy stacks: one sum order serves both."""
+    k1 = stage(j, y, frozen)
+    k2 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k1)], frozen)
+    k3 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k2)], frozen)
+    k4 = stage(j - stride, [v - step * k for v, k in zip(y, k3)], frozen)
+    return [v - (step / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
+class _MatrixRows:
+    """The arithmetic of :func:`_solve_backward` on numpy stacks for any n and
+    m, the state ``[P]`` of shape ``(N, n, n)``, or ``[P, eta]`` with eta
+    ``(N, n)`` when forced; it tracks each row's largest step asymmetry."""
 
     def __init__(self, p: SLQProblem, eps: np.ndarray, times: np.ndarray):
         self.p, self.times, self.cf = p, times, coef_tables(p, times)
         self.rows = _eps_rows(eps, p.m)
+        self.forcing = _forcing(p, times)
         self.LKL = np.empty((eps.size, p.n, p.n))  # the gain term L'K^{-1}L, or L'K^+L
-        self.P_T = np.repeat(symmetrize(np.asarray(p.G, dtype=float))[None], eps.size, axis=0)
+        self.KL = np.empty((eps.size, p.m, p.n))  # K^{-1}L, or K^+L; read for eta
+        self.y_T = [np.repeat(symmetrize(np.asarray(p.G, dtype=float))[None], eps.size, axis=0)]
+        if self.forcing is not None:
+            self.y_T.append(np.repeat(p.g[None] + 0.0, eps.size, axis=0))
+        size = (eps.size, (times.size - 1) // 4 + 1)
+        self.P = np.empty(size + (p.n, p.n))
+        self.eta = _zeros(size + (p.n,)) if self.forcing is None else np.empty(size + (p.n,))
         self.max_asym = np.zeros(eps.size)
 
-    def stage(self, j: int, P: np.ndarray, frozen: int) -> np.ndarray:
-        """dP at quarter-grid index j, zero on the first ``frozen`` rows; the
-        first ``g`` rows are generalized (see :func:`_eps_rows`)."""
-        cf, LKL, (g, e, _) = self.cf, self.LKL, self.rows
+    def stage(self, j: int, y: list, frozen: int) -> list:
+        """dP (and deta if forced) at quarter-grid index j, zero on the first
+        ``frozen`` rows; the first ``g`` rows are generalized (:func:`_eps_rows`)."""
+        P, m = y[0], self.p.m
+        cf, LKL, KL, (g, e, _) = self.cf, self.LKL, self.KL, self.rows
         K, L, scale = inner(cf, P, self.rows, j)
         if g:
             # L'(K^+ L); pinv_1x1 skips pinv's checks: a non-finite value reaches the blow-up test
-            Kp = pinv_1x1(K[:g]) if self.p.m == 1 else pinv(K[:g])
-            LKL[:g] = L[:g].mT @ (Kp @ L[:g])
+            KL[:g] = (pinv_1x1(K[:g]) if m == 1 else pinv(K[:g])) @ L[:g]
+            LKL[:g] = L[:g].mT @ KL[:g]
         if e.size:
-            if self.p.m == 1:
+            if m == 1:
                 # K^{-1} is a scalar here, so L' K^{-1} L = K^{-1} (L'L)
                 LKL[g:] = solve_inner(K[g:], L[g:].mT @ L[g:], e, scale, self.times[j])
+                if self.forcing is not None:
+                    KL[g:] = L[g:] / K[g:]
             else:
-                LKL[g:] = L[g:].mT @ solve_inner(K[g:], L[g:], e, scale, self.times[j])
+                KL[g:] = solve_inner(K[g:], L[g:], e, scale, self.times[j])
+                LKL[g:] = L[g:].mT @ KL[g:]
         dP = -(P @ cf["A"][j] + cf["A'"][j] @ P + cf["C'"][j] @ P @ cf["C"][j] + cf["Q"][j] - LKL)
         dP[:frozen] = 0.0
-        return dP
-
-    def rk4(self, j: int, y: np.ndarray, step: float, stride: int, frozen: int) -> np.ndarray:
-        return rk4_step(lambda j, P: self.stage(j, P, frozen), j, y, step, stride)
+        if self.forcing is None:
+            return [dP]
+        b, sigma, q, rho = (f[j] for f in self.forcing)
+        Th = -KL
+        force = ((cf["C"][j] + cf["D"][j] @ Th).mT @ (P @ sigma[:, None])
+                 + Th.mT @ rho[:, None] + P @ b[:, None])[..., 0] + q
+        deta = -(((cf["A"][j] + cf["B"][j] @ Th).mT @ y[1][..., None])[..., 0] + force)
+        deta[:frozen] = 0.0
+        return [dP, deta]
 
     @staticmethod
-    def norms(P: np.ndarray, Q=None) -> np.ndarray:
-        """The Frobenius norm of each row of P, or of P - Q."""
-        return np.linalg.norm(P if Q is None else P - Q, axis=(-2, -1))
+    def norms(y: list, z=None) -> np.ndarray:
+        """The Frobenius norm of each row of P = y[0], or of P - z[0]."""
+        return np.linalg.norm(y[0] if z is None else y[0] - z[0], axis=(-2, -1))
 
-    def symmetrized(self, P: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        asym = np.linalg.norm(P - P.mT, axis=(-2, -1)) / np.maximum(1.0, norms)
+    def symmetrized(self, y: list, norms: np.ndarray) -> list:
+        asym = np.linalg.norm(y[0] - y[0].mT, axis=(-2, -1)) / np.maximum(1.0, norms)
         self.max_asym = np.maximum(self.max_asym, asym)
-        return symmetrize(P)
+        return [symmetrize(y[0]), *y[1:]]
+
+    def write(self, k: int, y: list) -> None:
+        for table, v in zip((self.P, self.eta), y):
+            table[:, k] = v
 
 
 class _ScalarRows:
-    """:class:`_MatrixRows` for n = m = 1, each row one Python float of a list,
-    in its order of operations and so with its bits and errors, since numpy's
-    per-call cost on 1x1 matrices was most of a scalar solve.  A numpy 1x1
-    product is 0.0 + a*b, never -0.0, and the table holds no -0.0, so q and s
-    make a zero sum +0.0 as there; a finite 1x1 step's asymmetry is 0.0."""
-
-    cell = (Ellipsis, 0, 0)
+    """:class:`_MatrixRows` for n = m = 1 on a list of Python floats, the P
+    rows, then the eta rows when forced, in its order of operations and so
+    with its bits and errors.  A numpy 1x1 product is 0.0 + a*b, never -0.0,
+    and the tables hold no -0.0, so q and s (and q of eta) make a zero sum
+    +0.0 as there; a finite 1x1 step's asymmetry is 0.0."""
 
     def __init__(self, p: SLQProblem, eps: np.ndarray, times: np.ndarray):
         self.tab = np.stack([getattr(p, k)(times)[:, 0, 0] + 0.0 for k in "ABCDQSR"], axis=1)
         self.rates, self.times = eps.tolist(), times
-        self.P_T = symmetrize(np.asarray(p.G, dtype=float)).ravel().tolist() * eps.size
-        self.max_asym = [0.0] * eps.size
+        forcing, n = _forcing(p, times), eps.size
+        self.y_T = symmetrize(np.asarray(p.G, dtype=float)).ravel().tolist() * n
+        if forcing is not None:
+            self.inputs = np.stack([f[:, 0] + 0.0 for f in forcing], axis=1)
+            self.y_T += (p.g + 0.0).tolist() * n
+        self.forced = forcing is not None
+        self.nodes = np.empty((len(self.y_T), (times.size - 1) // 4 + 1))  # P rows, then eta's
+        self.P = self.nodes[:n, :, None, None]
+        self.eta = self.nodes[n:, :, None] if self.forced else _zeros(self.P.shape[:3])
+        self.max_asym = [0.0] * n
 
-    def stage(self, j: int, P: list, frozen: int) -> list:
+    def stage(self, j: int, y: list, frozen: int) -> list:
         a, b, c, d, q, s, r = self.tab[j].tolist()  # one row per stage, not the table
-        abs_r, dP = abs(r), []
-        for x, e in zip(P, self.rates):
+        abs_r, dP, thetas = abs(r), [], [] if self.forced else None
+        for x, e in zip(y, self.rates):  # the P rows
             xd = x * d
             dxd = d * xd
             K, L = r + dxd, (b * x + xd * c) + s
             if e == 0.0:  # a generalized row: L (K^+ L)
-                LKL = L * ((1.0 / K if K != 0.0 else 0.0) * L)
+                KL = (1.0 / K if K != 0.0 else 0.0) * L
+                LKL = L * KL
             else:
                 K += e
                 # max(abs_K, scale) as the builtin picks it, NaN included,
@@ -221,37 +281,42 @@ class _ScalarRows:
                 LKL = (L * L) / K
             xa = x * a  # = a * x, so x a + a x is xa + xa
             dP.append(-((((xa + xa) + (c * x) * c) + q) - LKL))
+            if thetas is not None:
+                thetas.append(-(KL if e == 0.0 else L / K))
         dP[:frozen] = [0.0] * frozen
-        return dP
+        if thetas is None:
+            return dP
+        bv, sv, qv, rv = self.inputs[j].tolist()
+        deta = [-((a + b * th) * v + ((((c + d * th) * (x * sv) + th * rv) + x * bv) + qv))
+                for x, v, th in zip(y, y[len(thetas):], thetas)]
+        deta[:frozen] = [0.0] * frozen
+        return dP + deta
 
-    def rk4(self, j: int, y: list, step: float, stride: int, frozen: int) -> list:
-        stage = self.stage  # core.rk4_step on lists
-        k1 = stage(j, y, frozen)
-        k2 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k1)], frozen)
-        k3 = stage(j - stride // 2, [v - (0.5 * step) * k for v, k in zip(y, k2)], frozen)
-        k4 = stage(j - stride, [v - step * k for v, k in zip(y, k3)], frozen)
-        return [v - (step / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
-                for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
-
-    @staticmethod
-    def norms(P: list, Q=None) -> list:
-        if Q is None:
+    def norms(self, y: list, z=None) -> list:
+        """The norm of each P row of y, or of y - z."""
+        P = y[:len(self.rates)]
+        if z is None:
             return [math.sqrt(x * x) for x in P]
-        return [math.sqrt((x - y) * (x - y)) for x, y in zip(P, Q)]
+        return [math.sqrt((x - w) * (x - w)) for x, w in zip(P, z)]
 
-    @staticmethod
-    def symmetrized(P: list, norms: list) -> list:
-        return [0.5 * (x + x) for x in P]
+    def symmetrized(self, y: list, norms: list) -> list:
+        n = len(self.rates)
+        return [0.5 * (x + x) for x in y[:n]] + y[n:]
+
+    def write(self, k: int, y: list) -> None:
+        self.nodes[:, k] = y
 
 
 def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     """One RK4 loop over the stack of flows for the values in ``eps``, on
-    :class:`_ScalarRows` for n = m = 1 and on :class:`_MatrixRows` otherwise.
+    :class:`_ScalarRows` for n = m = 1 and on :class:`_MatrixRows` otherwise;
+    each flow carries its eta when the problem is forced.
 
     A leading eps = 0 is the generalized flow.  Its blow-up never raises:
-    the row freezes at its last finite value, the other rows go on, and its
-    entry is the :class:`BlowUpError`.  A positive row that leaves the
-    finite regime raises, naming the first such eps in stack order.
+    the row, P and eta, freezes at its last finite value, the other rows go
+    on, and its entry is the :class:`BlowUpError`.  A positive row that
+    leaves the finite regime raises, naming the first such eps in stack
+    order.  Only P is tested and enters the step-doubling estimate.
     """
     if steps < 16:
         raise InvalidInputError(f"steps must be >= 16, got {steps}")
@@ -260,16 +325,15 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
     h, grid = p.T / steps, np.linspace(0.0, p.T, steps + 1)
     times = np.linspace(0.0, p.T, 4 * steps + 1)
     rows = (_ScalarRows if p.n == p.m == 1 else _MatrixRows)(p, eps, times)
-    rk4, norms, symmetrized = rows.rk4, rows.norms, rows.symmetrized
+    stage, norms = rows.stage, rows.norms
     g, rates = int(np.count_nonzero(eps == 0.0)), eps.tolist()
-    values = np.empty((eps.size, steps + 1, p.n, p.n))
-    nodes = values[rows.cell]
-    P = nodes[:, steps] = rows.P_T
+    y = rows.y_T
+    rows.write(steps, y)
     max_err, gre_blowup, frozen = [0.0] * eps.size, None, 0  # frozen: leading rows held still
     err_stride = max(1, steps // max(1, steps // 10))  # ~10% subsample
     for k in range(steps, 0, -1):
-        P_new = rk4(4 * k, P, h, 4, frozen)
-        norm = norms(P_new)
+        y_new = _rk4(stage, 4 * k, y, h, 4, frozen)
+        norm = norms(y_new)
         blown = [i for i, x in enumerate(norm) if not x <= BLOWUP_NORM]  # NaN too
         if blown:
             i = next((i for i in blown if i >= g), 0)  # else the generalized flow
@@ -278,15 +342,20 @@ def _solve_backward(p: SLQProblem, eps: np.ndarray, steps: int) -> list:
                 f"Riccati flow (eps={rates[i]}) left the finite regime near s={s:.6g}", time=s)
             if i >= g:
                 raise exc
-            gre_blowup, frozen, P_new[:g] = exc, g, P[:g]
+            # the step again with the generalized rows, P and eta, held still
+            gre_blowup, frozen = exc, g
+            y_new = _rk4(stage, 4 * k, y, h, 4, frozen)
+            norm = norms(y_new)
         if k % err_stride == 0:
             # step-doubling local error estimate on a subsample of steps
-            P_half = rk4(4 * k - 2, rk4(4 * k, P, 0.5 * h, 2, frozen), 0.5 * h, 2, frozen)
+            y_half = _rk4(stage, 4 * k - 2, _rk4(stage, 4 * k, y, 0.5 * h, 2, frozen),
+                          0.5 * h, 2, frozen)
             max_err = [m if m != m or m >= e else e  # a NaN stays
-                       for m, e in zip(max_err, norms(P_new, P_half))]
-        P = nodes[:, k - 1] = symmetrized(P_new, norm)
-    sols = [RiccatiSolution(e, GridFn(grid, v), steps, float(err), float(asym))
-            for e, v, err, asym in zip(rates, values, max_err, rows.max_asym)]
+                       for m, e in zip(max_err, norms(y_new, y_half))]
+        y = rows.symmetrized(y_new, norm)
+        rows.write(k - 1, y)
+    sols = [RiccatiSolution(e, GridFn(grid, v), GridFn(grid, w), steps, float(err), float(asym))
+            for e, v, w, err, asym in zip(rates, rows.P, rows.eta, max_err, rows.max_asym)]
     return [gre_blowup, *sols[1:]] if gre_blowup else sols
 
 

@@ -80,7 +80,9 @@ class MonteCarloConfig:
             raise InvalidInputError("paths must be positive")
         if self.steps < 16:
             raise InvalidInputError("steps must be >= 16")
-        object.__setattr__(self, "master_seed", int(self.master_seed) & MASK64)
+        if not 0 <= self.master_seed <= MASK64:
+            raise InvalidInputError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,15 +19,20 @@ from slq.strategy import closed_loop_test
 from test_embedding import EMBEDDINGS, embed
 
 
-def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0):
-    zero = GridFn.const(np.zeros(1))
+def scalar_problem(A=0.0, B=1.0, C=0.0, D=0.0, Q=0.0, S=0.0, R=0.0, G=1.0, T=1.0,
+                   b=0.0, sigma=0.0, q=0.0, rho=0.0, g=0.0):
     return SLQProblem(
         n=1, m=1, T=T,
         A=GridFn.const([[A]]), B=GridFn.const([[B]]), C=GridFn.const([[C]]),
         D=GridFn.const([[D]]), Q=GridFn.const([[Q]]), S=GridFn.const([[S]]),
-        R=GridFn.const([[R]]), G=np.array([[G]]), g=np.zeros(1),
-        b=zero, sigma=zero, q=zero, rho=zero,
+        R=GridFn.const([[R]]), G=np.array([[G]]), g=np.array([g]),
+        b=GridFn.const([b]), sigma=GridFn.const([sigma]), q=GridFn.const([q]),
+        rho=GridFn.const([rho]),
     )
+
+
+# nonzero b, sigma, q, rho and g: every input forces eta
+FORCING = {"b": 0.4, "sigma": -0.3, "q": 0.2, "rho": 0.5, "g": -0.6}
 
 
 def random_problem():
@@ -214,6 +219,7 @@ class TestRegularity:
         sol = RiccatiSolution(
             epsilon=0.0,
             P=GridFn(grid, np.ones((257, 1, 1))),
+            eta=GridFn(grid, np.zeros((257, 1))),
             steps=256,
             max_local_error_estimate=0.0,
             max_step_asymmetry=0.0,
@@ -363,6 +369,25 @@ STAGE_CASES = {
     # P stays -0.0; a -0.0 in q or s must not reach the scalar stage's sums
     "negative-zeros": (lambda: scalar_problem(B=0.0, C=-0.0, D=1.0, Q=-0.0, S=-0.0, G=-0.0),
                        [0.0, 1.0, 0.5], 64),
+    # the same problems with every input nonzero: eta rides in the rows
+    "forced-example-5.1": (lambda: dataclasses.replace(
+        builtin("example-5.1")[0], b=GridFn.const([0.3]), g=np.array([0.1])),
+        [0.0, 1.0, 0.5, 0.25, 0.125], 256),
+    "forced-time-table": (lambda: dataclasses.replace(
+        time_table_problem(), sigma=GridFn([0.0, 1.0], np.array([[0.3], [0.1]])),
+        q=GridFn.const([0.1]), rho=GridFn.const([0.05]), g=np.array([0.1])),
+        [0.0, 1.0, 0.5, 0.25], 400),
+    # the generalized row, P and eta, freezes near s = 0.373 under forcing
+    "forced-generalized-blowup": (lambda: scalar_problem(R=0.5, Q=1.0, G=-1.0, **FORCING),
+                                  [0.0, 1.0, 0.5, 0.25], 512),
+    # K = 0 on the generalized row: K^+ = 0, so its Theta is 0
+    "forced-zero-gain": (lambda: scalar_problem(B=0.0, D=0.0, G=0.5, **FORCING),
+                         [0.0, 1.0, 0.5], 64),
+    "forced-degenerate": (lambda: scalar_problem(R=-0.5, G=1.0, **FORCING), [0.0, 1.0, 0.5], 64),
+    # a -0.0 in an input or g must not reach the scalar eta sums
+    "forced-negative-zeros": (lambda: scalar_problem(
+        B=0.0, C=-0.0, D=1.0, Q=-0.0, S=-0.0, G=-0.0, b=-0.0, sigma=0.5, q=-0.0, rho=-0.0,
+        g=-0.0), [0.0, 1.0, 0.5], 64),
     # at 16 steps the rung 2^-6 blows up near s = 0.875 and raises
     "rung-blowup": (lambda: builtin("example-5.1")[0], [0.0, 1.0, 2.0**-5, 2.0**-6], 16),
     # two rungs blow up in the same step: the first in stack order is named
@@ -397,8 +422,9 @@ def _assert_same_pass(scalar, matrix):
         if isinstance(b, BlowUpError):
             assert (str(a), a.time) == (str(b), b.time)
             continue
-        assert np.array_equal(a.P.values, b.P.values)
-        assert np.array_equal(np.signbit(a.P.values), np.signbit(b.P.values))
+        for table in ("P", "eta"):
+            x, z = getattr(a, table).values, getattr(b, table).values
+            assert np.array_equal(x, z) and np.array_equal(np.signbit(x), np.signbit(z)), table
         assert a.max_local_error_estimate == b.max_local_error_estimate
         assert a.max_step_asymmetry == b.max_step_asymmetry
 
@@ -420,31 +446,40 @@ _nonzero = st.floats(-1.0, 1.0).filter(lambda v: v != 0.0)
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(A=_coef, B=_coef, C=_coef, D=_nonzero, Q=_coef, S=_nonzero,
-       G=st.one_of(st.just(0.0), _coef), R=st.one_of(st.floats(-0.5, 2.0), st.just(-0.5)))
-def test_scalar_pass_equals_matrix_pass_on_drawn_problems(A, B, C, D, Q, S, G, R):
+       G=st.one_of(st.just(0.0), _coef), R=st.one_of(st.floats(-0.5, 2.0), st.just(-0.5)),
+       forcing=st.one_of(st.just({}), st.fixed_dictionaries({k: _coef for k in FORCING})))
+def test_scalar_pass_equals_matrix_pass_on_drawn_problems(A, B, C, D, Q, S, G, R, forcing):
     # R < 0 makes K singular (R = -0.5 with G = 0 at eps = 0.5) or a flow
-    # blow up on some draws: the error type, message and time must match too
-    p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, S=S, R=R, G=G)
+    # blow up on some draws: the error type, message and time must match
+    # too.  Most draws are forced, and eta must match as P does
+    p = scalar_problem(A=A, B=B, C=C, D=D, Q=Q, S=S, R=R, G=G, **forcing)
     ladder = [0.0, 1.0, 0.5, 0.25]
     with np.errstate(all="ignore"):
         matrix = _pass_or_error(p, ladder, 64, riccati._MatrixRows)
     _assert_same_pass(_pass_or_error(p, ladder, 64, riccati._ScalarRows), matrix)
 
 
-def test_matrix_generalized_row_freezes_as_the_scalar_one():
+@pytest.mark.parametrize("forcing", [{}, FORCING], ids=["unforced", "forced"])
+def test_matrix_generalized_row_freezes_as_the_scalar_one(forcing):
     # two uncoupled copies of the generalized-blowup case on the numpy
     # backend: the generalized flow blows up at the scalar time and its
-    # frozen row leaves every rung the scalar rung on the diagonal
-    p = scalar_problem(R=0.5, Q=1.0, G=-1.0)
+    # frozen row leaves every rung the scalar rung on the diagonal, and,
+    # forced, the scalar eta in both entries
+    p = scalar_problem(R=0.5, Q=1.0, G=-1.0, **forcing)
     ladder = [0.0, 1.0, 0.5, 0.25]
     scalar = solve_ladder(p, ladder, 512)
-    matrix = solve_ladder(embed(p, *EMBEDDINGS["block"]), ladder, 512)
+    twice = {k: GridFn.const(np.repeat(getattr(p, k).values[0], 2))
+             for k in ("b", "sigma", "q", "rho")}
+    q = dataclasses.replace(embed(p, *EMBEDDINGS["block"]), g=np.repeat(p.g, 2), **twice)
+    matrix = solve_ladder(q, ladder, 512)
     assert isinstance(scalar[0], BlowUpError) and isinstance(matrix[0], BlowUpError)
     assert (str(matrix[0]), matrix[0].time) == (str(scalar[0]), scalar[0].time)
     assert matrix[0].time == pytest.approx(0.373, abs=1e-3)
     for a, b in zip(scalar[1:], matrix[1:], strict=True):
         assert b.epsilon == a.epsilon
         assert np.max(np.abs(b.P.values - a.P.values[:, :1, :1] * np.eye(2))) <= 1e-12
+        assert np.max(np.abs(b.eta.values - a.eta.values)) <= 1e-12
+        assert np.any(a.eta.values != 0.0) == bool(forcing)
 
 
 @pytest.mark.parametrize("name", ["time-table", "random-n2"])

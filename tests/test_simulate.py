@@ -48,6 +48,20 @@ class TestDeterminism:
         assert np.array_equal(a.recorded["X"], b.recorded["X"])
         assert np.array_equal(a.cost, b.cost)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # masked, -1 would silently run the seed 2^64 - 1
+        message = rf"master_seed must be in \[0, 2\^64\), got {seed}"
+        with pytest.raises(InvalidInputError, match=message):
+            MonteCarloConfig(paths=1, steps=16, master_seed=seed)
+
+    def test_largest_seed_runs(self):
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=2, steps=16, master_seed=2**64 - 1)
+        assert cfg.master_seed == 2**64 - 1
+        ens = simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
+        assert np.all(np.isfinite(ens.cost))
+
     def test_block_size_does_not_change_results(self):
         p, ip = builtin("example-5.1")
         cfg = MonteCarloConfig(paths=3000, steps=64, master_seed=5)
