@@ -95,6 +95,20 @@ PROBLEMS = {
         "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
         "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05\n"
     ),
+    # forced_modulated with two controls: B = (1, 0.4), D = (0.2, -0.3),
+    # a full R, S = (0.1, 0)' and rho = (0.05, -0.02); the modulated
+    # reduction needs a scalar state only
+    "two_control_modulated": (
+        "[dims]\nn = 1\nm = 2\n[horizon]\nT = 1\n"
+        "[coef.A]\nconstant = -1\n[coef.B]\nconstant = 1, 0.4\n"
+        "[coef.C]\nconstant = 1.4142135623730951\n[coef.D]\nconstant = 0.2, -0.3\n"
+        "[coef.S]\nconstant = 0.1; 0\n[coef.R]\nconstant = 0.5, 0.1; 0.1, 0.7\n"
+        "[terminal]\nG = 1\ng = 0.1\n"
+        "[input.b]\ndeterministic = 0\ngamma = 1.4142135623730951\n"
+        "profile = named:exp-inv-sqrt-gap\n"
+        "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
+        "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05, -0.02\n"
+    ),
 }
 
 # config files, written as <key with - for _>.conf beside the problem files
@@ -132,6 +146,8 @@ COMMANDS = [
     "--paths 2000 --mc-steps 64",
     "solve --problem {forced_modulated} --steps 400 --eps-min 0.125",
     "diagnose --problem {forced_modulated} --steps 400",
+    "solve --problem {two_control_modulated} --steps 400 --eps-min 0.125",
+    "diagnose --problem {two_control_modulated} --steps 400",
 ]
 
 

@@ -34,7 +34,7 @@ from .riccati import (
     solve_gre,
     solve_ladder,
 )
-from .bsde import AdjointProfile, solve_adjoint
+from .bsde import solve_adjoint
 from .strategy import (
     PerturbedSolution,
     SolvabilityReport,

@@ -1,20 +1,17 @@
-"""Adjoint backward equation for the perturbed feedback construction.
+"""Modulated part of the adjoint backward equation for the perturbed
+feedback construction.
 
-Every solver takes a whole eps ladder of Riccati solutions and returns one
-adjoint per rung; a single solution is a ladder of one.  Two input classes
-admit exact reductions of the adjoint pair (eta, zeta):
+The solver takes a whole eps ladder of Riccati solutions and returns one
+result per rung; a single solution is a ladder of one.  The adjoint pair
+(eta, zeta) of the deterministic inputs and g needs nothing here: zeta
+vanishes, and the Riccati sweep integrates eta beside P in the same RK4
+stages (``RiccatiSolution.eta``, see :mod:`slq.riccati`).  For a
+martingale-modulated drift b(s) = M(s) f(s) with
+M(s) = exp(gamma*W(s) - gamma^2 s/2) on a scalar state, the ansatz
+eta = M*h, zeta = gamma*M*h turns the backward SDE into a deterministic
+ODE for the scalar h, for any number of controls,
 
-* deterministic inputs: zeta vanishes and eta solves a linear backward ODE
-  driven by P and the gain.  The Riccati sweep integrates it beside P, in
-  the same RK4 stages (see :mod:`slq.riccati`), so here it is only read;
-* scalar martingale-modulated drift b(s) = M(s) f(s) with
-  M(s) = exp(gamma*W(s) - gamma^2 s/2): the ansatz eta = M*h, zeta =
-  gamma*M*h turns the backward SDE into a deterministic scalar ODE for h,
-
-      h' = -[(A + B*Th + gamma*(C + D*Th)) h + P f],   h(T) = 0.
-
-  The adjoint is linear in its forcing, so the deterministic inputs and g
-  add the sweep's eta, with zeta = 0 on that part.
+    h' = -[(A + B*Th + gamma*(C + D*Th)) h + P f],   h(T) = 0.
 
 The h equation is integrated with an exact-propagator product-integration
 scheme: each backward step multiplies by exp(int a) and adds a Gauss-Legendre
@@ -27,9 +24,6 @@ throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .core import GridFn, interp_weights, matmul
@@ -37,25 +31,9 @@ from .errors import InvalidInputError, WrongClassError
 from .problem import NamedProfile, SLQProblem
 from .riccati import coef_tables, gain
 
-__all__ = ["AdjointProfile", "solve_adjoint"]
+__all__ = ["solve_adjoint"]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-
-
-@dataclass(frozen=True)
-class AdjointProfile:
-    """Deterministic description of the adjoint solution for one eps.
-
-    Per-path values are reconstructed as ``eta(s) = deterministic_eta(s) +
-    M(s) * modulated_h(s)`` and ``zeta(s) = gamma * M(s) * modulated_h(s)``;
-    zeta is never stored separately, which keeps the reduction consistent by
-    construction.
-    """
-
-    epsilon: float
-    deterministic_eta: GridFn
-    modulated_h: Optional[GridFn] = None
-    gamma: Optional[float] = None
 
 
 def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
@@ -68,17 +46,16 @@ def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
 
 
 def _adjoint_modulated(p: SLQProblem, sols) -> list:
-    """Exact per-path reduction for a scalar problem with modulated drift.
+    """Exact per-path reduction for a scalar state with modulated drift.
 
-    Requires n = m = 1 and a modulated b.  Returns, per Riccati solution in
-    ``sols``, the deterministic profile h with eta = M*h and zeta =
-    gamma*M*h, plus the solution's eta of the deterministic inputs and g.
-    Each Gauss node set's coefficient tables and interpolation weights are
-    built once for all solutions; the gains and the h recurrence, on Python
-    floats, then run rung by rung.
+    Requires n = 1 and a modulated b.  Returns, per Riccati solution in
+    ``sols``, the profile h with eta = M*h and zeta = gamma*M*h.  Each Gauss
+    node set's coefficient tables and interpolation weights are built once
+    for all solutions; the gains and the h recurrence, on Python floats,
+    then run rung by rung.
     """
-    if p.n != 1 or p.m != 1:
-        raise WrongClassError("modulated reduction requires a scalar problem (n = m = 1)")
+    if p.n != 1:
+        raise WrongClassError(f"modulated reduction requires a scalar state (n = 1), got n = {p.n}")
 
     T = p.T
     gamma = float(p.b_mod.gamma)
@@ -128,19 +105,15 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
         for a, f in zip(pr[::-1].tolist(), F[::-1].tolist()):
             x = a * x + f
             hk.append(x)
-        h.append(np.array(hk[::-1]))
-
-    # the deterministic inputs superpose linearly with the modulated drift
-    # (zeta = 0 on their part); the sweep's eta never reads b_mod
-    return [AdjointProfile(P.epsilon, P.eta, GridFn(grid, hk), gamma) for P, hk in zip(sols, h)]
+        h.append(GridFn(grid, np.array(hk[::-1])))
+    return h
 
 
 def solve_adjoint(p: SLQProblem, sols) -> list:
-    """Dispatch to the reduction matching the problem's input class: one
-    :class:`AdjointProfile` per Riccati solution in ``sols``, on the grid
-    they must share."""
+    """The modulated profile h of each Riccati solution in ``sols``, on the
+    grid they must share; None per solution when the drift is not modulated."""
     if any(not np.array_equal(P.grid, sols[0].grid) for P in sols[1:]):
         raise InvalidInputError("Riccati solutions must share one grid")
     if p.b_mod is None:
-        return [AdjointProfile(P.epsilon, P.eta) for P in sols]
+        return [None] * len(sols)
     return _adjoint_modulated(p, sols)

@@ -6,8 +6,9 @@ Coefficients, inputs and table profiles are :class:`~slq.core.GridFn` time
 tables; a constant is a one-node table (``GridFn.const``), since tables
 clamp outside their grid.  The drift b alone may add a martingale-modulated
 part ``b_mod``, ``exp(gamma*W(s) - gamma^2 s/2) * f(s)`` with a
-deterministic scalar profile f; it is restricted to scalar problems, where
-it admits an exact deterministic reduction of the adjoint equation.
+deterministic scalar profile f; it is restricted to a scalar state (n = 1,
+any m), where it admits an exact deterministic reduction of the adjoint
+equation.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ INPUT_SHAPES = {"b": ("n",), "sigma": ("n",), "q": ("n",), "rho": ("m",)}
 
 
 def validate(p: SLQProblem) -> ValidationReport:
-    """Check shapes, table spans, symmetry and that a modulated drift has a
-    scalar state.  Every profile that can be built is integrable on [0, T):
-    a table is finite and clamped, a named profile is ``smooth(s)/sqrt(T - s)``.
+    """Check shapes, table spans, symmetry, finite T, G, g and gamma, and
+    that a modulated drift has a scalar state (any m).  Every profile that
+    can be built is integrable on [0, T): a table is finite and clamped, a
+    named profile is ``smooth(s)/sqrt(T - s)``.
 
     Never raises; every finding is a line in the report.
     """
@@ -171,8 +173,8 @@ def validate(p: SLQProblem) -> ValidationReport:
     if p.n < 1 or p.m < 1:
         report.add("state and control dimensions must be positive")
         return report
-    if not (p.T > 0.0):
-        report.add("horizon T must be positive")
+    if not (0.0 < p.T < math.inf):
+        report.add("horizon T must be positive and finite")
 
     def check_span(name: str, f: GridFn):
         if f.grid[0] < -1e-12 or f.grid[-1] > p.T + 1e-12:
@@ -190,12 +192,18 @@ def validate(p: SLQProblem) -> ValidationReport:
         if vals.shape[-1] == vals.shape[-2]:
             if not np.allclose(vals, np.swapaxes(vals, -1, -2), atol=0.0):
                 report.add(f"{cname} not symmetric")
-    if not is_symmetric(p.G):
+    if not np.all(np.isfinite(p.g)):
+        report.add("g has non-finite entries")
+    if not np.all(np.isfinite(p.G)):
+        report.add("G has non-finite entries")
+    elif not is_symmetric(p.G):
         report.add("G not symmetric")
 
     if p.b_mod is not None:
         if isinstance(p.b_mod.profile, GridFn):
             check_span("b profile", p.b_mod.profile)
+        if not math.isfinite(p.b_mod.gamma):
+            report.add(f"b: gamma must be finite, got {p.b_mod.gamma}")
         if p.n != 1:
             report.add(f"b: a modulated drift requires scalar state (n=1), got n={p.n}")
     return report

@@ -19,6 +19,8 @@ Reference files for the built-in problems ship under ``docs/problems/``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import GridFn
@@ -48,14 +50,17 @@ def _reshape(arr: np.ndarray, shape, lineno: int, where: str) -> np.ndarray:
 
 
 def _number(text: str, lineno: int, where: str, kind=float):
-    """``kind(text)``; a malformed value raises naming its line and section."""
+    """``kind(text)``; a malformed or non-finite value raises naming its
+    line and section."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        raise InvalidInputError(
-            f"line {lineno}: {text.strip()!r} is not {expected} in {where}"
-        ) from None
+    else:
+        if math.isfinite(value):
+            return value
+        expected = "a finite number"
+    raise InvalidInputError(f"line {lineno}: {text.strip()!r} is not {expected} in {where}")
 
 
 def _parse_matrix(text: str, lineno: int, where: str) -> np.ndarray:

@@ -29,7 +29,8 @@ control (one with a Theta) is applied up to the end of its own grid and
 held at its last value afterwards: a weak closed-loop strategy may be
 singular at T while its outcome stays square integrable, so it is used on
 a window [t, T - delta] (see :func:`~slq.strategy.extract_limit`) and the
-window, not the simulator, decides where the hold starts.
+window, not the simulator, decides where the hold starts.  As an oracle of
+the solvers, the module imports none of them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from numpy.random import Generator, Philox
 from .core import GridFn
 from .errors import EnsembleError, InvalidInputError
 from .problem import InitialPair, SLQProblem
-from .riccati import coef_tables
 
 __all__ = [
     "MonteCarloConfig",
@@ -329,7 +329,7 @@ def _control_at(ct: dict, k: int, X: np.ndarray, M: Optional[np.ndarray], held: 
 def _input_tables(p: SLQProblem, s_nodes: np.ndarray) -> dict:
     """Node tables of the coefficients and inputs; a zero weight or input is None."""
     N = s_nodes.size - 1
-    tabs = coef_tables(p, s_nodes)
+    tabs = {name: getattr(p, name)(s_nodes) for name in "ABCDQSR"}
     for name in ("Q", "S", "R"):
         if not getattr(p, name).values.any():
             tabs[name] = None

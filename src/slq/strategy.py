@@ -22,7 +22,6 @@ import numpy as np
 
 from . import bsde as bsde_mod
 from .moments import second_moments
-from .bsde import AdjointProfile
 from .core import GridFn, csv_text, matmul, range_included
 from .errors import BlowUpError, InvalidInputError
 from .problem import InitialPair, SLQProblem
@@ -52,28 +51,34 @@ __all__ = [
 ]
 
 
-def _node_kernel(p: SLQProblem, cf: dict, P: RiccatiSolution, adj: AdjointProfile) -> tuple:
+def _node_kernel(p: SLQProblem, cf: dict, P: RiccatiSolution, h) -> tuple:
     """K, L and the scale of K at the grid nodes of ``P``, plus the
     right-hand sides of v_eps as columns: B'eta + D'P sigma + rho, then
-    (B + gamma D) h when the adjoint is modulated.  ``cf`` is
-    ``coef_tables(p, P.grid)``, built once per ladder."""
+    (B + gamma D) h when the drift is modulated (``h`` from
+    :func:`~slq.bsde.solve_adjoint`, or None).  ``cf`` is
+    ``coef_tables(p, P.grid)``, built once per ladder.
+
+    The adjoint is linear in its forcing, so the pair superposes: eta is the
+    sweep's ``P.eta`` of the deterministic inputs and g (zeta = 0 on that
+    part) plus M h, and zeta is gamma M h.
+    """
     grid = P.grid
     Ps = P.P.values
     K, L, scale = inner(cf, Ps, P.epsilon)
     B, D = cf["B"], cf["D"]
     rhs = [
-        matmul(B.mT, adj.deterministic_eta.values[..., None])
+        matmul(B.mT, P.eta.values[..., None])
         + matmul(D.mT, matmul(Ps, p.sigma(grid)[..., None]))
         + p.rho(grid)[..., None]
     ]
-    if adj.modulated_h is not None:
-        rhs.append(((B + adj.gamma * D)[..., 0, :] * adj.modulated_h.values[..., None])[..., None])
+    if h is not None:
+        rhs.append(((B + p.b_mod.gamma * D)[..., 0, :] * h.values[..., None])[..., None])
     return K, L, scale, rhs
 
 
 @dataclass(frozen=True)
 class PerturbedSolution:
-    """Feedback pair (Theta_eps, v_eps) with its Riccati and adjoint data.
+    """Feedback pair (Theta_eps, v_eps) with its Riccati solution.
 
     ``control`` is the pair as a feedback :class:`ControlSpec` on the full
     grid; its theta node values satisfy the defining formula at every node
@@ -82,7 +87,6 @@ class PerturbedSolution:
 
     epsilon: float
     P: RiccatiSolution
-    adjoint: AdjointProfile
     control: ControlSpec
 
 
@@ -137,17 +141,13 @@ def run_ladder(p: SLQProblem, ladder, steps: int) -> list:
     out = solve_ladder(p, ladder, steps)
     grid = out[-1].grid
     cf = coef_tables(p, grid)
-    adjoints = bsde_mod.solve_adjoint(p, out[g:])
-    for k, (P, adj) in enumerate(zip(out[g:], adjoints), start=g):
-        K, L, scale, rhs = _node_kernel(p, cf, P, adj)
+    hs = bsde_mod.solve_adjoint(p, out[g:])
+    for k, (P, h) in enumerate(zip(out[g:], hs), start=g):
+        K, L, scale, rhs = _node_kernel(p, cf, P, h)
         theta, *v = (-solve_inner(K, r, P.epsilon, scale, grid) for r in [L] + rhs)
-        control = ControlSpec(
-            GridFn(grid, theta),
-            GridFn(grid, v[0][..., 0]),
-            GridFn(grid, v[1][..., 0]) if len(v) > 1 else None,
-            adj.gamma,
-        )
-        out[k] = PerturbedSolution(epsilon=P.epsilon, P=P, adjoint=adj, control=control)
+        control = ControlSpec(GridFn(grid, theta), *(GridFn(grid, x[..., 0]) for x in v),
+                              gamma=None if h is None else p.b_mod.gamma)
+        out[k] = PerturbedSolution(epsilon=P.epsilon, P=P, control=control)
     return out
 
 
@@ -244,8 +244,8 @@ def closed_loop_test(p: SLQProblem, P0) -> RegularityReport:
     reg = check_regularity(P0, p)
     if reg.verdict != "regular":
         return reg
-    (adj,) = bsde_mod.solve_adjoint(p, [P0])
-    K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, adj)
+    (h,) = bsde_mod.solve_adjoint(p, [P0])
+    K, _, _, rhs = _node_kernel(p, coef_tables(p, P0.grid), P0, h)
     return replace(reg, eta_ok=all(range_included(r, K, REGULARITY_TOL) for r in rhs))
 
 

@@ -59,6 +59,15 @@ class TestSolve:
         assert rc == 1
         assert not out.exists() or not list(out.iterdir())
 
+    def test_non_finite_value_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.slq"
+        bad.write_text("[dims]\nn = 1\nm = 1\n[horizon]\nT = inf\n[terminal]\nG = 1\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["solve", "--problem", bad, "--out", out]) == 1
+        assert "line 5: 'inf' is not a finite number in [horizon]" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert run(["solve", "--out", tmp_path]) == 1
         assert run(["solve", "--builtin", "example-1.1", "--problem", "x.slq",

@@ -112,6 +112,20 @@ def test_validate_rejects_modulation_on_vector_state():
     assert any("scalar state" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("field, value, violation", [
+    ("T", math.inf, "horizon T must be positive and finite"),
+    ("T", math.nan, "horizon T must be positive and finite"),
+    ("G", [[math.inf]], "G has non-finite entries"),
+    ("g", [math.nan], "g has non-finite entries"),
+    ("b_mod", Modulation(gamma=math.nan, profile=named_profile("inv-sqrt-gap")),
+     "b: gamma must be finite, got nan"),
+])
+def test_validate_flags_non_finite_values(field, value, violation):
+    # a problem built in Python skips the file parser's finite-number check
+    p, _ = builtin("standard-scalar")
+    assert validate(dataclasses.replace(p, **{field: value})).violations == [violation]
+
+
 @pytest.mark.parametrize("part", ["table", "profile table"])
 def test_validate_flags_input_tables_outside_horizon(part):
     # a table node at s = 3 on T = 1 would otherwise be silently ignored

@@ -163,8 +163,21 @@ def test_rejects_value_and_table_together(text):
         (_MINIMAL.replace("n = 1\n", "n = 1.5\n"), r"line 2: '1\.5' is not an integer in \[dims\]"),
         (_MINIMAL.replace("T = 1\n", "T = abc\n"), r"line 5: 'abc' is not a number in \[horizon\]"),
         (_MINIMAL + "[coef.b]\nconstant = 1, x\n", r"line 9: 'x' is not a number in \[coef\.b\]"),
+        (_MINIMAL.replace("T = 1\n", "T = inf\n"),
+         r"line 5: 'inf' is not a finite number in \[horizon\]"),
+        (_MINIMAL.replace("G = 1\n", "G = inf\n"),
+         r"line 7: 'inf' is not a finite number in \[terminal\]"),
+        (_MINIMAL + "g = nan\n", r"line 8: 'nan' is not a finite number in \[terminal\]"),
+        (_MINIMAL + "[coef.a]\nconstant = inf\n",
+         r"line 9: 'inf' is not a finite number in \[coef\.a\]"),
+        (_MINIMAL + "[coef.a]\n-inf : 1\n",
+         r"line 9: '-inf' is not a finite number in \[coef\.a\]"),
+        (_B + "gamma = nan\nprofile = named:inv-sqrt-gap\n",
+         r"line 9: 'nan' is not a finite number in \[input\.b\]"),
     ],
-    ids=["input-gamma", "coef-table-time", "dims", "horizon", "coef-matrix"],
+    ids=["input-gamma", "coef-table-time", "dims", "horizon", "coef-matrix", "horizon-inf",
+         "terminal-G-inf", "terminal-g-nan", "coef-inf", "coef-table-time-inf",
+         "input-gamma-nan"],
 )
 def test_rejects_non_numeric_values_with_line(text, where):
     with pytest.raises(InvalidInputError, match=where):
