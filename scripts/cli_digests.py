@@ -12,7 +12,10 @@ digests, prints each command whose digest changed or that FILE lacks; the
 exit code is 1 if there is one.  ``scripts/cli_digests.txt`` is such an
 output, the reference the test suite compares every command with, the
 Monte Carlo ones included; regenerate it only for a change that means to
-alter the bytes.
+alter the bytes.  The Monte Carlo commands' bytes follow from the row-tile
+noise streams of ``slq.simulate`` (draw d of path i is element i mod 8192 of
+the normals of Philox keyed by (seed, d 2^32 + i // 8192)) and from the Euler
+arithmetic; block sizes and thread counts do not enter them.
 """
 
 import argparse

@@ -4,21 +4,16 @@ The scheme is
 
     X_{k+1} = X_k + (A X_k + B u_k + b_k) dt + (C X_k + D u_k + sigma_k) dW_k
 
-on a uniform grid of [t, T].  Path i draws its Brownian increments from a
-dedicated counter-based stream: a Philox bit generator keyed by the 128-bit
-pair (master_seed, i).  Draw 0 seeds W(t) for t > 0; draws 1..N are the
-increments.  Paths are therefore independent of how work is blocked, and all
-reductions run over full per-path arrays in fixed order, so results cannot
-depend on a worker or block count.  Two runs with the same master seed share
-Brownian increments exactly, which is what couples controls under common
-random numbers.  Paths are simulated one block at a time, in two phases:
-the block's normals are drawn on every usable core (see
-:func:`_path_block_normals`), then the calling thread steps the block alone
-and drops its normals before the next draw, so two blocks never exist at
-once and no thread outlives a run.  Since a stream depends only on
-(master_seed, i), results do not depend on the split or the threads.  The
-Euler loop writes into work arrays allocated once per block, with every
-floating-point operation in the same order as the written-out scheme.
+on a uniform grid of [t, T].  Draw d of path i is element i mod ``_TILE`` of
+the normals of a Philox bit generator keyed by the 128-bit pair
+(master_seed, d 2^32 + i // _TILE): one counter-based stream per row tile.
+Draw 0 seeds W(t) for t > 0; draws 1..N are the increments.  A path's noise
+depends only on (master_seed, i) and reductions run over full per-path
+arrays in fixed order, so results depend on no block or thread count, and
+runs with one master seed share Brownian increments exactly (common random
+numbers).  Helper threads fill draw rows a few chunks ahead of the calling
+thread, which steps each row as it arrives (:func:`_noise_rows`), every
+floating-point operation in the order of the written-out scheme.
 
 Every control has one affine form, u = Theta X + v_det + v_mod M(s) with
 M(s_k) = exp(gamma W_k - gamma^2 s_k / 2) from the same path's W, and one
@@ -35,8 +30,11 @@ the solvers, the module imports none of them.
 
 from __future__ import annotations
 
+import numbers
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +60,10 @@ __all__ = [
     "mean_se",
 ]
 
-MASK64 = (1 << 64) - 1
 DEFAULT_BLOCK = 8192
-_DRAW_CHUNK = 64  # paths in the fill buffers of one block's draw, all threads together
+_TILE = 8192  # paths per row tile: part of the noise's definition, not a setting
+_ROWS = 64  # draw rows per chunk that a helper fills
+_AHEAD = 3  # chunks filled ahead of the one being stepped
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,20 @@ class MonteCarloConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise InvalidInputError("paths must be positive")
-        if self.steps < 16:
-            raise InvalidInputError("steps must be >= 16")
-        if not 0 <= self.master_seed <= MASK64:
+        for name in ("paths", "steps", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not 1 <= self.paths <= _TILE << 32:  # a tile index fills 32 bits of a key
+            raise InvalidInputError(f"paths must be in [1, 2^45], got {self.paths}")
+        if not 16 <= self.steps < 2**32 - 1:  # a draw index fills 32 bits of a key
+            raise InvalidInputError(f"steps must be in [16, 2^32 - 1), got {self.steps}")
+        if not 0 <= self.master_seed < 2**64:
             raise InvalidInputError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,61 +180,55 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rows(master_seed: int, start: int, rows: np.ndarray, chunk: int):
-    """Fill row i of ``rows`` with the normals of path start + i.
+def _fill_chunk(master_seed: int, start: int, r0: int, rows: np.ndarray) -> np.ndarray:
+    """Fill row r of ``rows`` with draw d = r0 + r of paths start, start + 1, ...
 
-    Row i is the stream of a fresh ``Philox(key=[master_seed, start + i])``.
-    One bit generator is re-keyed per path instead, with its counter, buffer
-    and cached half word reset: the same bits, without the OS entropy read
-    that constructing a bit generator costs.  The state holds Python ints,
-    which the setter reads about three times faster than array entries;
-    the per-path work holds the interpreter lock, which the threads of one
-    draw share.  Rows are filled through a buffer of ``chunk`` paths,
-    as ``rows`` may be a draw-major view.
+    A row's part in tile t is the normals of Philox(key=(master_seed, d 2^32 + t))
+    past those of the tile's paths before ``start``, one bit generator re-keyed
+    per row tile.  Helper threads run this: it calls nothing the tracing wraps.
     """
-    count, draws = rows.shape
-    buf = np.empty((min(chunk, count), draws))
     bits = Philox(0)
     gen = Generator(bits)
-    key = [master_seed, 0]
-    fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for c0 in range(0, count, len(buf)):
-        part = buf[: count - c0]
-        for j, row in enumerate(part):
-            key[1] = (start + c0 + j) & MASK64
-            bits.state = fresh
-            gen.standard_normal(out=row)
-        rows[c0 : c0 + len(part)] = part
+    end = start + rows.shape[1]
+    for d, row in enumerate(rows, r0):
+        for t in range(start // _TILE, (end - 1) // _TILE + 1):
+            lo, hi = max(start, t * _TILE), min(end, (t + 1) * _TILE)
+            bits.state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+                          "state": {"counter": (0,) * 4, "key": (master_seed, d << 32 | t)},
+                          "has_uint32": 0, "uinteger": 0}
+            if lo > t * _TILE:
+                gen.standard_normal(lo - t * _TILE)
+            gen.standard_normal(out=row[lo - start : hi - start])
+    return rows
 
 
-def _path_block_normals(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """Normals of paths start .. start + count - 1, ``draws`` per path.
+def _noise_rows(master_seed: int, paths: int, block_size: int, draws: int):
+    """Yield draws 0 .. draws - 1 of each block of paths in turn, one row at a time.
 
-    Row i is the stream of path start + i (see :func:`_fill_rows`).  The
-    rows are cut into one contiguous range per usable core, at most one per
-    ``_DRAW_CHUNK`` paths; the calling thread fills the first range and a
-    pool of helper threads, each with its own bit generator and buffer,
-    fills the others, so the bits do not depend on the split.  The buffers
-    together hold ``_DRAW_CHUNK`` paths, as one thread's does, so the split
-    adds little to peak memory; each still holds at least one cache line per
-    draw.  The pool starts a thread only for a range it is given, and every
-    helper has finished before this returns or raises: a helper's error is
-    raised here unless the calling thread's own range failed first.  The block
-    is stored draw-major (Fortran order), so the Euler loop reads each
-    step's increments as one contiguous column.
+    A pool of helper threads, one per usable core, fills chunks of ``_ROWS``
+    rows in that order, ``_AHEAD`` chunks ahead of the one being yielded,
+    into a ring of ``_AHEAD + 1`` buffers; a row is valid until the next is
+    asked for.  A helper's error is raised here; closing the generator
+    cancels the chunks not started and waits for the rest.
     """
-    out = np.empty((draws, count)).T
-    parts = max(1, min(_usable_cores(), count // _DRAW_CHUNK))
-    cuts = [count * i // parts for i in range(parts + 1)]
-    chunk = max(_DRAW_CHUNK // parts, 8)
-    with ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        helpers = [pool.submit(_fill_rows, master_seed, start + lo, out[lo:hi], chunk)
-                   for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        _fill_rows(master_seed, start, out[: cuts[1]], chunk)
-    for f in helpers:
-        f.result()
-    return out
+    chunks = [(start, r0) for start in range(0, paths, block_size) for r0 in range(0, draws, _ROWS)]
+    ring = np.empty((_AHEAD + 1, _ROWS, min(block_size, paths)))
+
+    def fill(c: int) -> np.ndarray:
+        start, r0 = chunks[c]
+        rows = ring[c % len(ring), : min(_ROWS, draws - r0), : min(block_size, paths - start)]
+        return _fill_chunk(master_seed, start, r0, rows)
+
+    pool = ThreadPoolExecutor(_usable_cores())
+    try:
+        pending = deque(pool.submit(fill, c) for c in range(min(_AHEAD, len(chunks))))
+        for c in range(len(chunks)):
+            rows = pending.popleft().result()
+            if c + _AHEAD < len(chunks):  # into the buffer of chunk c - 1, stepped already
+                pending.append(pool.submit(fill, c + _AHEAD))
+            yield from rows
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _apply(M: np.ndarray, X: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -400,6 +400,8 @@ def _run_blocks(
     record_paths: bool,
 ):
     ip.check(p)
+    if _integer("block_size", block_size) < 1:
+        raise InvalidInputError(f"block_size must be positive, got {block_size}")
     t, T, N = ip.t, p.T, cfg.steps
     dt = (T - t) / N
     s_nodes = t + dt * np.arange(N + 1)
@@ -437,73 +439,70 @@ def _run_blocks(
     # W is read only to form M(s) or to record paths
     need_W = bool(gammas) or rec is not None
 
-    # one block of normals exists at a time: it is drawn on every usable
-    # core, stepped on this thread alone and dropped before the next draw
-    for start in range(0, M, block_size):
-        z = _path_block_normals(cfg.master_seed, start, min(block_size, M - start), N + 1)
-        Bn = z.shape[0]
-        sl = slice(start, start + Bn)
-        W = sqrt_t * z[:, 0] if need_W else None
-        dW = z[:, 1:]
-        dW *= sqrt_dt
-        X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
-        w = _BlockWork(K, Bn, p.n, p.m, g_b is not None)
-        # u and the previous node's controls trade buffers every node; with
-        # no part in any control u = 0 and stays None
-        u, spare = (np.empty((K, Bn, p.m)), np.empty((K, Bn, p.m))) if has_u else (None, None)
-        Mg = np.empty((len(gammas), Bn))
-        Mc = None if ct["v_mod"] is None else np.empty((K, Bn))
-        bad = np.zeros(Bn, dtype=bool)
-        any_bad = False
-        # each node's integrands and the previous node's trade buffers
-        acc = {key: np.zeros((K, Bn)) for key in sums}
-        phi = {key: np.empty((K, Bn)) for key in sums}
-        prev = {key: np.empty((K, Bn)) for key in sums}
+    with closing(_noise_rows(cfg.master_seed, M, block_size, N + 1)) as rows:
+        for start in range(0, M, block_size):
+            Bn = min(block_size, M - start)
+            sl = slice(start, start + Bn)
+            W = sqrt_t * next(rows)  # draw 0 seeds W(t)
+            X = np.broadcast_to(ip.x, (K, Bn, p.n)).copy()
+            w = _BlockWork(K, Bn, p.n, p.m, g_b is not None)
+            # u and the previous node's controls trade buffers every node; with
+            # no part in any control u = 0 and stays None
+            u, spare = (np.empty((K, Bn, p.m)), np.empty((K, Bn, p.m))) if has_u else (None, None)
+            Mg = np.empty((len(gammas), Bn))
+            Mc = None if ct["v_mod"] is None else np.empty((K, Bn))
+            bad = np.zeros(Bn, dtype=bool)
+            any_bad = False
+            # each node's integrands and the previous node's trade buffers
+            acc = {key: np.zeros((K, Bn)) for key in sums}
+            phi = {key: np.empty((K, Bn)) for key in sums}
+            prev = {key: np.empty((K, Bn)) for key in sums}
 
-        for k in range(N + 1):
-            if gammas:
-                np.multiply(gam[:, None], W, out=Mg)
-                Mg -= half_g2s[k][:, None]
-                np.exp(Mg, out=Mg)
-            if Mc is not None:
-                np.take(Mg, g_ctrl, axis=0, out=Mc, mode="clip")
-            if has_u:
-                u, spare = _control_at(ct, k, X, Mc, u, spare, w.u1), u
-                _dot(u, u, phi["unorm"], w.s1)
-            if "cost" in phi:
-                _cost_integrand(tabs, k, X, u, phi["cost"], w)
-            if k > 0:
-                for key in sums:
-                    step = np.add(prev[key], phi[key], out=w.s1)
-                    step *= half_dt
-                    acc[key] += step
-            prev, phi = phi, prev
-            if rec is not None:
-                rec["X"][:, sl, k] = X
+            for k in range(N + 1):
+                if gammas:
+                    np.multiply(gam[:, None], W, out=Mg)
+                    Mg -= half_g2s[k][:, None]
+                    np.exp(Mg, out=Mg)
+                if Mc is not None:
+                    np.take(Mg, g_ctrl, axis=0, out=Mc, mode="clip")
                 if has_u:
-                    rec["u"][:, sl, k] = u
-                rec["W"][sl, k] = W
+                    u, spare = _control_at(ct, k, X, Mc, u, spare, w.u1), u
+                    _dot(u, u, phi["unorm"], w.s1)
+                if "cost" in phi:
+                    _cost_integrand(tabs, k, X, u, phi["cost"], w)
+                if k > 0:
+                    for key in sums:
+                        step = np.add(prev[key], phi[key], out=w.s1)
+                        step *= half_dt
+                        acc[key] += step
+                prev, phi = phi, prev
+                if rec is not None:
+                    rec["X"][:, sl, k] = X
+                    if has_u:
+                        rec["u"][:, sl, k] = u
+                    rec["W"][sl, k] = W
 
-            if k < N:
-                X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt,
-                                dW[:, k : k + 1], w)
-                # one mask per path: leaving the finite regime under any
-                # control zeroes the path under all of them; the cheap
-                # whole-block test (NaN fails it too) usually passes
-                if not np.abs(X, out=w.x1).max() < 1e12:
-                    bad |= ~(w.x1 < 1e12).all(axis=(0, 2))
-                    any_bad = True
-                if any_bad:
-                    X[:, bad] = 0.0
-                if need_W:
-                    W += dW[:, k]
-        del z, dW, W
+                if k < N:
+                    dw = next(rows)
+                    dw *= sqrt_dt
+                    X = _euler_step(tabs, k, X, u, None if g_b is None else Mg[g_b], dt,
+                                    dw[:, None], w)
+                    # one mask per path: leaving the finite regime under any
+                    # control zeroes the path under all of them; the cheap
+                    # whole-block test (NaN fails it too) usually passes
+                    if not np.abs(X, out=w.x1).max() < 1e12:
+                        bad |= ~(w.x1 < 1e12).all(axis=(0, 2))
+                        any_bad = True
+                    if any_bad:
+                        X[:, bad] = 0.0
+                    if need_W:
+                        W += dw
 
-        terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
-        cost[:, sl] = acc.get("cost", 0.0) + terminal
-        unorm[:, sl] = acc.get("unorm", 0.0)
-        X_T[:, sl] = X
-        blown[sl] = bad
+            terminal = _dot(_apply(p.G, X), X) + 2.0 * _dot(X, p.g)
+            cost[:, sl] = acc.get("cost", 0.0) + terminal
+            unorm[:, sl] = acc.get("unorm", 0.0)
+            X_T[:, sl] = X
+            blown[sl] = bad
 
     frac = float(blown.mean())
     if frac > 0.01:
@@ -522,8 +521,8 @@ def simulate_ensemble(
     """Simulate one control: the K = 1 form of :func:`simulate_coupled`.
 
     ``block_size`` only batches the work; results are bit-identical for any
-    value because every path owns its RNG stream and reductions run over
-    full per-path arrays.
+    value because a path's noise depends only on (master_seed, path index)
+    and reductions run over full per-path arrays.
     """
     _, *rows = _run_blocks(p, ip, [ctrl], cfg, block_size, record_paths)
     return CoupledEnsembles(p, ip, [ctrl], cfg, *rows)

@@ -9,7 +9,7 @@ nothing under ``perfbench/``.
 """
 
 import os
-import time
+import threading
 
 import pytest
 
@@ -29,6 +29,7 @@ ABSENT = [
     ".slq.strategy.solve_perturbed",
     ".slq.strategy.theta_eps",
     ".slq.strategy.v_eps_parts",
+    ".slq.simulate._path_block_normals",
 ]
 
 
@@ -65,32 +66,35 @@ def test_each_simulation_is_one_span_with_its_counts(traced):
     assert traced.counts["simulate.path_steps"] == (1 + 3) * 300 * 16
     assert traced.counts["simulate.paths"] == 2 * 300
     assert traced.counts["simulate.blown_paths"] == 0
-    assert traced.counts["simulate.normals"] == 2 * 300 * 17
+    # the noise is drawn by helper threads, which call nothing wrapped
+    assert "simulate.normals" not in traced.counts and "simulate.rng.calls" not in traced.counts
 
 
-def test_the_draw_is_timed_between_the_steps(traced, monkeypatch):
-    # each block is drawn on the calling thread, inside its simulation and
-    # outside every Euler step, so simulate minus simulate.rng times the stepping
-    steps, orig = [], simulate._euler_step
+def test_a_streamed_run_nests_every_span_under_simulate(traced, monkeypatch):
+    # the recorder keeps one span stack and is not thread-safe: helper
+    # threads fill the noise rows while the calling thread steps, so only
+    # the calling thread may touch it.  With the steps traced too, a 3-block
+    # run on 2 cores leaves every span nested under its simulate parent.
+    caller, orig_open = threading.current_thread(), traced.open
 
-    def timed(*args):
-        t0 = time.perf_counter()
-        try:
-            time.sleep(1e-3)  # room for a draw on another thread
-            return orig(*args)
-        finally:
-            steps.append((t0, time.perf_counter()))
+    def open_span(name):
+        assert threading.current_thread() is caller
+        return orig_open(name)
 
-    monkeypatch.setattr(simulate, "_euler_step", timed)
+    monkeypatch.setattr(traced, "open", open_span)
+    traced.wrap(simulate, "_euler_step", "simulate.step")
     monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
     p, ip = builtin("example-1.1")
     cfg = simulate.MonteCarloConfig(paths=300, steps=16, master_seed=5)
     simulate.simulate_ensemble(p, ip, simulate.ControlSpec.zero(), cfg, block_size=128)
     simulate.simulate_coupled(p, ip, [simulate.ControlSpec.zero()] * 2, cfg, block_size=128)
-    rng = [(start, stop, parent) for name, start, stop, parent in traced.spans
-           if name == "simulate.rng"]
-    assert len(rng) == 2 * 3 and len(steps) == 2 * 3 * 16
-    for start, stop, parent in rng:
-        name, p_start, p_stop, _ = traced.spans[parent]
-        assert name == "simulate" and p_start <= start <= stop <= p_stop
-        assert all(s_stop <= start or stop <= s_start for s_start, s_stop in steps)
+    assert traced.broken == set() and traced._stack == []
+    steps = [span for span in traced.spans if span[0] == "simulate.step"]
+    assert len(steps) == 2 * 3 * 16
+    for name, start, stop, parent in traced.spans:
+        if name == "simulate":
+            assert parent == -1
+            continue
+        assert name == "simulate.step"
+        p_name, p_start, p_stop, _ = traced.spans[parent]
+        assert p_name == "simulate" and p_start <= start <= stop <= p_stop

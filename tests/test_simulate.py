@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -63,21 +64,38 @@ class TestDeterminism:
         assert np.all(np.isfinite(ens.cost))
 
     def test_block_size_does_not_change_results(self):
+        # 9000 paths span two row tiles, and blocks of 77 straddle their edge
         p, ip = builtin("example-5.1")
-        cfg = MonteCarloConfig(paths=3000, steps=64, master_seed=5)
-        a = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=4096)
-        b = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=77)
-        assert np.array_equal(a.cost, b.cost)
-        assert np.array_equal(a.X_T, b.X_T)
-        assert estimate_cost(p, ip, a).mean == estimate_cost(p, ip, b).mean
+        cfg = MonteCarloConfig(paths=9000, steps=64, master_seed=5)
+        a = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=8192)
+        for block in (4096, 77):
+            b = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=block)
+            assert np.array_equal(a.cost, b.cost)
+            assert np.array_equal(a.X_T, b.X_T)
+            assert estimate_cost(p, ip, a).mean == estimate_cost(p, ip, b).mean
         sol = run_ladder(p, [1.0, 0.5, 0.25], 64)[-1]
         grid = np.linspace(0.0, 1.0, 3)
         controls = [ControlSpec.zero(), sol.control.restrict(0.75),
                     ControlSpec(v_mod_profile=GridFn(grid, np.ones((3, 1))), gamma=0.5)]
-        a = simulate_coupled(p, ip, controls, cfg, block_size=4096)
-        b = simulate_coupled(p, ip, controls, cfg, block_size=77)
-        assert np.array_equal(a.cost, b.cost)
-        assert np.array_equal(a.control_norm_sq, b.control_norm_sq)
+        a = simulate_coupled(p, ip, controls, cfg, block_size=8192)
+        for block in (4096, 77):
+            b = simulate_coupled(p, ip, controls, cfg, block_size=block)
+            assert np.array_equal(a.cost, b.cost)
+            assert np.array_equal(a.control_norm_sq, b.control_norm_sq)
+
+    @pytest.mark.parametrize("cores, ahead, rows", [(1, 1, 64), (2, 3, 64), (8, 2, 7)])
+    def test_cores_and_lookahead_do_not_change_results(self, monkeypatch, cores, ahead, rows):
+        p, ip = builtin("example-5.1")
+        cfg = MonteCarloConfig(paths=9000, steps=64, master_seed=5)
+        ref = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, record_paths=True)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(simulate, "_AHEAD", ahead)
+        monkeypatch.setattr(simulate, "_ROWS", rows)
+        for block in (8192, 4096, 77):
+            ens = simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=block,
+                                    record_paths=True)
+            assert np.array_equal(ens.recorded["W"], ref.recorded["W"])
+            assert np.array_equal(ens.cost, ref.cost)
 
     def test_common_random_numbers_coupling(self):
         # the same seed must reproduce the same Brownian increments, so two
@@ -148,175 +166,190 @@ class TestOneResultType:
                 estimate(cpl)
 
 
+TILE = 8192  # paths per row tile: part of the stream's definition
+
+
+def tile_normals(seed, paths, draws):
+    """(paths, draws) normals rebuilt from the row-tile definition: draw d of
+    path i is element i mod 8192 of the normals of Philox(key=(seed, d 2^32 + i // 8192))."""
+    tiles = -(-paths // TILE)
+    z = np.empty((draws, tiles * TILE))
+    for d in range(draws):
+        for t in range(tiles):
+            key = np.array([seed, d * 2**32 + t], dtype=np.uint64)
+            z[d, t * TILE : (t + 1) * TILE] = Generator(Philox(key=key)).standard_normal(TILE)
+    return z[:, :paths].T
+
+
+def streamed(seed, paths, block_size, draws):
+    """Every row the simulator's noise producer yields, put back as (paths, draws)."""
+    z = np.empty((paths, draws))
+    with closing(simulate._noise_rows(seed, paths, block_size, draws)) as rows:
+        for start in range(0, paths, block_size):
+            for d in range(draws):
+                z[start : start + block_size, d] = next(rows)
+        assert next(rows, None) is None
+    return z
+
+
 @pytest.mark.parametrize(
-    "seed, start, count, draws",
+    "seed, paths, block_size, draws",
     [
-        (2**64 - 1, 0, 3, 17),
-        (2**64 - 1, 2**64 - 2, 5, 1025),  # path indices wrap to 0, 1, 2
-        (12345, 2**64 - 3, 70, 17),  # more paths than one fill buffer
-        (7, 5, 8193, 3),  # splits unevenly across two, three or four threads
-        (11, 0, 129, 33),  # just above two fill buffers: two ranges at most
-        (2**64 - 1, 2**64 - 100, 200, 9),  # a range starts at or spans the wrap
+        (2**64 - 1, 3, 8192, 17),
+        (12345, 8193, 8192, 3),  # one path in a second tile
+        (7, 9000, 4096, 130),  # two blocks per tile; chunks end at rows 64 and 128
+        (11, 9000, 77, 5),  # blocks start inside a tile and straddle its edge
+        (0, 20000, 20000, 2),  # one block over three tiles
     ],
 )
-def test_path_block_normals_stream_contract(monkeypatch, seed, start, count, draws):
-    # row i is the stream of a fresh Philox keyed by (seed, start + i mod 2^64),
-    # whatever the number of threads the block is split across
-    ref = np.stack([
-        Generator(Philox(key=np.array([seed, (start + i) & simulate.MASK64], dtype=np.uint64)))
-        .standard_normal(draws)
-        for i in range(count)
-    ])
-    assert np.array_equal(simulate._path_block_normals(seed, start, count, draws), ref)
-    for cores in (1, 2, 3, 4):
+def test_noise_rows_stream_contract(monkeypatch, seed, paths, block_size, draws):
+    # the rows are the row-tile streams whatever the block and the number
+    # of helper threads
+    ref = tile_normals(seed, paths, draws)
+    for cores in (1, 2, 8):
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-        z = simulate._path_block_normals(seed, start, count, draws)
-        assert z.flags.f_contiguous
-        assert np.array_equal(z, ref)
+        assert np.array_equal(streamed(seed, paths, block_size, draws), ref)
 
 
-class TestSplitDraw:
-    """A block is filled in contiguous ranges, one thread per usable core."""
+class TestRowProducer:
+    """Helper threads, one per usable core, fill chunks of draw rows in order."""
 
-    def _fill_threads(self, monkeypatch, cores, count):
+    def _fills(self, monkeypatch, cores, paths, block_size, draws):
         seen = []
-        orig = simulate._fill_rows
+        orig = simulate._fill_chunk
 
-        def recording(seed, start, rows, chunk):
-            seen.append((threading.current_thread(), start, len(rows)))
-            return orig(seed, start, rows, chunk)
+        def recording(seed, start, r0, rows):
+            seen.append((threading.current_thread(), start, r0, rows.shape))
+            return orig(seed, start, r0, rows)
 
-        monkeypatch.setattr(simulate, "_fill_rows", recording)
+        monkeypatch.setattr(simulate, "_fill_chunk", recording)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
         before = threading.active_count()
-        simulate._path_block_normals(3, 10, count, 5)
+        streamed(3, paths, block_size, draws)
         assert threading.active_count() == before
         return seen
 
-    def test_one_core_starts_no_helper(self, monkeypatch):
-        seen = self._fill_threads(monkeypatch, 1, 8192)
-        assert seen == [(threading.current_thread(), 10, 8192)]
+    def test_one_core_starts_one_helper(self, monkeypatch):
+        threads = {th for th, *_ in self._fills(monkeypatch, 1, 300, 8192, 200)}
+        assert len(threads) == 1 and threading.current_thread() not in threads
 
-    def test_small_block_stays_on_the_calling_thread(self, monkeypatch):
-        seen = self._fill_threads(monkeypatch, 4, 127)
-        assert seen == [(threading.current_thread(), 10, 127)]
+    def test_no_fill_runs_on_the_calling_thread(self, monkeypatch):
+        threads = {th for th, *_ in self._fills(monkeypatch, 3, 300, 50, 200)}
+        assert 1 <= len(threads) <= 3 and threading.current_thread() not in threads
 
-    def test_ranges_cover_the_block_once(self, monkeypatch):
-        seen = self._fill_threads(monkeypatch, 3, 8193)
-        assert sorted((s, n) for _, s, n in seen) == [(10, 2731), (2741, 2731), (5472, 2731)]
-        assert [s for thread, s, _ in seen if thread is threading.current_thread()] == [10]
-        assert len({thread for thread, _, _ in seen}) == 3
+    def test_chunks_cover_every_block_and_row_once(self, monkeypatch):
+        seen = self._fills(monkeypatch, 2, 9000, 4096, 130)
+        assert sorted((s, r0, shape) for _, s, r0, shape in seen) == [
+            (start, r0, (min(64, 130 - r0), min(4096, 9000 - start)))
+            for start in (0, 4096, 8192) for r0 in (0, 64, 128)
+        ]
 
     def test_more_threads_than_cores_with_frequent_switches(self, monkeypatch):
-        # eight threads write disjoint row ranges of one draw-major block
-        monkeypatch.setattr(simulate, "_usable_cores", lambda: 1)
-        ref = simulate._path_block_normals(21, 2**64 - 4000, 8193, 4)
+        # eight helpers fill the chunks of a ring of shared buffers
+        ref = tile_normals(21, 9000, 9)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(simulate, "_ROWS", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert np.array_equal(simulate._path_block_normals(21, 2**64 - 4000, 8193, 4), ref)
+                assert np.array_equal(streamed(21, 9000, 1000, 9), ref)
         finally:
             sys.setswitchinterval(interval)
 
     def test_helper_failure_reaches_caller(self, monkeypatch):
-        # a helper of a block's draw fails; the caller of
-        # _path_block_normals joins its helpers and hands the error on
-        callers, failed = set(), []
-        orig_block, orig_fill = simulate._path_block_normals, simulate._fill_rows
+        failed, orig = [], simulate._fill_chunk
 
-        def block(*args):
-            callers.add(threading.current_thread())
-            return orig_block(*args)
-
-        def fill(seed, start, rows, chunk):
-            if threading.current_thread() not in callers:
-                failed.append(start)
+        def fill(seed, start, r0, rows):
+            if (start, r0) == (100, 0):
+                failed.append(threading.current_thread())
                 raise RuntimeError("injected in a helper")
-            return orig_fill(seed, start, rows, chunk)
+            return orig(seed, start, r0, rows)
 
-        monkeypatch.setattr(simulate, "_path_block_normals", block)
-        monkeypatch.setattr(simulate, "_fill_rows", fill)
+        monkeypatch.setattr(simulate, "_fill_chunk", fill)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         p, ip = builtin("example-1.1")
         cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected in a helper"):
-            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=200)
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=100)
         assert threading.active_count() == before
-        assert failed == [100]  # the second half of the first block
-        before = threading.active_count()
+        assert len(failed) == 1 and failed[0] is not threading.current_thread()
         with pytest.raises(RuntimeError, match="injected in a helper"):
-            simulate._path_block_normals(4, 0, 300, 17)
+            streamed(4, 300, 100, 17)
         assert threading.active_count() == before
 
-    def test_calling_thread_failure_waits_for_helpers(self, monkeypatch):
-        # the calling thread's own range fails while a helper fills the
-        # other: the helper has returned before the error reaches the caller
-        caller, events, started = threading.current_thread(), [], threading.Event()
-        orig = simulate._fill_rows
+    def test_step_failure_waits_for_helpers(self, monkeypatch):
+        # the first step fails while a helper still fills the second chunk:
+        # that helper has returned before the error reaches the caller
+        filled, started = [], threading.Event()
+        orig = simulate._fill_chunk
 
-        def fill(seed, start, rows, chunk):
-            if threading.current_thread() is caller:
-                started.wait(5.0)
-                raise RuntimeError("injected on the calling thread")
-            started.set()
-            time.sleep(0.05)  # still running when the calling thread raises
-            orig(seed, start, rows, chunk)
-            events.append(start)
+        def fill(seed, start, r0, rows):
+            if r0 == 64:
+                started.set()
+                time.sleep(0.05)  # still running when the step raises
+            orig(seed, start, r0, rows)
+            filled.append(r0)
+            return rows
 
-        monkeypatch.setattr(simulate, "_fill_rows", fill)
+        def step(*args):
+            started.wait(5.0)
+            raise RuntimeError("injected in a step")
+
+        monkeypatch.setattr(simulate, "_fill_chunk", fill)
+        monkeypatch.setattr(simulate, "_euler_step", step)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=300, steps=400, master_seed=4)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="injected on the calling thread"):
-            simulate._path_block_normals(4, 0, 300, 17)
+        with pytest.raises(RuntimeError, match="injected in a step"):
+            simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
         assert threading.active_count() == before
-        assert events == [150]
+        assert 64 in filled and len(filled) <= simulate._AHEAD + 1
 
 
-class TestTwoPhaseBlocks:
-    """A block is drawn, then stepped on the calling thread; one block at a time."""
+class TestStreamedBlocks:
+    """The calling thread steps each draw row as it arrives, one block at a time."""
 
-    def test_no_draw_runs_while_a_block_steps(self, monkeypatch):
-        # the draw's helpers too have returned before the block steps, and
-        # every step runs on the calling thread
-        caller, events, running = threading.current_thread(), [], []
+    def test_fills_run_ahead_by_the_lookahead_only(self, monkeypatch):
+        # every step runs on the calling thread and every fill on a helper;
+        # when a row is stepped, at most _AHEAD chunks past its own were begun
+        caller, fills, begun = threading.current_thread(), [], []
         lock = threading.Lock()
+        orig_fill, orig_step = simulate._fill_chunk, simulate._euler_step
 
-        def watched(kind, orig):
-            def call(*args):
-                with lock:
-                    # a step starts with nothing else running, and nothing
-                    # starts while a step runs
-                    assert (running == []) if kind == "step" else ("step" not in running)
-                    running.append(kind)
-                    events.append(kind)
-                try:
-                    if kind == "step":
-                        assert threading.current_thread() is caller
-                        time.sleep(1e-3)  # room for a draw on another thread
-                    return orig(*args)
-                finally:
-                    with lock:
-                        running.remove(kind)
-            return call
+        def fill(seed, start, r0, rows):
+            assert threading.current_thread() is not caller
+            with lock:
+                fills.append((start, r0))
+            return orig_fill(seed, start, r0, rows)
 
-        monkeypatch.setattr(simulate, "_euler_step", watched("step", simulate._euler_step))
-        monkeypatch.setattr(simulate, "_path_block_normals",
-                            watched("draw", simulate._path_block_normals))
-        monkeypatch.setattr(simulate, "_fill_rows", watched("fill", simulate._fill_rows))
+        def step(*args):
+            assert threading.current_thread() is caller
+            with lock:
+                begun.append(len(fills))
+            return orig_step(*args)
+
+        monkeypatch.setattr(simulate, "_fill_chunk", fill)
+        monkeypatch.setattr(simulate, "_euler_step", step)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         p, ip = builtin("example-1.1")
-        cfg = MonteCarloConfig(paths=600, steps=16, master_seed=4)
+        cfg = MonteCarloConfig(paths=600, steps=150, master_seed=4)
         simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=200)
-        phases = [e for e in events if e != "fill"]
-        assert phases == (["draw"] + ["step"] * 16) * 3
-        assert events.count("fill") == 3 * 2  # two ranges per block
+        assert sorted(fills) == [(s, r0) for s in (0, 200, 400) for r0 in (0, 64, 128)]
+        assert len(begun) == 3 * 150
+        for i, n in enumerate(begun):
+            b, k = divmod(i, 150)
+            assert n <= 3 * b + (k + 1) // simulate._ROWS + simulate._AHEAD + 1
 
-    def test_peak_memory_is_one_block_of_normals(self):
+    @pytest.mark.parametrize("ahead", [1, 3])
+    def test_peak_memory_is_bounded_by_the_lookahead(self, monkeypatch, ahead):
+        # one block's normals would take 2048 x 1025 x 8 B = 16.8 MB; the
+        # ring holds _AHEAD + 1 chunks of _ROWS rows
+        monkeypatch.setattr(simulate, "_AHEAD", ahead)
         p, ip = builtin("example-1.1")
-        block, steps = 2048, 256
+        block, steps = 2048, 1024
         cfg = MonteCarloConfig(paths=3 * block, steps=steps, master_seed=9)
         tracemalloc.start()
         try:
@@ -324,7 +357,7 @@ class TestTwoPhaseBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * block * (steps + 1) * 8
+        assert peak < (ahead + 2) * simulate._ROWS * block * 8
 
     def test_no_thread_left_after_run(self):
         p, ip = builtin("example-1.1")
@@ -342,36 +375,78 @@ class TestTwoPhaseBlocks:
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=30)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("target, drawn", [
-        ("draw", [0, 100]),  # the second block's draw fails
-        ("step", [0]),  # the first block's first step fails
-    ])
-    def test_failure_reaches_caller_with_nothing_drawn_after_it(self, monkeypatch, target,
-                                                                drawn):
-        starts = []
-        orig_draw, orig_step = simulate._path_block_normals, simulate._euler_step
+    @pytest.mark.parametrize("target", ["fill", "step"])
+    def test_failure_reaches_caller_with_nothing_filled_past_the_lookahead(self, monkeypatch,
+                                                                           target):
+        # the second block's chunk fails, or the first block's first step:
+        # no chunk past the lookahead of the failing one is begun
+        fills = []
+        orig_fill, orig_step = simulate._fill_chunk, simulate._euler_step
 
-        def draw(seed, start, *rest):
-            starts.append(start)
-            if target == "draw" and len(starts) == 2:
+        def fill(seed, start, r0, rows):
+            fills.append(start)
+            if target == "fill" and start == 100:
                 raise RuntimeError("injected")
-            return orig_draw(seed, start, *rest)
+            return orig_fill(seed, start, r0, rows)
 
         def step(*args):
             if target == "step":
                 raise RuntimeError("injected")
             return orig_step(*args)
 
-        monkeypatch.setattr(simulate, "_path_block_normals", draw)
+        monkeypatch.setattr(simulate, "_fill_chunk", fill)
         monkeypatch.setattr(simulate, "_euler_step", step)
         monkeypatch.setattr(simulate, "_usable_cores", lambda: 2)
         p, ip = builtin("example-1.1")
-        cfg = MonteCarloConfig(paths=300, steps=16, master_seed=4)
+        cfg = MonteCarloConfig(paths=1000, steps=16, master_seed=4)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg, block_size=100)
         assert threading.active_count() == before
-        assert starts == drawn
+        last = (1 if target == "fill" else 0) + simulate._AHEAD
+        assert set(fills) <= {100 * c for c in range(last + 1)}
+
+
+class TestStreamStatistics:
+    """The row-tile streams look like independent standard normals."""
+
+    @staticmethod
+    def rows(seed, tiles=4, draws=8):
+        return simulate._fill_chunk(seed, 0, 0, np.empty((draws, tiles * TILE)))
+
+    def test_mean_and_variance(self):
+        z = self.rows(3).ravel()
+        n = z.size
+        assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+
+    def test_adjacent_rows_adjacent_tiles_and_two_seeds_are_uncorrelated(self):
+        z = self.rows(3)
+        pairs = [
+            (z[:-1], z[1:]),  # draw d and d + 1 of each path
+            (z[:, :-TILE], z[:, TILE:]),  # the same element of tiles t and t + 1
+            (z, self.rows(4)),  # two master seeds
+        ]
+        for a, b in pairs:
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) <= 5.0 / np.sqrt(a.size)
+
+    def test_key_map_is_injective_over_the_valid_range(self):
+        # draws d <= 2^32 - 2 (steps < 2^32 - 1) and tiles t < 2^32 (paths
+        # <= 2^45): key = d 2^32 + t, so divmod(key, 2^32) gives (d, t) back
+        # and the largest key fits 64 bits
+        rng = np.random.default_rng(0)
+        ds = [0, 1, 2**32 - 2, *rng.integers(0, 2**32 - 1, 50).tolist()]
+        ts = [0, 1, 2**32 - 1, *rng.integers(0, 2**32, 50).tolist()]
+        pairs = {(d, t) for d in ds for t in ts}
+        assert {divmod(d * 2**32 + t, 2**32) for d, t in pairs} == pairs
+        assert (2**32 - 2) * 2**32 + 2**32 - 1 < 2**64
+        # the simulator keys its last row tile so
+        z = simulate._fill_chunk(9, (2**32 - 1) * TILE + 5, 2**32 - 2, np.empty((1, 3)))
+        key = np.array([9, (2**32 - 2) * 2**32 + 2**32 - 1], dtype=np.uint64)
+        assert np.array_equal(z[0], Generator(Philox(key=key)).standard_normal(8)[5:])
+        MonteCarloConfig(paths=2**45, steps=2**32 - 2, master_seed=0)
+        with pytest.raises(InvalidInputError, match=r"paths must be in \[1, 2\^45\]"):
+            MonteCarloConfig(paths=2**45 + 1, steps=16, master_seed=0)
 
 
 def reference_euler(p, ip, controls, cfg):
@@ -381,8 +456,7 @@ def reference_euler(p, ip, controls, cfg):
     dt = (p.T - ip.t) / N
     s = ip.t + dt * np.arange(N + 1)
     s[-1] = p.T
-    z = np.stack([Generator(Philox(key=np.array([cfg.master_seed, i], dtype=np.uint64)))
-                  .standard_normal(N + 1) for i in range(P)])
+    z = tile_normals(cfg.master_seed, P, N + 1)
     W, dW = np.sqrt(ip.t) * z[:, 0], z[:, 1:] * np.sqrt(dt)
     A, B, C, D, Q, S, R = (getattr(p, c)(s) for c in "ABCDQSR")
     b, sigma, q, rho = (getattr(p, c)(s) for c in ("b", "sigma", "q", "rho"))
@@ -662,6 +736,36 @@ class TestErrors:
             MonteCarloConfig(paths=0, steps=64, master_seed=1)
         with pytest.raises(InvalidInputError):
             MonteCarloConfig(paths=10, steps=8, master_seed=1)
+
+    @pytest.mark.parametrize("field", ["paths", "steps", "master_seed"])
+    @pytest.mark.parametrize("value", [16.5, True, np.float64(17.0), "17"])
+    def test_non_integral_config_values_are_rejected(self, field, value):
+        # a float seed must not be truncated to another seed, nor a float size reach numpy
+        kwargs = {"paths": 20, "steps": 16, "master_seed": 1, field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got"):
+            MonteCarloConfig(**kwargs)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = MonteCarloConfig(paths=np.int64(20), steps=np.int32(16),
+                               master_seed=np.uint64(2**64 - 1))
+        assert (cfg.paths, cfg.steps, cfg.master_seed) == (20, 16, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.paths, cfg.steps, cfg.master_seed))
+
+    @pytest.mark.parametrize("steps", [2**32 - 1, 2**40])
+    def test_steps_past_the_key_layout_are_rejected(self, steps):
+        with pytest.raises(InvalidInputError, match="steps must be in"):
+            MonteCarloConfig(paths=1, steps=steps, master_seed=1)
+
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_block_size_below_one_is_rejected(self, block_size, coupled):
+        # a negative size would run no block and report a zero cost
+        p, ip = builtin("example-1.1")
+        cfg = MonteCarloConfig(paths=10, steps=16, master_seed=1)
+        run = simulate_coupled if coupled else simulate_ensemble
+        ctrl = [ControlSpec.zero()] if coupled else ControlSpec.zero()
+        with pytest.raises(InvalidInputError, match="block_size must be"):
+            run(p, ip, ctrl, cfg, block_size=block_size)
 
 
 class TestWeakConvergenceInvariance:
