@@ -112,6 +112,13 @@ PROBLEMS = {
         "[input.sigma]\ndeterministic = table\n0 : 0.3\n1 : 0.1\n"
         "[input.q]\ndeterministic = 0.1\n[input.rho]\ndeterministic = 0.05, -0.02\n"
     ),
+    # the problem of tests/test_cli.py's blown paths: dX = 32 X ds + X dW,
+    # where 9 of 4000 paths pass 1e12 in 64 Euler steps at seed 25 and are
+    # left out of the means
+    "blows": (
+        "[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[coef.A]\nconstant = 32\n"
+        "[coef.C]\nconstant = 1\n[coef.R]\nconstant = 1\n[terminal]\nG = 0\n"
+    ),
 }
 
 # config files, written as <key with - for _>.conf beside the problem files
@@ -151,6 +158,7 @@ COMMANDS = [
     "diagnose --problem {forced_modulated} --steps 400",
     "solve --problem {two_control_modulated} --steps 400 --eps-min 0.125",
     "diagnose --problem {two_control_modulated} --steps 400",
+    "simulate --problem {blows} --control zero --paths 4000 --mc-steps 64",
 ]
 
 

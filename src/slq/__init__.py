@@ -15,7 +15,6 @@ from .errors import (
     EnsembleError,
     InvalidInputError,
     UnknownProblemError,
-    WrongClassError,
 )
 from .problem import (
     InitialPair,

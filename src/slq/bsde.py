@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GridFn, interp_weights, matmul
-from .errors import InvalidInputError, WrongClassError
+from .errors import InvalidInputError
 from .problem import NamedProfile, SLQProblem
 from .riccati import coef_tables, gain
 
@@ -55,7 +55,7 @@ def _adjoint_modulated(p: SLQProblem, sols) -> list:
     then run rung by rung.
     """
     if p.n != 1:
-        raise WrongClassError(f"modulated reduction requires a scalar state (n = 1), got n = {p.n}")
+        raise InvalidInputError(f"modulated reduction requires a scalar state (n = 1), got n = {p.n}")
 
     T = p.T
     gamma = float(p.b_mod.gamma)

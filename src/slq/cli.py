@@ -36,7 +36,6 @@ from .simulate import (
     estimate_cost,
     estimate_csv_row,
     ESTIMATE_CSV_HEADER,
-    mean_se,
     simulate_coupled,
     simulate_ensemble,
     terminal_moment,
@@ -137,13 +136,13 @@ def _write_atomic(out_dir: str, name: str, text: str):
 
 
 def _monte_carlo(cfg: argparse.Namespace, simulate, *args, **kwargs):
-    """``simulate(*args, mc, **kwargs)``, naming on stderr the paths it zeroed."""
+    """``simulate(*args, mc, **kwargs)``, naming on stderr the paths its means leave out."""
     paths = cfg.paths if cfg.paths > 0 else _DEFAULT_PATHS
     mc = MonteCarloConfig(paths=paths, steps=cfg.mc_steps, master_seed=cfg.seed)
     res = simulate(*args, mc, **kwargs)
     if res.blown.any():
         print(f"warning: {int(res.blown.sum())} of {paths} paths left the finite regime "
-              "and were zeroed", file=sys.stderr)
+              "and were left out of the means", file=sys.stderr)
     return res
 
 
@@ -157,7 +156,7 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
     u_norms = None
     if cfg.paths > 0:
         cpl = _monte_carlo(cfg, simulate_coupled, p, ip, [s.control for s in sols])
-        means, ses = mean_se(cpl.control_norm_sq)
+        means, ses = cpl.mean_se(cpl.control_norm_sq)
         u_norms = [(s.epsilon, float(v), float(se)) for s, v, se in zip(sols, means, ses)]
 
     texts = riccati_csv([s.P for s in sols])
@@ -203,7 +202,7 @@ def _cmd_diagnose(cfg: argparse.Namespace) -> int:
         cpl = _monte_carlo(cfg, simulate_coupled, p, ip, rep.controls)
         lines.append("  monte carlo cross-check (eps, mean +- se vs exact): " + "; ".join(
             f"{e:.6g}: {mean:.6g} +- {se:.2g} vs {v:.6g}"
-            for (e, v), mean, se in zip(rep.u_norms, *mean_se(cpl.control_norm_sq))
+            for (e, v), mean, se in zip(rep.u_norms, *cpl.mean_se(cpl.control_norm_sq))
         ))
 
     dist_by_eps = dict(rep.u_distances)

@@ -60,10 +60,13 @@ def pinv_1x1(A: np.ndarray) -> np.ndarray:
     return np.divide(1.0, A, out=np.zeros(A.shape), where=A != 0.0)
 
 
-def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
+_PINV_REL_TOL = 1e-12
+
+
+def pinv(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with a relative rank cutoff.
 
-    Singular values at or below ``rel_tol * max(singular values)`` are
+    Singular values at or below ``1e-12 * max(singular values)`` are
     treated as zero.  A zero matrix therefore maps to the zero matrix,
     reproducing the 0^+ = 0 convention required by degenerate scalar
     problems.  A 1x1 matrix (or a stack of them) skips the SVD and maps a
@@ -75,11 +78,7 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     M : array_like
         Matrix to invert, or a stack ``(N, r, c)`` of matrices inverted one
         by one; must be finite.
-    rel_tol : float
-        Relative singular-value cutoff, in (0, 1).
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidInputError(f"rel_tol must be in (0, 1), got {rel_tol}")
     A = _as_matrix(M, "pinv input")
     if A.shape[-2:] == (1, 1):
         # the one singular value is |a|, so the relative cutoff keeps every
@@ -88,7 +87,7 @@ def pinv(M, rel_tol: float = 1e-12) -> np.ndarray:
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.ndim == 1 and (s.size == 0 or s[0] == 0.0):
         return np.zeros((A.shape[1], A.shape[0]))
-    keep = s > rel_tol * s[..., :1]
+    keep = s > _PINV_REL_TOL * s[..., :1]
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return (Vt.mT * s_inv[..., None, :]) @ U.mT
 
@@ -116,9 +115,9 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.mT)
 
 
-def is_symmetric(M, tol: float = 0.0) -> bool:
+def is_symmetric(M) -> bool:
     A = np.asarray(M, dtype=float)
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(np.all(np.abs(A - A.T) <= tol))
+    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(np.all(A - A.T == 0.0))
 
 
 def interp_weights(grid: np.ndarray, s) -> tuple:

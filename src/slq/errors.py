@@ -9,13 +9,6 @@ class UnknownProblemError(LookupError):
     """Raised when a built-in problem name is not recognized."""
 
 
-class WrongClassError(InvalidInputError):
-    """Raised when inputs belong to the other supported reduction class.
-
-    The message names the solver that handles the offending class.
-    """
-
-
 class DegeneratePerturbationError(RuntimeError):
     """Raised when R + eps*I + D'PD is numerically singular.
 

@@ -126,7 +126,7 @@ class ControlSpec:
 class MonteCarloEstimate:
     mean: float
     std_error: float
-    paths: int
+    paths: int  # paths averaged: those not blown
     quantity: str  # cost | control-norm-squared | terminal-moment
     steps: int
     seed: int
@@ -159,7 +159,10 @@ class CoupledEnsembles:
     Full paths are kept in ``recorded`` only when ``record_paths`` was
     requested (None otherwise); the reductions are all downstream consumers
     need.  The fields after ``cfg`` are in the order :func:`_run_blocks`
-    returns them; :func:`mean_se` of a per-path field gives its estimates.
+    returns them; :meth:`mean_se` of a per-path field gives its estimates.
+    A path in ``blown`` left the finite regime under some control: it is
+    zeroed under every control, so the arithmetic stays finite, and left
+    out of every mean and standard error.
     """
 
     problem: SLQProblem
@@ -171,6 +174,10 @@ class CoupledEnsembles:
     X_T: np.ndarray  # (K, M, n)
     recorded: Optional[dict]
     blown: np.ndarray  # (M,) bool, zeroed under every control
+
+    def mean_se(self, rows: np.ndarray):
+        """:func:`mean_se` of per-path ``rows`` (..., M) over the paths not in ``blown``."""
+        return mean_se(rows[..., ~self.blown] if self.blown.any() else rows)
 
 
 def _usable_cores() -> int:
@@ -559,26 +566,26 @@ def _check_match(ens: CoupledEnsembles, p: SLQProblem, ip: InitialPair):
         raise InvalidInputError("ensemble was simulated for a different problem or initial pair")
 
 
-def _estimate(values: np.ndarray, quantity: str, cfg: MonteCarloConfig) -> MonteCarloEstimate:
-    mean, se = mean_se(values)
+def _estimate(ens: CoupledEnsembles, values: np.ndarray, quantity: str) -> MonteCarloEstimate:
+    mean, se = ens.mean_se(values)
     return MonteCarloEstimate(
-        mean=float(mean), std_error=float(se), paths=values.size, quantity=quantity,
-        steps=cfg.steps, seed=cfg.master_seed,
+        mean=float(mean), std_error=float(se), paths=values.size - int(ens.blown.sum()),
+        quantity=quantity, steps=ens.cfg.steps, seed=ens.cfg.master_seed,
     )
 
 
 def estimate_cost(p: SLQProblem, ip: InitialPair, ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Mean and standard error of the quadratic cost over the ensemble."""
     _check_match(ens, p, ip)
-    return _estimate(_only_control(ens, ens.cost), "cost", ens.cfg)
+    return _estimate(ens, _only_control(ens, ens.cost), "cost")
 
 
 def control_norm(ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Monte Carlo estimate of E int |u(s)|^2 ds for the simulated control."""
-    return _estimate(_only_control(ens, ens.control_norm_sq), "control-norm-squared", ens.cfg)
+    return _estimate(ens, _only_control(ens, ens.control_norm_sq), "control-norm-squared")
 
 
 def terminal_moment(ens: CoupledEnsembles) -> MonteCarloEstimate:
     """Monte Carlo estimate of E |X(T)|^2."""
     X_T = _only_control(ens, ens.X_T)
-    return _estimate(np.einsum("bi,bi->b", X_T, X_T), "terminal-moment", ens.cfg)
+    return _estimate(ens, np.einsum("bi,bi->b", X_T, X_T), "terminal-moment")

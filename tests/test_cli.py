@@ -212,7 +212,7 @@ def test_one_path_standard_error_is_nan_and_silent(tmp_path, capsys):
 
 class TestBlownPaths:
     # dX = 32 X ds + X dW with 64 Euler steps: about 0.2% of paths pass 1e12
-    # (8 of 4000 at the default seed); B = 0 and G = Q = 0 make every
+    # (9 of 4000 at the default seed); B = 0 and G = Q = 0 make every
     # feedback zero, so all commands see the zero control's paths
     PROBLEM = ("[dims]\nn = 1\nm = 1\n[horizon]\nT = 1\n[coef.A]\nconstant = 32\n"
                "[coef.C]\nconstant = 1\n[coef.R]\nconstant = 1\n[terminal]\nG = 0\n")
@@ -228,7 +228,7 @@ class TestBlownPaths:
             out, err = capsys.readouterr()
             count, rest = err.removeprefix("warning: ").split(" of 4000 ", 1)
             assert 0 < int(count) <= 40, err  # more than none, at most 1%
-            assert rest == "paths left the finite regime and were zeroed\n"
+            assert rest == "paths left the finite regime and were left out of the means\n"
             outs.append(out)
         # the warning goes to stderr only: stdout and files are as before
         assert read(tmp_path / "0" / "ensemble.csv") == outs[0]

@@ -22,8 +22,7 @@ class TestPinv:
             assert np.array_equal(y, np.linalg.pinv(x))
 
     def test_identity(self):
-        for tol in (1e-15, 1e-6, 0.5):
-            assert np.allclose(pinv(np.eye(3), tol), np.eye(3), atol=1e-14)
+        assert np.allclose(pinv(np.eye(3)), np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
         got = pinv(np.diag([2.0, 0.0]))
@@ -53,10 +52,6 @@ class TestPinv:
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
             pinv(np.array([[np.nan]]))
-        with pytest.raises(InvalidInputError):
-            pinv(np.eye(2), rel_tol=0.0)
-        with pytest.raises(InvalidInputError):
-            pinv(np.eye(2), rel_tol=1.5)
 
 
     def test_stack_matches_per_matrix(self):

@@ -18,6 +18,7 @@ from slq.simulate import (
     MonteCarloConfig,
     control_norm,
     estimate_cost,
+    mean_se,
     simulate_coupled,
     simulate_ensemble,
     terminal_moment,
@@ -697,20 +698,23 @@ class TestErrors:
         with pytest.raises(EnsembleError):
             simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
 
-    def test_coupled_run_reports_blown_paths(self):
+    def test_blown_paths_are_left_out_of_every_mean(self):
         # a few paths leave the finite regime: the coupled run reports the
-        # same mask as a run alone, and the Monte Carlo criteria refuse it
-        from slq import verify
-
+        # same mask as a run alone, and every mean skips those paths, whose
+        # cost rows still hold the running cost from before the blow-up
         p = scalar_problem(A=1.0, C=22.0, Q=1.0, G=1.0)
         ip = InitialPair(t=0.0, x=np.array([1.0]))
         cfg = MonteCarloConfig(paths=4000, steps=16, master_seed=1)
         cpl = simulate_coupled(p, ip, [ControlSpec.zero(), ControlSpec.zero()], cfg)
         alone = simulate_ensemble(p, ip, ControlSpec.zero(), cfg)
-        assert 0 < cpl.blown.sum() <= 40
+        blown = int(cpl.blown.sum())
+        assert 0 < blown <= 40
         assert np.array_equal(cpl.blown, alone.blown)
-        with pytest.raises(EnsembleError, match="left the finite regime"):
-            verify._coupled_without_blowup(p, ip, [ControlSpec.zero()], cfg)
+        got = cpl.mean_se(cpl.cost)
+        want = mean_se(cpl.cost[:, ~cpl.blown])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert not np.array_equal(got[0], cpl.cost.mean(axis=1))
+        assert estimate_cost(p, ip, alone).paths == 4000 - blown
 
     def test_mismatched_ensemble_rejected(self):
         p, ip = builtin("example-1.1")
